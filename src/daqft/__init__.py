@@ -14,7 +14,6 @@ from .daqc import (
     build_bdaqc_schedule,
     build_sdaqc_schedule,
     compile_qft_daqc,
-    execute_schedule,
     schedule_dump,
     schedule_program,
     sign_matrix,
@@ -32,7 +31,6 @@ from .noise import (
     make_sampler,
     monte_carlo,
     records_to_csv,
-    run_protocol,
     sweep_beta,
     sweep_error_scale,
 )
@@ -41,7 +39,6 @@ from .nn2ata import (
     VertexPermutation,
     decompose_complete_graph,
     hp_permutation,
-    iswap_relabel,
     verify_nn_simulates_ata,
 )
 from .program import Program, execute_program, program_unitary
@@ -86,11 +83,9 @@ __all__ = [
     "default_beta_grid",
     "exact_qft",
     "execute_program",
-    "execute_schedule",
     "fidelity",
     "ghz_state",
     "hp_permutation",
-    "iswap_relabel",
     "load_noise_config",
     "make_sampler",
     "monte_carlo",
@@ -98,7 +93,6 @@ __all__ = [
     "program_unitary",
     "qft_matrix",
     "records_to_csv",
-    "run_protocol",
     "schedule_dump",
     "schedule_program",
     "sign_matrix",

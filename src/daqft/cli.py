@@ -209,7 +209,6 @@ def _cmd_nn2ata(args) -> int:
     else:
         sys.stdout.write(dump)
     print(f"paths {len(report.paths)}")
-    print(f"reading {report.reading}")
     if report.covered:
         print("edge-cover PASS")
     else:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ising import IsingSpec, Pair, all_pairs
-from .program import AnalogBlock, BangedWindow, HadamardGate, Permute, Program, XGate
+from .program import AnalogBlock, BangedWindow, HadamardGate, Program, XGate
 from .qft import QftPlan, build_qft_plan, readout_instruction
-from .statevector import Statevector
 
 # Default drive-window width for banged schedules.  The window error grows
 # linearly with the width and with register size; 1e-4 keeps the ideal banged
@@ -35,18 +34,6 @@ def vectorize_pair(n: int, m: int, n_qubits: int) -> int:
     if not (1 <= n < m <= n_qubits):
         raise ValueError(f"need 1 <= n < m <= {n_qubits}, got ({n}, {m})")
     return n_qubits * (n - 1) - n * (n + 1) // 2 + m
-
-
-def unvectorize_pair(alpha_index: int, n_qubits: int) -> Pair:
-    """Inverse of vectorize_pair."""
-    count = n_qubits * (n_qubits - 1) // 2
-    if not 1 <= alpha_index <= count:
-        raise ValueError(f"alpha index {alpha_index} out of range 1..{count}")
-    for n in range(1, n_qubits + 1):
-        base = n_qubits * (n - 1) - n * (n + 1) // 2
-        if base + n < alpha_index <= base + n_qubits:
-            return (n, alpha_index - base)
-    raise AssertionError("unreachable: vectorize_pair covers 1..N(N-1)/2")
 
 
 def sign_matrix(n_qubits: int) -> np.ndarray:
@@ -229,20 +216,6 @@ def schedule_program(schedule: DaqcSchedule) -> Program:
     )
 
 
-def execute_schedule(state: Statevector, schedule: DaqcSchedule, noise=None, rng=None) -> Statevector:
-    """Run a schedule on a state, optionally with noise draws."""
-    from .program import execute_program  # local to keep module deps one-way
-
-    if state.n_qubits != schedule.n_qubits:
-        raise ValueError("schedule register size does not match the state")
-    sampler = None
-    if noise is not None:
-        from .noise import make_sampler
-
-        sampler = make_sampler(noise, rng)
-    return execute_program(state, schedule_program(schedule), sampler)
-
-
 def schedule_dump(schedule: DaqcSchedule) -> str:
     """One line per item: `alpha n m duration` (fixed format for golden files)."""
     lines = [
@@ -271,7 +244,6 @@ def compile_qft_daqc(
     resource = IsingSpec.homogeneous(n)
     instructions: list = []
     block_times = []
-    negative_segments = 0
     for block in plan.blocks:
         instructions.extend(block.sqg_layer)
         times = solve_times(block.ising_block)
@@ -280,12 +252,14 @@ def compile_qft_daqc(
             schedule = build_sdaqc_schedule(times, resource)
         else:
             schedule = build_bdaqc_schedule(times, delta_t, resource)
-            negative_segments += sum(
-                1 for s in banged_segment_durations(times, delta_t) if s < 0
-            )
         instructions.extend(schedule_instructions(schedule))
     instructions.append(HadamardGate(plan.final_hadamard))
     instructions.append(readout_instruction(n))
+    negative_segments = sum(
+        1
+        for instr in instructions
+        if isinstance(instr, AnalogBlock) and instr.kind == "banged" and instr.duration < 0
+    )
     return Program(
         n_qubits=n,
         instructions=tuple(instructions),

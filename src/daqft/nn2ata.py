@@ -18,11 +18,6 @@ from .statevector import phase_insensitive_distance
 
 VERIFY_TOL = 1e-9
 
-# Readings of the zigzag path formula, tried in order until the edge-cover
-# verifier passes.  "mod-L" wraps the running index modulo L and adds one to
-# land in 1..L; "mod-L-plus-1" wraps modulo L+1 without the shift.
-READINGS = ("mod-L", "mod-L-plus-1")
-
 
 @dataclass(frozen=True)
 class VertexPermutation:
@@ -36,12 +31,6 @@ class VertexPermutation:
             raise ValueError("size must be >= 1")
         if sorted(self.mapping) != list(range(1, self.size + 1)):
             raise ValueError(f"mapping {self.mapping} is not a bijection on 1..{self.size}")
-
-    def label_of(self, position: int) -> int:
-        """Logical vertex sitting at a 1-based line position."""
-        if not 1 <= position <= self.size:
-            raise ValueError(f"position {position} outside 1..{self.size}")
-        return self.mapping[position - 1]
 
 
 @dataclass(frozen=True)
@@ -65,20 +54,19 @@ class HamiltonianPath:
         return tuple((min(a, b), max(a, b)) for a, b in pairs)
 
 
-def _zigzag_vertex(length: int, k: int, position: int, reading: str) -> int:
-    """Vertex at one position of the k-th zigzag path, under the given reading."""
+def _zigzag_vertex(length: int, k: int, position: int) -> int:
+    """Vertex at one position of the k-th zigzag path.
+
+    The running index wraps modulo L and is shifted by one to land in 1..L.
+    """
     if position % 2 == 0:
         running = k - 1 + position // 2
     else:
         running = k - 1 - (position + 1) // 2
-    if reading == "mod-L":
-        return running % length + 1
-    if reading == "mod-L-plus-1":
-        return running % (length + 1)
-    raise ValueError(f"unknown reading {reading!r}")
+    return running % length + 1
 
 
-def hp_permutation(length: int, k: int, reading: str = "mod-L") -> VertexPermutation:
+def hp_permutation(length: int, k: int) -> VertexPermutation:
     """The k-th Hamiltonian-path ordering of K_length as a vertex permutation.
 
     Walks outward from vertex k, alternating forward and backward around the
@@ -88,16 +76,8 @@ def hp_permutation(length: int, k: int, reading: str = "mod-L") -> VertexPermuta
         raise ValueError("need at least two vertices")
     if not 0 <= k <= length // 2:
         raise ValueError(f"path index {k} outside 0..{length // 2}")
-    mapping = tuple(_zigzag_vertex(length, k, j, reading) for j in range(length))
+    mapping = tuple(_zigzag_vertex(length, k, j) for j in range(length))
     return VertexPermutation(length, mapping)
-
-
-def iswap_relabel(z_support: set[int], i: int, j: int) -> set[int]:
-    """Transpose labels i and j inside a set of Z-operator supports."""
-    if i == j:
-        raise ValueError("relabeling needs two distinct labels")
-    swap = {i: j, j: i}
-    return {swap.get(label, label) for label in z_support}
 
 
 def apply_permutation_to_layout(current: VertexPermutation, i: int, j: int) -> VertexPermutation:
@@ -111,53 +91,38 @@ def apply_permutation_to_layout(current: VertexPermutation, i: int, j: int) -> V
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Outcome of the edge-cover check for one reading of the path formula."""
+    """Outcome of the edge-cover check of the zigzag paths."""
 
     length: int
-    reading: str
     paths: tuple[HamiltonianPath, ...]
     covered: bool
     offending_edge: tuple[int, int] | None
 
 
 def cover_report(length: int) -> CoverReport:
-    """Generate candidate paths and verify they cover K_length exactly once.
+    """Generate the zigzag paths and verify they cover K_length exactly once.
 
-    Readings are tried in order; the first whose paths are valid and
-    edge-disjointly cover the complete graph wins.  If none does, the report
-    for the primary reading carries the first missing or repeated edge.
+    If they do not, the report carries the first repeated or missing edge.
     """
     if length < 2:
         raise ValueError("need at least two vertices")
-    first_failure = None
-    for reading in READINGS:
-        try:
-            paths = tuple(
-                HamiltonianPath(hp_permutation(length, k, reading).mapping)
-                for k in range(1, length // 2 + 1)
-            )
-        except ValueError:
-            continue
-        seen: set[tuple[int, int]] = set()
-        offending = None
-        for path in paths:
-            for edge in path.edges:
-                if edge in seen:
-                    offending = edge
-                    break
-                seen.add(edge)
-            if offending:
+    paths = tuple(
+        HamiltonianPath(hp_permutation(length, k).mapping) for k in range(1, length // 2 + 1)
+    )
+    seen: set[tuple[int, int]] = set()
+    offending = None
+    for path in paths:
+        for edge in path.edges:
+            if edge in seen:
+                offending = edge
                 break
-        if offending is None:
-            missing = [edge for edge in all_pairs(length) if edge not in seen]
-            offending = missing[0] if missing else None
-        if offending is None:
-            return CoverReport(length, reading, paths, True, None)
-        if first_failure is None:
-            first_failure = CoverReport(length, reading, paths, False, offending)
-    if first_failure is None:
-        raise ValueError(f"no reading yields valid paths for L={length}")
-    return first_failure
+            seen.add(edge)
+        if offending:
+            break
+    if offending is None:
+        missing = [edge for edge in all_pairs(length) if edge not in seen]
+        offending = missing[0] if missing else None
+    return CoverReport(length, paths, offending is None, offending)
 
 
 def decompose_complete_graph(length: int) -> tuple[HamiltonianPath, ...]:
@@ -235,7 +200,6 @@ class SimulationReport:
     """Dense comparison of the path-by-path line evolution with the ATA target."""
 
     length: int
-    reading: str
     paths: tuple[HamiltonianPath, ...]
     distance: float
     tolerance: float
@@ -296,7 +260,6 @@ def verify_nn_simulates_ata(
     passed = distance < tolerance
     return SimulationReport(
         length=length,
-        reading=report.reading,
         paths=report.paths,
         distance=distance,
         tolerance=tolerance,

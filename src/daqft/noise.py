@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .daqc import DEFAULT_DELTA_T, compile_qft_daqc
 from .program import (
     AnalogBlock,
     BangedWindow,
-    ControlledPhase,
     Entangler,
     HadamardGate,
     Permute,
@@ -31,23 +30,15 @@ from .program import (
     execute_program,
 )
 from .qft import beta_state, build_dqc_circuit, exact_qft, readout_instruction
-from .statevector import Statevector, fidelity
+from .statevector import fidelity
 
 PROTOCOLS = ("dqc", "sdaqc", "bdaqc")
 PROTOCOL_LABELS = {"dqc": "DQC", "sdaqc": "sDAQC", "bdaqc": "bDAQC"}
 
-# Keys accepted in a noise-config JSON file.  delta_t rides along because a
-# run is not reproducible without it, but it is not a NoiseConfig field.
-CONFIG_FILE_KEYS = (
-    "sqgn",
-    "tqgn",
-    "tqgn_is_std",
-    "abn_s",
-    "abn_b",
-    "error_scale",
-    "seed",
-    "delta_t",
-)
+
+def _is_real(value) -> bool:
+    """A real number and not a bool (JSON true/false would pass as 1/0)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -61,15 +52,17 @@ class NoiseConfig:
     abn_b: float = 0.01
     error_scale: float = 1.0
     seed: int = 0
-    sqgn_on_hadamard: bool = True
 
     def __post_init__(self) -> None:
         for name in ("sqgn", "tqgn", "abn_s", "abn_b", "error_scale"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not (_is_real(value) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed!r}")
+        if not isinstance(self.tqgn_is_std, bool):
+            raise ValueError(f"tqgn_is_std must be true or false, got {self.tqgn_is_std!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed!r}")
 
     @property
     def tqg_std(self) -> float:
@@ -79,6 +72,10 @@ class NoiseConfig:
 
 
 ZERO_NOISE = NoiseConfig(sqgn=0.0, tqgn=0.0, abn_s=0.0, abn_b=0.0)
+
+# Keys accepted in a noise-config JSON file.  delta_t rides along because a
+# run is not reproducible without it, but it is not a NoiseConfig field.
+CONFIG_FILE_KEYS = tuple(f.name for f in fields(NoiseConfig)) + ("delta_t",)
 
 
 def sample_noise(kind: str, config: NoiseConfig, rng: np.random.Generator) -> float:
@@ -105,12 +102,8 @@ def make_sampler(config: NoiseConfig, rng: np.random.Generator):
     """Per-instruction noise draws, consumed in program order."""
 
     def sampler(instr):
-        if isinstance(instr, (Rotation, XGate)):
+        if isinstance(instr, (Rotation, XGate, HadamardGate)):
             return sample_noise("sqg", config, rng)
-        if isinstance(instr, HadamardGate):
-            if config.sqgn_on_hadamard:
-                return sample_noise("sqg", config, rng)
-            return None
         if isinstance(instr, Entangler):
             return sample_noise("tqg", config, rng)
         if isinstance(instr, AnalogBlock):
@@ -123,14 +116,6 @@ def make_sampler(config: NoiseConfig, rng: np.random.Generator):
         raise UnsupportedGateError(f"no noise model for {type(instr).__name__}")
 
     return sampler
-
-
-def apply_noisy_gate(
-    state: Statevector, gate, config: NoiseConfig, rng: np.random.Generator, resource=None
-) -> Statevector:
-    """Apply one instruction with a fresh noise draw."""
-    program = Program(state.n_qubits, (gate,), resource=resource)
-    return execute_program(state, program, make_sampler(config, rng))
 
 
 def build_protocol_program(protocol: str, n_qubits: int, delta_t: float = DEFAULT_DELTA_T) -> Program:
@@ -153,25 +138,6 @@ def build_protocol_program(protocol: str, n_qubits: int, delta_t: float = DEFAUL
 def _shot_rng(seed: int, shot_index: int) -> np.random.Generator:
     """Generator for one shot; shots are independent streams keyed by index."""
     return np.random.default_rng([seed, shot_index])
-
-
-def run_protocol(
-    protocol: str,
-    n_qubits: int,
-    input_state: Statevector,
-    config: NoiseConfig | None = None,
-    delta_t: float = DEFAULT_DELTA_T,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Fidelity of one protocol execution against the exact transform."""
-    program = build_protocol_program(protocol, n_qubits, delta_t)
-    reference = exact_qft(input_state)
-    sampler = None
-    if config is not None:
-        if rng is None:
-            rng = _shot_rng(config.seed, 0)
-        sampler = make_sampler(config, rng)
-    return fidelity(reference, execute_program(input_state, program, sampler))
 
 
 @dataclass(frozen=True)
@@ -213,6 +179,8 @@ def monte_carlo(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     program = build_protocol_program(protocol, n_qubits, delta_t)
     state = beta_state(n_qubits, beta)
     reference = exact_qft(state)
@@ -347,21 +315,12 @@ def load_noise_config(path) -> tuple[NoiseConfig, float | None]:
         raise ValueError(f"unknown noise config keys: {', '.join(unknown)}")
     delta_t = data.pop("delta_t", None)
     if delta_t is not None:
+        if not (_is_real(delta_t) and math.isfinite(delta_t) and delta_t > 0):
+            raise ValueError(f"delta_t must be a finite number > 0, got {delta_t!r}")
         delta_t = float(delta_t)
-        if delta_t <= 0:
-            raise ValueError("delta_t must be > 0")
     return NoiseConfig(**data), delta_t
 
 
 def config_to_dict(config: NoiseConfig, delta_t: float) -> dict:
     """Materialized noise settings for run manifests."""
-    return {
-        "sqgn": config.sqgn,
-        "tqgn": config.tqgn,
-        "tqgn_is_std": config.tqgn_is_std,
-        "abn_s": config.abn_s,
-        "abn_b": config.abn_b,
-        "error_scale": config.error_scale,
-        "seed": config.seed,
-        "delta_t": delta_t,
-    }
+    return {**asdict(config), "delta_t": delta_t}

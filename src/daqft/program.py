@@ -164,9 +164,7 @@ class AnalogBlock:
     ) -> np.ndarray:
         return amps * np.exp(1j * (self.duration + value) * energy)
 
-    def ideal_apply(self, amps: np.ndarray, n: int, energy: np.ndarray = None) -> np.ndarray:
-        if energy is None:
-            raise ValueError("analog evolution requires a program with a resource")
+    def ideal_apply(self, amps: np.ndarray, n: int, energy: np.ndarray) -> np.ndarray:
         return self.noisy_apply(amps, n, 0.0, energy)
 
 
@@ -197,9 +195,7 @@ class BangedWindow:
     ) -> np.ndarray:
         return _apply_banged_window(amps, n, energy, self.qubits, self.duration, values)
 
-    def ideal_apply(self, amps: np.ndarray, n: int, energy: np.ndarray = None) -> np.ndarray:
-        if energy is None:
-            raise ValueError("banged windows require a program with a resource")
+    def ideal_apply(self, amps: np.ndarray, n: int, energy: np.ndarray) -> np.ndarray:
         return self.noisy_apply(amps, n, np.ones(len(self.qubits)), energy)
 
 
@@ -304,6 +300,28 @@ class Program:
                 raise ValueError("analog instructions require a resource")
 
 
+def _run(program: Program, columns, sampler=None) -> list[np.ndarray]:
+    """Apply the program to each amplitude array: the one loop over instructions."""
+    n = program.n_qubits
+    energy = coupling_diagonal(program.resource) if program.resource is not None else None
+    outputs = []
+    for amps in columns:
+        for instr in program.instructions:
+            value = sampler(instr) if sampler is not None else None
+            if isinstance(instr, _ANALOG_KINDS):
+                if value is None:
+                    amps = instr.ideal_apply(amps, n, energy)
+                else:
+                    amps = instr.noisy_apply(amps, n, value, energy)
+            else:
+                if value is None:
+                    amps = instr.ideal_apply(amps, n)
+                else:
+                    amps = instr.noisy_apply(amps, n, value)
+        outputs.append(amps)
+    return outputs
+
+
 def execute_program(state: Statevector, program: Program, sampler=None) -> Statevector:
     """Run a program on a state.
 
@@ -312,36 +330,11 @@ def execute_program(state: Statevector, program: Program, sampler=None) -> State
     """
     if state.n_qubits != program.n_qubits:
         raise ValueError("state and program disagree on the number of qubits")
-    energy = coupling_diagonal(program.resource) if program.resource is not None else None
-    amps = state.amplitudes
-    n = program.n_qubits
-    for instr in program.instructions:
-        value = sampler(instr) if sampler is not None else None
-        if isinstance(instr, _ANALOG_KINDS):
-            if value is None:
-                amps = instr.ideal_apply(amps, n, energy)
-            else:
-                amps = instr.noisy_apply(amps, n, value, energy)
-        else:
-            if value is None:
-                amps = instr.ideal_apply(amps, n)
-            else:
-                amps = instr.noisy_apply(amps, n, value)
-    return Statevector(n, amps)
+    (amps,) = _run(program, (state.amplitudes,), sampler)
+    return Statevector(program.n_qubits, amps)
 
 
 def program_unitary(program: Program) -> np.ndarray:
     """Dense matrix of the whole program (exactness oracle; small registers only)."""
-    dim = 1 << program.n_qubits
-    energy = coupling_diagonal(program.resource) if program.resource is not None else None
-    columns = []
-    for index in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        for instr in program.instructions:
-            if isinstance(instr, _ANALOG_KINDS):
-                amps = instr.ideal_apply(amps, program.n_qubits, energy)
-            else:
-                amps = instr.ideal_apply(amps, program.n_qubits)
-        columns.append(amps)
-    return np.stack(columns, axis=1)
+    basis = np.eye(1 << program.n_qubits, dtype=complex)
+    return np.stack(_run(program, basis), axis=1)

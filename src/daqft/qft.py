@@ -22,7 +22,7 @@ from .program import (
     Rotation,
     XGate,
 )
-from .statevector import Statevector, basis_state
+from .statevector import Statevector
 
 
 def exact_qft(state: Statevector) -> Statevector:
@@ -199,7 +199,3 @@ def beta_state(n_qubits: int, beta_angle: float) -> Statevector:
     amps = math.sin(beta_angle) * w.amplitudes + math.cos(beta_angle) * ghz.amplitudes
     return Statevector(n_qubits, amps)
 
-
-def identity_input(n_qubits: int) -> Statevector:
-    """|0...0>, handy as a trivial input."""
-    return basis_state(n_qubits, 0)

@@ -7,22 +7,19 @@ never mutate their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import MAX_QUBITS, IsingSpec, coupling_diagonal
+from .ising import MAX_QUBITS
 
 NORM_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
-HERMITIAN_ATOL = 1e-10
 
 SQRT2 = np.sqrt(2.0)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2
 
 _PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
@@ -33,11 +30,6 @@ def pauli(axis: str) -> np.ndarray:
         return _PAULIS[axis]
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
-
-
-def rotation_matrix(axis: str, angle: float) -> np.ndarray:
-    """exp(i * angle * P) for a Pauli P = cos(angle) I + i sin(angle) P."""
-    return np.cos(angle) * np.eye(2, dtype=complex) + 1j * np.sin(angle) * pauli(axis)
 
 
 @dataclass(frozen=True)
@@ -82,68 +74,6 @@ def fidelity(a: Statevector, b: Statevector) -> float:
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-@dataclass(frozen=True)
-class SingleQubitGate:
-    """A 2x2 unitary acting on one target qubit (1-based)."""
-
-    target: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.target < 1:
-            raise ValueError(f"target must be >= 1, got {self.target}")
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.allclose(m.conj().T @ m, np.eye(2), atol=UNITARY_ATOL):
-            raise ValueError("matrix is not unitary")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class DiagonalTwoQubitGate:
-    """diag(p00, p01, p10, p11) on an ordered qubit pair, all |p| = 1."""
-
-    control: int
-    target: int
-    phases: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.control < 1 or self.target < 1 or self.control == self.target:
-            raise ValueError(f"invalid qubit pair ({self.control}, {self.target})")
-        p = np.asarray(self.phases, dtype=complex)
-        if p.shape != (4,):
-            raise ValueError(f"expected 4 phases, got shape {p.shape}")
-        if not np.allclose(np.abs(p), 1.0, atol=NORM_ATOL):
-            raise ValueError("diagonal entries must have unit modulus")
-        object.__setattr__(self, "phases", p)
-
-
-@dataclass
-class DenseHamiltonian:
-    """A Hermitian matrix on the full register, eigendecomposed lazily."""
-
-    matrix: np.ndarray
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=HERMITIAN_ATOL):
-            raise ValueError("matrix is not Hermitian")
-        self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
-            self._eig = np.linalg.eigh(self.matrix)
-        return self._eig
-
-
 def _apply_matrix_1q(amps: np.ndarray, n_qubits: int, target: int, matrix: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix on qubit ``target`` of a flat amplitude array."""
     axis = target - 1
@@ -162,68 +92,6 @@ def _apply_diag_2q(
     b1 = (indices >> (n_qubits - q1)) & 1
     b2 = (indices >> (n_qubits - q2)) & 1
     return amps * phases[2 * b1 + b2]
-
-
-def apply_single_qubit(state: Statevector, gate: SingleQubitGate) -> Statevector:
-    """Apply a single-qubit unitary."""
-    if gate.target > state.n_qubits:
-        raise ValueError(f"target {gate.target} exceeds register of {state.n_qubits} qubits")
-    amps = _apply_matrix_1q(state.amplitudes, state.n_qubits, gate.target, gate.matrix)
-    return Statevector(state.n_qubits, amps)
-
-
-def apply_diagonal_two_qubit(state: Statevector, gate: DiagonalTwoQubitGate) -> Statevector:
-    """Apply a diagonal two-qubit gate."""
-    if gate.control > state.n_qubits or gate.target > state.n_qubits:
-        raise ValueError("gate qubits exceed the register size")
-    amps = _apply_diag_2q(
-        state.amplitudes, state.n_qubits, gate.control, gate.target, gate.phases
-    )
-    return Statevector(state.n_qubits, amps)
-
-
-def evolve_ising_diagonal(state: Statevector, spec: IsingSpec, time: float) -> Statevector:
-    """exp(i * time * sum_{j<k} g_jk Z_j Z_k) applied through the energy diagonal."""
-    if spec.n_qubits != state.n_qubits:
-        raise ValueError("coupling pattern and state disagree on the number of qubits")
-    phases = np.exp(1j * time * coupling_diagonal(spec))
-    return Statevector(state.n_qubits, state.amplitudes * phases)
-
-
-def expm_evolve(state: Statevector, hamiltonian: DenseHamiltonian, time: float) -> Statevector:
-    """exp(i * time * H) |state> via the eigendecomposition of H."""
-    if hamiltonian.dim != state.dim:
-        raise ValueError(
-            f"Hamiltonian dimension {hamiltonian.dim} does not match state dimension {state.dim}"
-        )
-    w, v = hamiltonian.eigensystem()
-    rotated = v.conj().T @ state.amplitudes
-    rotated *= np.exp(1j * time * w)
-    return Statevector(state.n_qubits, v @ rotated)
-
-
-def build_dense_unitary(n_qubits: int, operations) -> np.ndarray:
-    """Dense matrix of a gate sequence, built by pushing basis columns through.
-
-    Accepts SingleQubitGate / DiagonalTwoQubitGate as well as any object with
-    an ``ideal_apply(amps, n_qubits)`` method (circuit instructions).
-    """
-    dim = 1 << n_qubits
-    columns = []
-    for index in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        for op in operations:
-            if isinstance(op, SingleQubitGate):
-                amps = _apply_matrix_1q(amps, n_qubits, op.target, op.matrix)
-            elif isinstance(op, DiagonalTwoQubitGate):
-                amps = _apply_diag_2q(amps, n_qubits, op.control, op.target, op.phases)
-            elif hasattr(op, "ideal_apply"):
-                amps = op.ideal_apply(amps, n_qubits)
-            else:
-                raise TypeError(f"unsupported operation {op!r}")
-        columns.append(amps)
-    return np.stack(columns, axis=1)
 
 
 def phase_insensitive_distance(u: np.ndarray, v: np.ndarray) -> float:

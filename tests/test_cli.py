@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -91,6 +92,35 @@ class TestSweepBeta:
         assert rc == 2
         assert "unknown noise config keys: typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"tqgn_is_std": "false"}, "tqgn_is_std"),
+            ({"sqgn": "0.1"}, "sqgn"),
+            ({"seed": True}, "seed"),
+            ({"delta_t": float("nan")}, "delta_t"),
+        ],
+        ids=["tqgn_is_std-string", "sqgn-string", "seed-bool", "delta_t-nan"],
+    )
+    def test_invalid_config_value(self, tmp_path, capsys, payload, key):
+        """Config values of the wrong type, or a non-finite delta_t, exit with code 2."""
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps(payload))
+        out = tmp_path / "x.csv"
+        rc = run(["sweep-beta", "--qubits", "2", "--shots", "1", "--noise-config", noise, "--out", out])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        """--workers must be at least one."""
+        out = tmp_path / "x.csv"
+        rc = run(["sweep-beta", "--qubits", "2", "--shots", "1", "--workers", workers, "--out", out])
+        assert rc == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_four_qubits_rejected(self, tmp_path, capsys):
         """The singular register size is reported on stderr with exit 2."""
         rc = run(
@@ -124,6 +154,25 @@ class TestSweepBeta:
         first = paths[0].read_bytes()
         assert first == paths[1].read_bytes()
         assert first == paths[2].read_bytes()
+
+
+class TestGoldenBytes:
+    """CSV bytes of fixed-seed runs, pinned so refactors cannot change them."""
+
+    def test_sweep_csv_digests(self, tmp_path):
+        """Both sweeps at seed 0 reproduce the recorded SHA-256 of their CSV."""
+        runs = {
+            "08fa6e7e9805de6d8e487731f29bc3253bbf783cbebc03fe3c57fbd289bbd6ab": [
+                "sweep-beta", "--qubits", "3,5", "--shots", "4", "--beta-points", "3",
+            ],
+            "bba7ab5adbe6991cb421a5070da90c95a8ae86788f6481f14a8b35d22335e739": [
+                "sweep-error-scale", "--qubits", "3", "--scales", "0,0.5,1", "--shots", "4",
+            ],
+        }
+        for digest, args in runs.items():
+            out = tmp_path / f"{args[0]}.csv"
+            assert run(args + ["--seed", "0", "--out", out]) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSweepErrorScale:

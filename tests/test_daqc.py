@@ -10,19 +10,17 @@ from daqft.daqc import (
     build_bdaqc_schedule,
     build_sdaqc_schedule,
     compile_qft_daqc,
-    execute_schedule,
     schedule_dump,
     schedule_instructions,
     schedule_program,
     sign_matrix,
     solve_residual,
     solve_times,
-    unvectorize_pair,
     vectorize_pair,
 )
 from daqft.ising import IsingSpec, all_pairs, coupling_diagonal
 from daqft.program import AnalogBlock, BangedWindow, XGate, execute_program, program_unitary
-from daqft.qft import beta_state, build_qft_plan, exact_qft
+from daqft.qft import build_qft_plan, exact_qft
 from daqft.statevector import Statevector, fidelity, phase_insensitive_distance
 
 
@@ -40,11 +38,10 @@ class TestVectorization:
     """Pair <-> alpha-index bookkeeping."""
 
     def test_roundtrip(self):
-        """vectorize and unvectorize are inverse."""
+        """vectorize_pair numbers the pairs 1..N(N-1)/2 in all_pairs order."""
         for n in (2, 3, 5, 7):
             for idx, pair in enumerate(all_pairs(n), start=1):
                 assert vectorize_pair(*pair, n) == idx
-                assert unvectorize_pair(idx, n) == pair
 
     def test_rejects_bad_pairs(self):
         """Only ordered in-range pairs vectorize."""
@@ -178,14 +175,16 @@ class TestStepwiseExactness:
                 assert phase_insensitive_distance(built, ideal) < 1e-9
 
     def test_execute_schedule_runs(self):
-        """Direct schedule execution matches the program route."""
+        """Running a schedule's program on a state equals applying its unitary."""
         rng = np.random.default_rng(29)
         target = random_target(3, rng)
-        schedule = build_sdaqc_schedule(solve_times(target))
-        state = random_state(3, rng)
-        via_schedule = execute_schedule(state, schedule)
-        via_program = execute_program(state, schedule_program(schedule))
-        assert np.allclose(via_schedule.amplitudes, via_program.amplitudes)
+        times = solve_times(target)
+        for schedule in (build_sdaqc_schedule(times), build_bdaqc_schedule(times, 0.01)):
+            program = schedule_program(schedule)
+            state = random_state(3, rng)
+            direct = execute_program(state, program)
+            via_unitary = program_unitary(program) @ state.amplitudes
+            assert np.allclose(direct.amplitudes, via_unitary, atol=1e-12)
 
 
 class TestCompileQft:
@@ -222,6 +221,17 @@ class TestCompileQft:
         """Modes other than stepwise/banged are rejected."""
         with pytest.raises(ValueError, match="mode"):
             compile_qft_daqc(3, "diagonal")
+
+    def test_negative_segment_count(self):
+        """negative_segments counts the banged analog blocks of negative duration."""
+        for n, count in ((3, 6), (5, 28), (6, 75), (7, 21)):
+            program = compile_qft_daqc(n, "banged")
+            durations = [
+                instr.duration for instr in program.instructions if isinstance(instr, AnalogBlock)
+            ]
+            assert program.metadata["negative_segments"] == count
+            assert sum(1 for d in durations if d < 0) == count
+        assert compile_qft_daqc(3, "stepwise").metadata["negative_segments"] == 0
 
     def test_metadata(self):
         """Compilation records mode, window width, and per-block durations."""

@@ -12,7 +12,6 @@ from daqft.nn2ata import (
     cover_report,
     decompose_complete_graph,
     hp_permutation,
-    iswap_relabel,
     iswap_unitary,
     line_resource,
     paths_dump,
@@ -37,13 +36,6 @@ class TestPermutations:
         VertexPermutation(3, (2, 3, 1))
         with pytest.raises(ValueError, match="bijection"):
             VertexPermutation(3, (1, 1, 2))
-
-    def test_label_lookup(self):
-        """label_of reads 1-based positions."""
-        layout = VertexPermutation(3, (2, 3, 1))
-        assert [layout.label_of(p) for p in (1, 2, 3)] == [2, 3, 1]
-        with pytest.raises(ValueError, match="position"):
-            layout.label_of(0)
 
     def test_path_edges(self):
         """Edges are the sorted consecutive pairs."""
@@ -96,12 +88,6 @@ class TestEdgeCovers:
         with pytest.raises(ValueError, match=r"offending edge \(1, 2\)"):
             decompose_complete_graph(3)
 
-    def test_report_records_reading(self):
-        """Successful covers state which formula reading produced them."""
-        report = cover_report(6)
-        assert report.covered
-        assert report.reading in ("mod-L", "mod-L-plus-1")
-
     def test_paths_dump(self):
         """Dump is one space-separated path per line."""
         text = paths_dump(decompose_complete_graph(4))
@@ -109,15 +95,7 @@ class TestEdgeCovers:
 
 
 class TestRelabeling:
-    """iSWAP label algebra, both symbolic and dense."""
-
-    def test_support_transposition(self):
-        """Supports swap touched labels and ignore the rest."""
-        assert iswap_relabel({1, 3}, 1, 2) == {2, 3}
-        assert iswap_relabel({3, 4}, 1, 2) == {3, 4}
-        assert iswap_relabel(iswap_relabel({1, 4}, 1, 4), 1, 4) == {1, 4}
-        with pytest.raises(ValueError, match="distinct"):
-            iswap_relabel({1}, 2, 2)
+    """iSWAP relabeling of layouts and Z operators."""
 
     def test_layout_transposition(self):
         """Entrywise swaps keep layouts bijective."""

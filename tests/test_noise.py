@@ -13,7 +13,6 @@ from daqft.noise import (
     BetaSummary,
     ExperimentRecord,
     NoiseConfig,
-    apply_noisy_gate,
     beta_average,
     build_protocol_program,
     config_to_dict,
@@ -22,7 +21,6 @@ from daqft.noise import (
     make_sampler,
     monte_carlo,
     records_to_csv,
-    run_protocol,
     sample_noise,
     sweep_beta,
     sweep_error_scale,
@@ -40,7 +38,7 @@ from daqft.program import (
     XGate,
     execute_program,
 )
-from daqft.qft import beta_state
+from daqft.qft import beta_state, exact_qft
 from daqft.statevector import Statevector, fidelity
 
 
@@ -66,13 +64,21 @@ class TestNoiseConfig:
         assert NoiseConfig(tqgn=0.2, error_scale=0.5).tqg_std == pytest.approx(0.1)
 
     def test_validation(self):
-        """Negative widths and out-of-range seeds are rejected."""
+        """Negative or non-numeric widths, non-bool flags and bad seeds are rejected."""
         with pytest.raises(ValueError, match="sqgn"):
             NoiseConfig(sqgn=-1e-3)
         with pytest.raises(ValueError, match="abn_b"):
             NoiseConfig(abn_b=float("nan"))
         with pytest.raises(ValueError, match="seed"):
             NoiseConfig(seed=-1)
+        with pytest.raises(ValueError, match="sqgn"):
+            NoiseConfig(sqgn="0.1")
+        with pytest.raises(ValueError, match="tqgn"):
+            NoiseConfig(tqgn=True)
+        with pytest.raises(ValueError, match="tqgn_is_std"):
+            NoiseConfig(tqgn_is_std="false")
+        with pytest.raises(ValueError, match="seed"):
+            NoiseConfig(seed=True)
 
     def test_zero_noise_constant(self):
         """The zero-noise config has every width at zero."""
@@ -135,12 +141,6 @@ class TestSampling:
         assert window_values.shape == (2,)
         assert sampler(Permute((0, 1, 2, 3))) is None
 
-    def test_hadamard_flag(self):
-        """Hadamards can opt out of amplitude noise."""
-        config = NoiseConfig(sqgn_on_hadamard=False)
-        sampler = make_sampler(config, np.random.default_rng(7))
-        assert sampler(HadamardGate(1)) is None
-
     def test_controlled_phase_unsupported(self):
         """Raw controlled-phase gates have no noise channel."""
         sampler = make_sampler(NoiseConfig(), np.random.default_rng(7))
@@ -162,16 +162,18 @@ class TestNoisyGates:
     def test_apply_noisy_gate_determinism(self):
         """The same seed produces bit-identical output states."""
         state = beta_state(2, 0.8)
+        program = Program(2, (Rotation(1, "z", 0.7),))
         config = NoiseConfig(sqgn=0.1)
-        first = apply_noisy_gate(state, Rotation(1, "z", 0.7), config, np.random.default_rng(5))
-        second = apply_noisy_gate(state, Rotation(1, "z", 0.7), config, np.random.default_rng(5))
+        first = execute_program(state, program, make_sampler(config, np.random.default_rng(5)))
+        second = execute_program(state, program, make_sampler(config, np.random.default_rng(5)))
         assert np.array_equal(first.amplitudes, second.amplitudes)
 
     def test_apply_noisy_gate_zero_widths(self):
         """All-zero widths reproduce the ideal gate exactly."""
         state = beta_state(2, 0.8)
-        ideal = execute_program(state, Program(2, (HadamardGate(2),)))
-        noisy = apply_noisy_gate(state, HadamardGate(2), ZERO_NOISE, np.random.default_rng(0))
+        program = Program(2, (HadamardGate(2),))
+        ideal = execute_program(state, program)
+        noisy = execute_program(state, program, make_sampler(ZERO_NOISE, np.random.default_rng(0)))
         assert np.allclose(ideal.amplitudes, noisy.amplitudes, atol=1e-14)
 
 
@@ -180,31 +182,28 @@ class TestRunProtocol:
 
     def test_ideal_digital_protocols_are_exact(self):
         """DQC and sDAQC reproduce the transform without noise."""
-        state = beta_state(3, 0.7)
-        assert run_protocol("dqc", 3, state) == pytest.approx(1.0, abs=1e-11)
-        assert run_protocol("sdaqc", 3, state) == pytest.approx(1.0, abs=1e-11)
+        assert monte_carlo("dqc", 3, 0.7, 1, None).mean_fidelity == pytest.approx(1.0, abs=1e-11)
+        assert monte_carlo("sdaqc", 3, 0.7, 1, None).mean_fidelity == pytest.approx(1.0, abs=1e-11)
 
     def test_ideal_banged_is_below_one(self):
         """Always-on windows cost a small, deterministic fidelity loss."""
-        value = run_protocol("bdaqc", 3, beta_state(3, 0.7))
+        value = monte_carlo("bdaqc", 3, 0.7, 1, None).mean_fidelity
         assert 0.99 < value < 1.0
 
     def test_seed_reproducibility(self):
         """The same config gives the same noisy fidelity."""
-        state = beta_state(3, 1.1)
-        first = run_protocol("dqc", 3, state, NoiseConfig(seed=42))
-        second = run_protocol("dqc", 3, state, NoiseConfig(seed=42))
-        other = run_protocol("dqc", 3, state, NoiseConfig(seed=43))
-        assert first == second
-        assert first != other
+        first = monte_carlo("dqc", 3, 1.1, 1, NoiseConfig(seed=42))
+        second = monte_carlo("dqc", 3, 1.1, 1, NoiseConfig(seed=42))
+        other = monte_carlo("dqc", 3, 1.1, 1, NoiseConfig(seed=43))
+        assert first.mean_fidelity == second.mean_fidelity
+        assert first.mean_fidelity != other.mean_fidelity
 
     def test_zero_scale_equals_ideal(self):
         """error_scale=0 reproduces the ideal run bit-for-bit."""
-        state = beta_state(3, 0.4)
         for protocol in PROTOCOLS:
-            ideal = run_protocol(protocol, 3, state)
-            silenced = run_protocol(protocol, 3, state, NoiseConfig(error_scale=0.0))
-            assert silenced == ideal
+            ideal = monte_carlo(protocol, 3, 0.4, 1, None)
+            silenced = monte_carlo(protocol, 3, 0.4, 1, NoiseConfig(error_scale=0.0))
+            assert silenced.mean_fidelity == ideal.mean_fidelity
 
     def test_unknown_protocol(self):
         """Protocol names outside the supported trio raise."""
@@ -241,7 +240,10 @@ class TestMonteCarlo:
         """shots=1 reproduces a direct run with the derived shot-0 generator."""
         config = NoiseConfig(seed=13)
         record = monte_carlo("dqc", 3, 0.6, 1, config)
-        direct = run_protocol("dqc", 3, beta_state(3, 0.6), config)
+        state = beta_state(3, 0.6)
+        sampler = make_sampler(config, np.random.default_rng([13, 0]))
+        program = build_protocol_program("dqc", 3)
+        direct = fidelity(exact_qft(state), execute_program(state, program, sampler))
         assert record.mean_fidelity == direct
 
     def test_shot_validation(self):
@@ -361,11 +363,12 @@ class TestSerialization:
             load_noise_config(path)
 
     def test_load_noise_config_bad_delta_t(self, tmp_path):
-        """Non-positive window widths are rejected at load time."""
+        """Non-positive, non-finite and non-numeric window widths are rejected at load time."""
         path = tmp_path / "noise.json"
-        path.write_text(json.dumps({"delta_t": 0.0}))
-        with pytest.raises(ValueError, match="delta_t"):
-            load_noise_config(path)
+        for delta_t in (0.0, float("nan"), float("inf"), "0.001", True):
+            path.write_text(json.dumps({"delta_t": delta_t}))
+            with pytest.raises(ValueError, match="delta_t"):
+                load_noise_config(path)
 
     def test_config_to_dict_covers_file_keys(self):
         """Manifest dict and file schema agree on the key set."""

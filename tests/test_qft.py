@@ -12,20 +12,13 @@ from daqft.qft import (
     build_qft_plan,
     exact_qft,
     ghz_state,
-    identity_input,
     qft_matrix,
     readout_instruction,
     theta,
     w_state,
     zz_gate_sequence,
 )
-from daqft.statevector import (
-    Statevector,
-    basis_state,
-    build_dense_unitary,
-    fidelity,
-    phase_insensitive_distance,
-)
+from daqft.statevector import Statevector, fidelity, phase_insensitive_distance
 
 
 def random_state(n, rng):
@@ -122,7 +115,7 @@ class TestDigitalCircuit:
         rng = np.random.default_rng(11)
         zz_diag = np.array([1, -1, -1, 1])
         for alpha_angle in rng.uniform(-np.pi, np.pi, 25):
-            built = build_dense_unitary(2, zz_gate_sequence(float(alpha_angle), 1, 2))
+            built = program_unitary(Program(2, zz_gate_sequence(float(alpha_angle), 1, 2)))
             target = np.diag(np.exp(1j * alpha_angle * zz_diag))
             assert phase_insensitive_distance(built, target) < 1e-10
 
@@ -181,7 +174,3 @@ class TestStates:
     def test_w_ghz_orthogonal(self):
         """The two ingredients are orthogonal."""
         assert fidelity(w_state(4), ghz_state(4)) == pytest.approx(0.0)
-
-    def test_identity_input(self):
-        """The computational all-zeros state."""
-        assert np.array_equal(identity_input(2).amplitudes, basis_state(2, 0).amplitudes)

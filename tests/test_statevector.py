@@ -1,41 +1,32 @@
-"""Tests for the dense statevector kernels."""
+"""Tests for the statevector core and its gate kernels."""
 
 import numpy as np
 import pytest
 
 from daqft.ising import IsingSpec, all_pairs, coupling_diagonal
+from daqft.program import (
+    AnalogBlock,
+    Entangler,
+    HadamardGate,
+    Program,
+    Rotation,
+    execute_program,
+    program_unitary,
+)
 from daqft.statevector import (
-    DenseHamiltonian,
-    DiagonalTwoQubitGate,
-    HADAMARD,
     PAULI_X,
     PAULI_Z,
-    SingleQubitGate,
     Statevector,
-    apply_diagonal_two_qubit,
-    apply_single_qubit,
     basis_state,
-    build_dense_unitary,
-    evolve_ising_diagonal,
-    expm_evolve,
     fidelity,
-    pauli,
     phase_insensitive_distance,
-    rotation_matrix,
 )
+from oracles import expm_evolve, kron_lift, rotation_matrix
 
 
 def random_state(n, rng):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return Statevector(n, amps / np.linalg.norm(amps))
-
-
-def dense_single_qubit(n, target, matrix):
-    """Oracle: lift a 2x2 matrix to the full register by Kronecker products."""
-    out = np.eye(1, dtype=complex)
-    for qubit in range(1, n + 1):
-        out = np.kron(out, matrix if qubit == target else np.eye(2))
-    return out
 
 
 class TestStatevector:
@@ -69,82 +60,74 @@ class TestStatevector:
 
 
 class TestGateKernels:
-    """Single-qubit and diagonal two-qubit application."""
+    """The single-qubit and diagonal two-qubit kernels, through instructions."""
 
     def test_single_qubit_matches_dense(self):
-        """Tensor kernel agrees with the Kronecker-product oracle."""
+        """The tensor kernel agrees with the Kronecker-product oracle."""
         rng = np.random.default_rng(5)
         for n in (1, 2, 4):
             for target in range(1, n + 1):
                 theta = float(rng.uniform(0, np.pi))
-                matrix = rotation_matrix("y", theta)
                 state = random_state(n, rng)
-                fast = apply_single_qubit(state, SingleQubitGate(target, matrix))
-                slow = dense_single_qubit(n, target, matrix) @ state.amplitudes
+                fast = execute_program(state, Program(n, (Rotation(target, "y", theta),)))
+                slow = kron_lift(n, target, rotation_matrix("y", theta)) @ state.amplitudes
                 assert np.allclose(fast.amplitudes, slow, atol=1e-12)
 
     def test_diagonal_two_qubit(self):
-        """Diagonal gate multiplies each amplitude by the right phase."""
-        phases = np.exp(1j * np.array([0.1, 0.2, 0.3, 0.4]))
-        gate = DiagonalTwoQubitGate(1, 3, phases)
+        """The diagonal kernel multiplies each amplitude by its pair's phase."""
+        eps = 0.3
+        phi = np.pi / 4 * (1 + eps)
+        phases = np.exp(1j * phi * np.array([1, -1, -1, 1]))
         rng = np.random.default_rng(8)
         state = random_state(3, rng)
-        out = apply_diagonal_two_qubit(state, gate)
+        out = execute_program(state, Program(3, (Entangler(1, 3),)), lambda instr: eps)
         for index in range(8):
             b1 = (index >> 2) & 1
             b3 = index & 1
             expected = state.amplitudes[index] * phases[2 * b1 + b3]
             assert out.amplitudes[index] == pytest.approx(expected)
 
-    def test_gate_validation(self):
-        """Non-unitary matrices and non-unit phases are rejected."""
-        with pytest.raises(ValueError, match="unitary"):
-            SingleQubitGate(1, np.array([[1.0, 1.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="unit modulus"):
-            DiagonalTwoQubitGate(1, 2, np.array([1.0, 1.0, 1.0, 2.0]))
-
     def test_rotation_matrix(self):
-        """exp(i theta P) = cos(theta) I + i sin(theta) P for Pauli P."""
+        """Rotation(q, P, theta) is exp(i theta P) for each Pauli axis."""
         theta = 0.37
         for axis in ("x", "y", "z"):
-            expected = np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * pauli(axis)
-            assert np.allclose(rotation_matrix(axis, theta), expected)
+            got = program_unitary(Program(1, (Rotation(1, axis, theta),)))
+            assert np.allclose(got, rotation_matrix(axis, theta), atol=1e-12)
 
     def test_hadamard_constant(self):
-        """The Hadamard constant squares to the identity."""
-        assert np.allclose(HADAMARD @ HADAMARD, np.eye(2))
-        assert np.allclose(HADAMARD, (PAULI_Z + PAULI_X) / np.sqrt(2))
+        """The Hadamard gate is (Z + X)/sqrt2 and squares to the identity."""
+        hadamard = program_unitary(Program(1, (HadamardGate(1),)))
+        assert np.allclose(hadamard @ hadamard, np.eye(2))
+        assert np.allclose(hadamard, (PAULI_Z + PAULI_X) / np.sqrt(2))
 
 
 class TestEvolution:
-    """Diagonal and dense Hamiltonian propagation."""
+    """Analog evolution against the dense Hamiltonian oracle, and the oracle itself."""
 
     def test_diagonal_matches_dense_expm(self):
-        """Ising diagonal evolution equals the dense matrix exponential."""
+        """An analog block equals the dense matrix exponential of its resource."""
         rng = np.random.default_rng(13)
         for n in (2, 3, 4):
             couplings = {pair: float(rng.normal()) for pair in all_pairs(n)}
             spec = IsingSpec(n, couplings)
             state = random_state(n, rng)
             t = float(rng.uniform(0.1, 2.0))
-            fast = evolve_ising_diagonal(state, spec, t)
-            dense = DenseHamiltonian(np.diag(coupling_diagonal(spec)).astype(complex))
-            slow = expm_evolve(state, dense, t)
-            assert np.allclose(fast.amplitudes, slow.amplitudes, atol=1e-12)
+            fast = execute_program(state, Program(n, (AnalogBlock(t),), resource=spec))
+            slow = expm_evolve(np.diag(coupling_diagonal(spec)), t, state.amplitudes)
+            assert np.allclose(fast.amplitudes, slow, atol=1e-12)
 
     def test_expm_is_unitary(self):
         """Eigendecomposition-based evolution preserves the norm."""
         rng = np.random.default_rng(17)
         raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        ham = DenseHamiltonian((raw + raw.conj().T) / 2)
         state = random_state(3, rng)
-        out = expm_evolve(state, ham, 0.83)
-        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0)
+        out = expm_evolve((raw + raw.conj().T) / 2, 0.83, state.amplitudes)
+        assert np.linalg.norm(out) == pytest.approx(1.0)
 
     def test_hermiticity_validated(self):
         """Non-Hermitian matrices are rejected."""
         with pytest.raises(ValueError, match="Hermitian"):
-            DenseHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            expm_evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, np.array([1.0, 0.0]))
 
 
 class TestPhaseInsensitiveDistance:
@@ -153,8 +136,7 @@ class TestPhaseInsensitiveDistance:
     def test_zero_for_global_phase(self):
         """U and e^{i phi} U are at distance ~0."""
         rng = np.random.default_rng(23)
-        ops = [SingleQubitGate(1, rotation_matrix("x", 0.4)), SingleQubitGate(2, HADAMARD)]
-        u = build_dense_unitary(2, ops)
+        u = program_unitary(Program(2, (Rotation(1, "x", 0.4), HadamardGate(2))))
         assert phase_insensitive_distance(u, np.exp(0.77j) * u) < 1e-12
 
     def test_positive_for_distinct(self):
