@@ -45,7 +45,6 @@ from .program import Program, execute_program, program_unitary
 from .qft import (
     beta_state,
     build_dqc_circuit,
-    build_qft_plan,
     exact_qft,
     ghz_state,
     qft_matrix,
@@ -75,7 +74,6 @@ __all__ = [
     "build_bdaqc_schedule",
     "build_dqc_circuit",
     "build_protocol_program",
-    "build_qft_plan",
     "build_sdaqc_schedule",
     "compile_qft_daqc",
     "coupling_diagonal",

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import IsingSpec, Pair, all_pairs
-from .program import AnalogBlock, BangedWindow, HadamardGate, Program, XGate
-from .qft import QftPlan, build_qft_plan, readout_instruction
+from .ising import IsingSpec, all_pairs
+from .program import AnalogBlock, BangedWindow, HadamardGate, Program, Rotation, XGate
+from .qft import qft_block_target, readout_instruction
 
 # Default drive-window width for banged schedules.  The window error grows
 # linearly with the width and with register size; 1e-4 keeps the ideal banged
@@ -27,13 +27,6 @@ RESIDUAL_TOL = 1e-10
 
 class SingularSignMatrixError(ValueError):
     """The N=4 sign matrix is singular; no analog-duration solution exists."""
-
-
-def vectorize_pair(n: int, m: int, n_qubits: int) -> int:
-    """alpha = N(n-1) - n(n+1)/2 + m, a bijection from ordered pairs to 1..N(N-1)/2."""
-    if not (1 <= n < m <= n_qubits):
-        raise ValueError(f"need 1 <= n < m <= {n_qubits}, got ({n}, {m})")
-    return n_qubits * (n - 1) - n * (n + 1) // 2 + m
 
 
 def sign_matrix(n_qubits: int) -> np.ndarray:
@@ -87,18 +80,11 @@ def solve_residual(target: IsingSpec, times: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class ScheduleItem:
-    alpha_index: int
-    pair: Pair
-    duration: float
-
-
-@dataclass(frozen=True)
 class DaqcSchedule:
-    """Ordered analog blocks with their conjugation pairs."""
+    """Analog-block durations, one per conjugation pair in all_pairs order."""
 
     mode: str  # "stepwise" | "banged"
-    items: tuple[ScheduleItem, ...]
+    times: tuple[float, ...]
     resource: IsingSpec
     delta_t: float | None = None
 
@@ -106,59 +92,43 @@ class DaqcSchedule:
         if self.mode not in ("stepwise", "banged"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "banged":
-            if self.delta_t is None or self.delta_t <= 0:
-                raise ValueError("banged mode requires delta_t > 0")
+            if self.delta_t is None or not (math.isfinite(self.delta_t) and self.delta_t > 0):
+                raise ValueError(f"banged mode requires a finite delta_t > 0, got {self.delta_t!r}")
         if not self.resource.is_homogeneous():
             raise ValueError("the analog resource must be homogeneous")
-        object.__setattr__(self, "items", tuple(self.items))
-        n = self.resource.n_qubits
-        expected = [vectorize_pair(j, k, n) for j, k in all_pairs(n)]
-        if [it.alpha_index for it in self.items] != expected:
-            raise ValueError("schedule items must cover all pairs in alpha order")
-        for item in self.items:
-            if item.alpha_index != vectorize_pair(*item.pair, n):
-                raise ValueError(f"item {item} pair does not match its alpha index")
+        times = tuple(float(t) for t in self.times)
+        pairs = len(all_pairs(self.resource.n_qubits))
+        if len(times) != pairs:
+            raise ValueError(f"expected {pairs} durations for N={self.n_qubits}, got {len(times)}")
+        object.__setattr__(self, "times", times)
 
     @property
     def n_qubits(self) -> int:
         return self.resource.n_qubits
 
 
-def _items_from_times(times: np.ndarray, n_qubits: int) -> tuple[ScheduleItem, ...]:
-    pairs = all_pairs(n_qubits)
-    if len(times) != len(pairs):
-        raise ValueError(f"expected {len(pairs)} durations for N={n_qubits}, got {len(times)}")
-    return tuple(
-        ScheduleItem(vectorize_pair(j, k, n_qubits), (j, k), float(t))
-        for (j, k), t in zip(pairs, times)
-    )
-
-
-def _infer_n_qubits(item_count: int) -> int:
+def _unit_resource(item_count: int) -> IsingSpec:
+    """The unit homogeneous resource on the register with item_count pairs."""
     n = (1 + math.isqrt(1 + 8 * item_count)) // 2
     if n * (n - 1) // 2 != item_count:
         raise ValueError(f"{item_count} durations do not form a full pair set")
-    return n
+    return IsingSpec.homogeneous(n)
 
 
 def build_sdaqc_schedule(times: np.ndarray, resource: IsingSpec | None = None) -> DaqcSchedule:
     """Stepwise schedule: resource off while the conjugation pulses act."""
-    n = _infer_n_qubits(len(times)) if resource is None else resource.n_qubits
     if resource is None:
-        resource = IsingSpec.homogeneous(n)
-    return DaqcSchedule("stepwise", _items_from_times(times, n), resource)
+        resource = _unit_resource(len(times))
+    return DaqcSchedule("stepwise", times, resource)
 
 
 def build_bdaqc_schedule(
     times: np.ndarray, delta_t: float, resource: IsingSpec | None = None
 ) -> DaqcSchedule:
     """Banged schedule: resource stays on; X pulses become drive windows of delta_t."""
-    if delta_t is None or delta_t <= 0:
-        raise ValueError("banged mode requires delta_t > 0")
-    n = _infer_n_qubits(len(times)) if resource is None else resource.n_qubits
     if resource is None:
-        resource = IsingSpec.homogeneous(n)
-    return DaqcSchedule("banged", _items_from_times(times, n), resource, delta_t=delta_t)
+        resource = _unit_resource(len(times))
+    return DaqcSchedule("banged", times, resource, delta_t=delta_t)
 
 
 def banged_segment_durations(times, delta_t: float) -> list[float]:
@@ -185,23 +155,23 @@ def banged_segment_durations(times, delta_t: float) -> list[float]:
 def schedule_instructions(schedule: DaqcSchedule) -> tuple:
     """Lower a schedule to executable instructions."""
     instructions: list = []
+    pairs = all_pairs(schedule.n_qubits)
     if schedule.mode == "stepwise":
-        for item in schedule.items:
-            j, k = item.pair
+        for (j, k), duration in zip(pairs, schedule.times):
             instructions.extend(
                 (
                     XGate(j),
                     XGate(k),
-                    AnalogBlock(item.duration, "stepwise"),
+                    AnalogBlock(duration, "stepwise"),
                     XGate(j),
                     XGate(k),
                 )
             )
     else:
         delta_t = schedule.delta_t
-        segments = banged_segment_durations([it.duration for it in schedule.items], delta_t)
-        for item, segment in zip(schedule.items, segments):
-            window = BangedWindow(delta_t, item.pair)
+        segments = banged_segment_durations(schedule.times, delta_t)
+        for pair, segment in zip(pairs, segments):
+            window = BangedWindow(delta_t, pair)
             instructions.extend((window, AnalogBlock(segment, "banged"), window))
     return tuple(instructions)
 
@@ -217,56 +187,51 @@ def schedule_program(schedule: DaqcSchedule) -> Program:
 
 
 def schedule_dump(schedule: DaqcSchedule) -> str:
-    """One line per item: `alpha n m duration` (fixed format for golden files)."""
+    """One line per block: `alpha j k duration` (fixed format for golden files)."""
+    pairs = all_pairs(schedule.n_qubits)
     lines = [
-        f"{item.alpha_index} {item.pair[0]} {item.pair[1]} {item.duration:.12e}"
-        for item in schedule.items
+        f"{alpha} {j} {k} {duration:.12e}"
+        for alpha, ((j, k), duration) in enumerate(zip(pairs, schedule.times), start=1)
     ]
     return "\n".join(lines) + "\n"
 
 
-def compile_qft_daqc(
-    plan: QftPlan | int, mode: str, delta_t: float = DEFAULT_DELTA_T
-) -> Program:
-    """Compile a QFT plan into a runnable digital-analog program.
+def compile_qft_daqc(n_qubits: int, mode: str, delta_t: float = DEFAULT_DELTA_T) -> Program:
+    """Compile the n-qubit QFT into a runnable digital-analog program.
 
-    Each controlled-rotation block becomes its digital layer followed by the
-    DAQC schedule of its coupling target; a final Hadamard and the readout
-    bit reversal close the program.
+    Each controlled-rotation block m becomes the Hadamard on qubit m, the Z
+    rotations that accompany its controlled phases, and the DAQC schedule of
+    its coupling target; a final Hadamard and the readout bit reversal close
+    the program.
     """
-    if isinstance(plan, int):
-        plan = build_qft_plan(plan)
     if mode not in ("stepwise", "banged"):
         raise ValueError(f"unknown compilation mode {mode!r}")
-    n = plan.n_qubits
-    if n == 4:
-        raise SingularSignMatrixError("singular sign matrix for N=4")
-    resource = IsingSpec.homogeneous(n)
+    window = delta_t if mode == "banged" else None
+    resource = IsingSpec.homogeneous(n_qubits)
     instructions: list = []
     block_times = []
-    for block in plan.blocks:
-        instructions.extend(block.sqg_layer)
-        times = solve_times(block.ising_block)
-        block_times.append(tuple(float(t) for t in times))
-        if mode == "stepwise":
-            schedule = build_sdaqc_schedule(times, resource)
-        else:
-            schedule = build_bdaqc_schedule(times, delta_t, resource)
+    for m in range(1, n_qubits):
+        target = qft_block_target(n_qubits, m)
+        instructions.append(HadamardGate(m))
+        for (_, q), angle in target.couplings.items():  # ascending q
+            instructions.extend((Rotation(m, "z", -angle), Rotation(q, "z", -angle)))
+        schedule = DaqcSchedule(mode, solve_times(target), resource, window)
+        block_times.append(schedule.times)
         instructions.extend(schedule_instructions(schedule))
-    instructions.append(HadamardGate(plan.final_hadamard))
-    instructions.append(readout_instruction(n))
+    instructions.append(HadamardGate(n_qubits))
+    instructions.append(readout_instruction(n_qubits))
     negative_segments = sum(
         1
         for instr in instructions
         if isinstance(instr, AnalogBlock) and instr.kind == "banged" and instr.duration < 0
     )
     return Program(
-        n_qubits=n,
+        n_qubits=n_qubits,
         instructions=tuple(instructions),
         resource=resource,
         metadata={
             "mode": mode,
-            "delta_t": delta_t if mode == "banged" else None,
+            "delta_t": window,
             "block_times": tuple(block_times),
             "negative_segments": negative_segments,
         },

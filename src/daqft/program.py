@@ -49,7 +49,7 @@ class Rotation:
     def noisy_apply(self, amps: np.ndarray, n: int, value: float) -> np.ndarray:
         theta = self.angle * value
         matrix = math.cos(theta) * np.eye(2) + 1j * math.sin(theta) * pauli(self.axis)
-        return _apply_matrix_1q(amps, n, self.qubit, matrix)
+        return _apply_matrix_1q(amps, self.qubit, matrix)
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
         return self.noisy_apply(amps, n, 1.0)
@@ -73,7 +73,7 @@ class HadamardGate:
         matrix = np.exp(1j * half) * (
             math.cos(half) * np.eye(2) - 1j * math.sin(half) * (_Z_PLUS_X / SQRT2)
         )
-        return _apply_matrix_1q(amps, n, self.qubit, matrix)
+        return _apply_matrix_1q(amps, self.qubit, matrix)
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
         return self.noisy_apply(amps, n, 1.0)
@@ -91,7 +91,7 @@ class XGate:
     def noisy_apply(self, amps: np.ndarray, n: int, value: float) -> np.ndarray:
         half = np.pi * value / 2.0
         matrix = math.cos(half) * np.eye(2) + 1j * math.sin(half) * PAULI_X
-        return _apply_matrix_1q(amps, n, self.qubit, matrix)
+        return _apply_matrix_1q(amps, self.qubit, matrix)
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
         return self.noisy_apply(amps, n, 1.0)
@@ -284,6 +284,8 @@ class Program:
     instructions: tuple
     resource: IsingSpec | None = None
     metadata: dict = field(default_factory=dict)
+    # The resource's basis-state energies, computed once so every shot shares them.
+    energy: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "instructions", tuple(self.instructions))
@@ -298,12 +300,14 @@ class Program:
                 raise ValueError(f"instruction {instr!r} exceeds {self.n_qubits} qubits")
             if isinstance(instr, _ANALOG_KINDS) and self.resource is None:
                 raise ValueError("analog instructions require a resource")
+        energy = coupling_diagonal(self.resource) if self.resource is not None else None
+        object.__setattr__(self, "energy", energy)
 
 
 def _run(program: Program, columns, sampler=None) -> list[np.ndarray]:
     """Apply the program to each amplitude array: the one loop over instructions."""
     n = program.n_qubits
-    energy = coupling_diagonal(program.resource) if program.resource is not None else None
+    energy = program.energy
     outputs = []
     for amps in columns:
         for instr in program.instructions:

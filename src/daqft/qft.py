@@ -9,7 +9,6 @@ plus a two-body ZZ coupling pattern, which is what the schedule compiler consume
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +45,12 @@ def theta(k: int) -> float:
     return math.pi / 2 ** (k + 1)
 
 
-def alpha(c: int, k: int, m: int) -> float:
-    """ZZ coupling delta_{c,m} * pi / 2^{k-m+2} for block m."""
-    if not 1 <= c < k:
-        raise ValueError(f"need 1 <= c < k, got c={c}, k={k}")
-    if m < 1:
-        raise ValueError(f"block index must be >= 1, got {m}")
-    if c != m:
-        return 0.0
-    return math.pi / 2 ** (k - m + 2)
+def qft_block_target(n_qubits: int, m: int) -> IsingSpec:
+    """ZZ target of controlled-rotation block m: theta(q - m + 1) on each pair (m, q), q > m."""
+    if not 1 <= m < n_qubits:
+        raise ValueError(f"qft-block index {m} outside 1..{n_qubits - 1} for n={n_qubits}")
+    couplings = {(m, q): theta(q - m + 1) for q in range(m + 1, n_qubits + 1)}
+    return IsingSpec(n_qubits, couplings)
 
 
 def bit_reversal_permutation(n_qubits: int) -> tuple[int, ...]:
@@ -67,58 +63,6 @@ def bit_reversal_permutation(n_qubits: int) -> tuple[int, ...]:
             rev |= ((i >> b) & 1) << (n_qubits - 1 - b)
         perm.append(rev)
     return tuple(perm)
-
-
-@dataclass(frozen=True)
-class QftBlock:
-    """Controlled-rotation block m: a digital layer plus a ZZ coupling target.
-
-    The digital layer is the Hadamard on qubit m followed by the Z rotations
-    that accompany each controlled phase; the coupling target carries the
-    alpha_{m,k} strengths for pairs (m, k), k > m.
-    """
-
-    index: int
-    sqg_layer: tuple
-    ising_block: IsingSpec
-
-
-@dataclass(frozen=True)
-class QftPlan:
-    """Digital-analog decomposition of the QFT on n qubits."""
-
-    n_qubits: int
-    blocks: tuple[QftBlock, ...]
-    final_hadamard: int
-    readout_permutation: tuple[int, ...]
-
-
-def build_qft_plan(n_qubits: int) -> QftPlan:
-    """Decompose the n-qubit QFT into n-1 blocks plus a final Hadamard."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    blocks = []
-    for m in range(1, n_qubits):
-        layer = [HadamardGate(m)]
-        couplings = {}
-        for q in range(m + 1, n_qubits + 1):
-            angle = alpha(m, q, m)  # equals theta(q - m + 1)
-            layer.append(Rotation(m, "z", -angle))
-            layer.append(Rotation(q, "z", -angle))
-            couplings[(m, q)] = angle
-        blocks.append(
-            QftBlock(
-                index=m,
-                sqg_layer=tuple(layer),
-                ising_block=IsingSpec(n_qubits, couplings),
-            )
-        )
-    return QftPlan(
-        n_qubits=n_qubits,
-        blocks=tuple(blocks),
-        final_hadamard=n_qubits,
-        readout_permutation=bit_reversal_permutation(n_qubits),
-    )
 
 
 def zz_gate_sequence(alpha_angle: float, c: int, k: int) -> tuple:

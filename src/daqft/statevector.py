@@ -74,14 +74,10 @@ def fidelity(a: Statevector, b: Statevector) -> float:
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def _apply_matrix_1q(amps: np.ndarray, n_qubits: int, target: int, matrix: np.ndarray) -> np.ndarray:
+def _apply_matrix_1q(amps: np.ndarray, target: int, matrix: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix on qubit ``target`` of a flat amplitude array."""
-    axis = target - 1
-    a = amps.reshape([2] * n_qubits)
-    a = np.moveaxis(a, axis, 0)
-    a = np.tensordot(matrix, a, axes=([1], [0]))
-    a = np.moveaxis(a, 0, axis)
-    return np.ascontiguousarray(a).reshape(-1)
+    a = amps.reshape(1 << (target - 1), 2, -1)
+    return np.einsum("ij,ajb->aib", matrix, a).reshape(-1)
 
 
 def _apply_diag_2q(

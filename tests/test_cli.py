@@ -157,7 +157,7 @@ class TestSweepBeta:
 
 
 class TestGoldenBytes:
-    """CSV bytes of fixed-seed runs, pinned so refactors cannot change them."""
+    """CSV and compile-dump bytes, pinned so refactors cannot change them."""
 
     def test_sweep_csv_digests(self, tmp_path):
         """Both sweeps at seed 0 reproduce the recorded SHA-256 of their CSV."""
@@ -173,6 +173,27 @@ class TestGoldenBytes:
             out = tmp_path / f"{args[0]}.csv"
             assert run(args + ["--seed", "0", "--out", out]) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_compile_dump_digests(self, tmp_path, capsys):
+        """Compile dumps, residual line included, reproduce their recorded SHA-256.
+
+        The dump lists durations only, so both modes of one target print the same bytes.
+        """
+        target = tmp_path / "target.txt"
+        target.write_text("1 2 0.5\n1 4 -0.75\n2 3 0.125\n2 5 1.5\n3 5 -0.3\n4 5 0.05\n")
+        block = "54598978f66f87a83f90cd3584125c2c42a9ceb4237c95ec81d96088084cc3bd"
+        runs = [
+            (block, ["--target", "qft-block:1"]),
+            (block, ["--target", "qft-block:1", "--mode", "banged"]),
+            (
+                "f217831ed8829d9239538f54bd339439cf6978d7c78115b92b91fcd645261e72",
+                ["--target", target, "--target-time", "0.5"],
+            ),
+        ]
+        for digest, args in runs:
+            assert run(["compile", "--qubits", "5"] + args) == 0
+            dump = capsys.readouterr().out.encode()
+            assert hashlib.sha256(dump).hexdigest() == digest
 
 
 class TestSweepErrorScale:
@@ -276,6 +297,15 @@ class TestCompile:
         )
         assert rc == 0
         assert len(out.read_text().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("delta_t", ["nan", "inf"])
+    def test_non_finite_delta_t_rejected(self, capsys, delta_t):
+        """A banged window width that is not a finite positive number exits 2."""
+        args = ["compile", "--qubits", "3", "--target", "qft-block:1", "--mode", "banged"]
+        assert run(args + ["--delta-t", delta_t]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite delta_t > 0" in captured.err
 
     def test_malformed_coupling_file(self, tmp_path, capsys):
         """Bad lines are reported with their location, exit 2."""

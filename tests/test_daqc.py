@@ -16,11 +16,10 @@ from daqft.daqc import (
     sign_matrix,
     solve_residual,
     solve_times,
-    vectorize_pair,
 )
 from daqft.ising import IsingSpec, all_pairs, coupling_diagonal
 from daqft.program import AnalogBlock, BangedWindow, XGate, execute_program, program_unitary
-from daqft.qft import build_qft_plan, exact_qft
+from daqft.qft import exact_qft, qft_block_target
 from daqft.statevector import Statevector, fidelity, phase_insensitive_distance
 
 
@@ -38,17 +37,19 @@ class TestVectorization:
     """Pair <-> alpha-index bookkeeping."""
 
     def test_roundtrip(self):
-        """vectorize_pair numbers the pairs 1..N(N-1)/2 in all_pairs order."""
+        """The dump numbers the pairs 1..N(N-1)/2 in all_pairs order."""
         for n in (2, 3, 5, 7):
-            for idx, pair in enumerate(all_pairs(n), start=1):
-                assert vectorize_pair(*pair, n) == idx
+            pairs = all_pairs(n)
+            lines = schedule_dump(build_sdaqc_schedule(np.zeros(len(pairs)))).splitlines()
+            for idx, (pair, line) in enumerate(zip(pairs, lines, strict=True), start=1):
+                assert line.split()[:3] == [str(idx), str(pair[0]), str(pair[1])]
 
     def test_rejects_bad_pairs(self):
-        """Only ordered in-range pairs vectorize."""
-        with pytest.raises(ValueError):
-            vectorize_pair(2, 2, 3)
-        with pytest.raises(ValueError):
-            vectorize_pair(3, 1, 3)
+        """Durations that do not cover the pair set exactly are refused."""
+        with pytest.raises(ValueError, match="expected 3 durations for N=3, got 2"):
+            DaqcSchedule("stepwise", (0.1, 0.2), IsingSpec.homogeneous(3))
+        with pytest.raises(ValueError, match="full pair set"):
+            build_sdaqc_schedule(np.ones(4))
 
 
 class TestSignMatrix:
@@ -76,8 +77,7 @@ class TestSolveTimes:
 
     def test_qft_block_example(self):
         """First block of the 3-qubit transform gives the known durations."""
-        plan = build_qft_plan(3)
-        times = solve_times(plan.blocks[0].ising_block)
+        times = solve_times(qft_block_target(3, 1))
         expected = [-np.pi / 32, -np.pi / 16, -3 * np.pi / 32]
         assert np.allclose(times, expected, atol=1e-12)
 
@@ -108,20 +108,24 @@ class TestSolveTimes:
 class TestScheduleConstruction:
     """Schedule shapes and the window/segment timing rule."""
 
-    def test_items_cover_pairs_in_order(self):
-        """Items follow the alpha order of the pair list."""
+    def test_times_cover_pairs_in_order(self):
+        """Durations are kept as floats and lowered onto the pairs in alpha order."""
         times = np.arange(1.0, 7.0)
         schedule = build_sdaqc_schedule(times)
         assert schedule.n_qubits == 4
-        assert [item.pair for item in schedule.items] == list(all_pairs(4))
-        assert [item.duration for item in schedule.items] == list(times)
+        assert schedule.times == tuple(times)
+        instrs = schedule_instructions(schedule)
+        pairs = [(instrs[i].qubit, instrs[i + 1].qubit) for i in range(0, len(instrs), 5)]
+        assert pairs == all_pairs(4)
+        assert [instrs[i].duration for i in range(2, len(instrs), 5)] == list(times)
 
     def test_banged_needs_delta_t(self):
-        """Banged schedules validate the window width."""
-        with pytest.raises(ValueError, match="delta_t"):
-            build_bdaqc_schedule(np.ones(3), 0.0)
-        with pytest.raises(ValueError, match="delta_t"):
-            DaqcSchedule("banged", build_sdaqc_schedule(np.ones(3)).items, IsingSpec.homogeneous(3))
+        """Banged schedules need a finite positive window width."""
+        for delta_t in (0.0, -1e-3, float("nan"), float("inf"), None):
+            with pytest.raises(ValueError, match="finite delta_t > 0"):
+                build_bdaqc_schedule(np.ones(3), delta_t)
+            with pytest.raises(ValueError, match="finite delta_t > 0"):
+                DaqcSchedule("banged", np.ones(3), IsingSpec.homogeneous(3), delta_t)
 
     def test_segment_charges(self):
         """First/last blocks lose 3/2 windows, interiors one, singletons two."""

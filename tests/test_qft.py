@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from daqft.program import HadamardGate, Program, execute_program, program_unitary
+from daqft.daqc import compile_qft_daqc
+from daqft.program import HadamardGate, Permute, Program, execute_program, program_unitary
 from daqft.qft import (
-    alpha,
     beta_state,
     bit_reversal_permutation,
     build_dqc_circuit,
-    build_qft_plan,
     exact_qft,
     ghz_state,
+    qft_block_target,
     qft_matrix,
     readout_instruction,
     theta,
@@ -71,11 +71,11 @@ class TestAngles:
             theta(1)
 
     def test_alpha_values(self):
-        """Couplings vanish off the block row and halve with separation."""
-        assert alpha(1, 2, 1) == pytest.approx(np.pi / 8)
-        assert alpha(1, 3, 1) == pytest.approx(np.pi / 16)
-        assert alpha(2, 3, 2) == pytest.approx(np.pi / 8)
-        assert alpha(1, 3, 2) == 0.0
+        """Block couplings alpha vanish off the block row and halve with separation."""
+        assert qft_block_target(3, 1).coupling(1, 2) == pytest.approx(np.pi / 8)
+        assert qft_block_target(3, 1).coupling(1, 3) == pytest.approx(np.pi / 16)
+        assert qft_block_target(3, 2).coupling(2, 3) == pytest.approx(np.pi / 8)
+        assert qft_block_target(3, 2).coupling(1, 3) == 0.0
 
     def test_bit_reversal_is_involution(self):
         """Applying the readout permutation twice is the identity."""
@@ -124,26 +124,30 @@ class TestPlan:
     """Digital-analog decomposition structure."""
 
     def test_block_structure(self):
-        """Each block opens with its Hadamard and couples pairs (m, q)."""
-        plan = build_qft_plan(4)
-        assert len(plan.blocks) == 3
-        assert plan.final_hadamard == 4
-        for block in plan.blocks:
-            m = block.index
-            assert block.sqg_layer[0] == HadamardGate(m)
-            assert set(block.ising_block.couplings) == {(m, q) for q in range(m + 1, 5)}
+        """Each block couples pairs (m, q) and its program layer opens with H(m)."""
+        for m in (1, 2, 3):
+            assert set(qft_block_target(4, m).couplings) == {(m, q) for q in range(m + 1, 5)}
+        for m in (0, 4):
+            with pytest.raises(ValueError, match="outside 1..3 for n=4"):
+                qft_block_target(4, m)
+        hadamards = [
+            instr.qubit
+            for instr in compile_qft_daqc(5, "stepwise").instructions
+            if isinstance(instr, HadamardGate)
+        ]
+        assert hadamards == [1, 2, 3, 4, 5]
 
     def test_block_couplings_are_alpha(self):
         """Coupling strengths follow the alpha formula."""
-        plan = build_qft_plan(5)
-        block = plan.blocks[1]  # m = 2
-        assert block.ising_block.coupling(2, 3) == pytest.approx(np.pi / 8)
-        assert block.ising_block.coupling(2, 5) == pytest.approx(np.pi / 32)
+        block = qft_block_target(5, 2)
+        assert block.coupling(2, 3) == pytest.approx(np.pi / 8)
+        assert block.coupling(2, 5) == pytest.approx(np.pi / 32)
 
     def test_readout_matches_bit_reversal(self):
-        """The plan's readout is the bit-reversal permutation."""
-        plan = build_qft_plan(3)
-        assert plan.readout_permutation == bit_reversal_permutation(3)
+        """The compiled program ends with the bit-reversal readout."""
+        for mode in ("stepwise", "banged"):
+            readout = compile_qft_daqc(3, mode).instructions[-1]
+            assert readout == Permute(bit_reversal_permutation(3))
 
 
 class TestStates:
