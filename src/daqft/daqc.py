@@ -79,6 +79,12 @@ def solve_residual(target: IsingSpec, times: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - coupling_vector(target))))
 
 
+def _check_window(mode: str, delta_t: float | None) -> None:
+    """Banged schedules need a finite, positive drive-window width."""
+    if mode == "banged" and (delta_t is None or not (math.isfinite(delta_t) and delta_t > 0)):
+        raise ValueError(f"banged mode requires a finite delta_t > 0, got {delta_t!r}")
+
+
 @dataclass(frozen=True)
 class DaqcSchedule:
     """Analog-block durations, one per conjugation pair in all_pairs order."""
@@ -91,9 +97,7 @@ class DaqcSchedule:
     def __post_init__(self) -> None:
         if self.mode not in ("stepwise", "banged"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.mode == "banged":
-            if self.delta_t is None or not (math.isfinite(self.delta_t) and self.delta_t > 0):
-                raise ValueError(f"banged mode requires a finite delta_t > 0, got {self.delta_t!r}")
+        _check_window(self.mode, self.delta_t)
         if not self.resource.is_homogeneous():
             raise ValueError("the analog resource must be homogeneous")
         times = tuple(float(t) for t in self.times)
@@ -206,6 +210,7 @@ def compile_qft_daqc(n_qubits: int, mode: str, delta_t: float = DEFAULT_DELTA_T)
     """
     if mode not in ("stepwise", "banged"):
         raise ValueError(f"unknown compilation mode {mode!r}")
+    _check_window(mode, delta_t)
     window = delta_t if mode == "banged" else None
     resource = IsingSpec.homogeneous(n_qubits)
     instructions: list = []

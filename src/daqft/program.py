@@ -7,6 +7,7 @@ Program bundles instructions with the analog resource they evolve under.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -174,7 +175,10 @@ class BangedWindow:
 
     Each driven qubit completes a pi/2 X rotation (i.e. iX) over the window
     while the resource keeps evolving.  Noise values scale the per-qubit drive
-    amplitudes independently.
+    amplitudes independently.  Windows run on homogeneous resources only
+    (Program refuses others): there a block's Hamiltonian depends only on how
+    many undriven qubits are set, so the kernel diagonalizes one block per
+    weight class instead of one per register row.
     """
 
     duration: float
@@ -234,6 +238,43 @@ Instruction = (
 _ANALOG_KINDS = (AnalogBlock, BangedWindow)
 
 
+@functools.lru_cache(maxsize=None)
+def _window_structure(n: int, qubits: tuple[int, ...]):
+    """Gather index, weight class per row, and the index row of one representative per class.
+
+    Row r of the (2^(n-m), 2^m) index holds the basis states that share one
+    pattern of undriven bits; column b sets the driven bits, qubits[0] most
+    significant.  Under a homogeneous resource a row's block depends only on
+    w, the number of undriven bits set.  Flipping every bit maps weight w to
+    n-m-w and commutes with the X drives, so a row with w > (n-m)/2 reads its
+    driven columns complemented and shares the block of class n-m-w.
+    """
+    m = len(qubits)
+    masks = 1 << np.array([n - q for q in qubits])
+    basis = np.arange(1 << n)
+    rows = basis[(basis & masks.sum()) == 0]
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    index = rows[:, None] | (bits @ masks)[None, :]
+    weight = np.bitwise_count(rows).astype(np.intp)
+    mirrored = 2 * weight > n - m
+    index[mirrored] = index[mirrored, ::-1]
+    weight = np.minimum(weight, n - m - weight)
+    # Row r has popcount(r) undriven bits set, so row 2^c - 1 stands for class c.
+    class_rows = index[(1 << np.arange((n - m) // 2 + 1)) - 1]
+    for array in (index, weight, class_rows):
+        array.flags.writeable = False
+    return index, weight, class_rows
+
+
+@functools.lru_cache(maxsize=None)
+def _lifted_x(m: int) -> np.ndarray:
+    """X on each of m qubits (the first most significant), as m flattened 2^m x 2^m rows."""
+    flipped = np.arange(1 << m) ^ (1 << np.arange(m - 1, -1, -1))[:, None]
+    lifts = np.eye(1 << m)[flipped].reshape(m, -1)
+    lifts.flags.writeable = False
+    return lifts
+
+
 def _apply_banged_window(
     amps: np.ndarray,
     n: int,
@@ -242,38 +283,22 @@ def _apply_banged_window(
     duration: float,
     drive_values: np.ndarray,
 ) -> np.ndarray:
-    """exp(i*duration*(H_res + sum_q c_q X_q)) via batched eigh over the
-    2^m-dimensional blocks picked out by the driven qubits (the rest of the
-    register only contributes diagonal energy)."""
-    m = len(qubits)
-    block_dim = 1 << m
-    batch = 1 << (n - m)
-    src = [q - 1 for q in qubits]
-    dst = list(range(n - m, n))
+    """exp(i*duration*(H_res + sum_q c_q X_q)) on a homogeneous resource.
 
-    a = np.moveaxis(amps.reshape([2] * n), src, dst).reshape(batch, block_dim)
-    e = np.moveaxis(energy.reshape([2] * n), src, dst).reshape(batch, block_dim)
-
-    drive = np.zeros((block_dim, block_dim))
-    x_real = PAULI_X.real
-    for pos, _q in enumerate(qubits):
-        coeff = (np.pi / (2.0 * duration)) * float(drive_values[pos])
-        op = np.kron(np.eye(1 << pos), np.kron(x_real, np.eye(1 << (m - 1 - pos))))
-        drive += coeff * op
-
-    h = np.zeros((batch, block_dim, block_dim))
-    diag = np.arange(block_dim)
-    h[:, diag, diag] = e
-    h += drive
-
+    The driven qubits cut the register into 2^(n-m) blocks of dimension 2^m
+    whose Hamiltonians differ only by weight class (see _window_structure),
+    so one eigh over the floor((n-m)/2)+1 class blocks serves every row.
+    """
+    index, weight, class_rows = _window_structure(n, qubits)
+    dim = 1 << len(qubits)
+    coeffs = (np.pi / (2.0 * duration)) * np.asarray(drive_values, dtype=float)
+    h = energy[class_rows][:, :, None] * np.eye(dim)
+    h += (coeffs @ _lifted_x(len(qubits))).reshape(dim, dim)
     w, v = np.linalg.eigh(h)
-    rotated = (v.conj().transpose(0, 2, 1) @ a[:, :, None])[:, :, 0]
-    rotated *= np.exp(1j * duration * w)
-    out = (v @ rotated[:, :, None])[:, :, 0]
-
-    out = out.reshape([2] * n)
-    out = np.moveaxis(out, dst, src)
-    return np.ascontiguousarray(out).reshape(-1)
+    u = (v * np.exp(1j * duration * w)[:, None, :]) @ v.transpose(0, 2, 1)
+    out = np.empty(amps.shape, dtype=complex)
+    out[index] = (u[weight] @ amps[index][:, :, None])[:, :, 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -291,6 +316,7 @@ class Program:
         object.__setattr__(self, "instructions", tuple(self.instructions))
         if self.resource is not None and self.resource.n_qubits != self.n_qubits:
             raise ValueError("resource register size does not match the program")
+        homogeneous = self.resource is not None and self.resource.is_homogeneous()
         for instr in self.instructions:
             for attr in ("qubit", "qubit_a", "qubit_b", "control", "target"):
                 q = getattr(instr, attr, None)
@@ -300,6 +326,8 @@ class Program:
                 raise ValueError(f"instruction {instr!r} exceeds {self.n_qubits} qubits")
             if isinstance(instr, _ANALOG_KINDS) and self.resource is None:
                 raise ValueError("analog instructions require a resource")
+            if isinstance(instr, BangedWindow) and not homogeneous:
+                raise ValueError("banged windows require a homogeneous resource")
         energy = coupling_diagonal(self.resource) if self.resource is not None else None
         object.__setattr__(self, "energy", energy)
 

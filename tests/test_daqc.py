@@ -226,6 +226,13 @@ class TestCompileQft:
         with pytest.raises(ValueError, match="mode"):
             compile_qft_daqc(3, "diagonal")
 
+    def test_bad_delta_t_rejected(self):
+        """A banged width is checked before any block is built, also at n = 1."""
+        for n in (1, 3):
+            for delta_t in (float("nan"), float("inf"), 0.0, -1e-4):
+                with pytest.raises(ValueError, match="finite delta_t > 0"):
+                    compile_qft_daqc(n, "banged", delta_t)
+
     def test_negative_segment_count(self):
         """negative_segments counts the banged analog blocks of negative duration."""
         for n, count in ((3, 6), (5, 28), (6, 75), (7, 21)):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from daqft.ising import IsingSpec, coupling_diagonal
+from daqft.ising import IsingSpec, all_pairs, coupling_diagonal
 from daqft.program import (
     AnalogBlock,
     BangedWindow,
@@ -83,6 +83,13 @@ class TestValidation:
         """Analog instructions need a coupling resource."""
         with pytest.raises(ValueError, match="resource"):
             Program(2, (AnalogBlock(0.5),))
+
+    def test_window_requires_homogeneous_resource(self):
+        """Banged windows run on a homogeneous resource only; analog blocks on any."""
+        resource = IsingSpec(3, {(1, 2): 1.0, (2, 3): 0.5})
+        with pytest.raises(ValueError, match="homogeneous resource"):
+            Program(3, (BangedWindow(0.1, (1, 2)),), resource=resource)
+        Program(3, (AnalogBlock(0.1),), resource=resource)
 
 
 class TestIdealSemantics:
@@ -192,6 +199,30 @@ class TestAnalogExecution:
                 ham += (np.pi / (2 * dt)) * kron_lift(3, q, PAULI_X)
             slow = expm_evolve(ham, dt, state.amplitudes)
             assert np.allclose(fast.amplitudes, slow, atol=1e-10)
+
+    def test_banged_window_matches_oracle_on_every_pair(self):
+        """Noisy windows on every driven pair at n = 3, 5, 6, 7 match the dense exponential.
+
+        The g = 1 runs come before the g = 0.8 runs in one process, so a kernel
+        that kept energies from an earlier call on the same register and pair
+        would fail here.
+        """
+        rng = np.random.default_rng(43)
+        for g in (1.0, 0.8):
+            for n in (3, 5, 6, 7):
+                resource = IsingSpec.homogeneous(n, g)
+                diagonal = np.diag(coupling_diagonal(resource)).astype(complex)
+                for pair in all_pairs(n):
+                    for dt in (1e-4, 0.21):
+                        values = rng.uniform(0.99, 1.01, size=2)
+                        state = random_state(n, rng)
+                        program = Program(n, (BangedWindow(dt, pair),), resource=resource)
+                        fast = execute_program(state, program, lambda _: values)
+                        ham = diagonal.copy()
+                        for q, value in zip(pair, values):
+                            ham += (np.pi / (2 * dt)) * value * kron_lift(n, q, PAULI_X)
+                        slow = expm_evolve(ham, dt, state.amplitudes)
+                        assert np.max(np.abs(fast.amplitudes - slow)) <= 1e-13, (g, n, pair, dt)
 
     def test_banged_window_noise_scales_drives(self):
         """Per-qubit draws rescale each drive amplitude independently."""
