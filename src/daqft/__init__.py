@@ -41,7 +41,7 @@ from .nn2ata import (
     hp_permutation,
     verify_nn_simulates_ata,
 )
-from .program import Program, execute_program, program_unitary
+from .program import Program, execute_program, execute_shots, program_unitary
 from .qft import (
     beta_state,
     build_dqc_circuit,
@@ -81,6 +81,7 @@ __all__ = [
     "default_beta_grid",
     "exact_qft",
     "execute_program",
+    "execute_shots",
     "fidelity",
     "ghz_state",
     "hp_permutation",

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
+import time
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -85,10 +87,21 @@ def _resolve_noise(args) -> tuple[NoiseConfig | None, float, int]:
     return config, delta_t, config.seed
 
 
+def _timed_sweep(sweep, *args):
+    """Records of one sweep, and its wall time and shot rate for the manifest."""
+    start = time.perf_counter()
+    records = sweep(*args)
+    wall_s = time.perf_counter() - start
+    shots = sum(record.shots for record in records)
+    return records, {"wall_s": wall_s, "shots_per_s": shots / wall_s}
+
+
 def _write_outputs(out_path: str, records, manifest: dict) -> None:
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(records_to_csv(records))
     manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
+    manifest["python"] = platform.python_version()
+    manifest["numpy"] = np.__version__
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -100,11 +113,14 @@ def _cmd_sweep_beta(args) -> int:
     config, delta_t, seed = _resolve_noise(args)
     shots = 1 if config is None else args.shots
     grid = default_beta_grid(args.beta_points)
-    records = sweep_beta(protocols, qubits, grid, shots, config, delta_t, args.workers)
+    records, timing = _timed_sweep(
+        sweep_beta, protocols, qubits, grid, shots, config, delta_t, args.workers
+    )
     manifest = {
         "command": "sweep-beta",
         "version": __version__,
         "seed": seed,
+        **timing,
         "config": {
             "protocols": protocols,
             "qubits": qubits,
@@ -127,13 +143,14 @@ def _cmd_sweep_error_scale(args) -> int:
     config, delta_t, seed = _resolve_noise(args)
     if config is None:
         raise ValueError("the error-scale sweep needs a noise config; drop --ideal")
-    records = sweep_error_scale(
-        protocols, qubits, scales, args.shots, config, delta_t, args.workers
+    records, timing = _timed_sweep(
+        sweep_error_scale, protocols, qubits, scales, args.shots, config, delta_t, args.workers
     )
     manifest = {
         "command": "sweep-error-scale",
         "version": __version__,
         "seed": seed,
+        **timing,
         "config": {
             "protocols": protocols,
             "qubits": qubits,
@@ -228,7 +245,9 @@ def _add_sweep_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shots", type=int, default=1000, help="noise shots per grid point")
     parser.add_argument("--noise-config", default=None, help="JSON noise config path")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=1, help="shot worker threads")
+    parser.add_argument(
+        "--workers", type=int, default=1, help="shot batches per cell, run in turn (same output)"
+    )
     parser.add_argument("--out", required=True, help="output CSV path")
 
 

@@ -37,14 +37,9 @@ def sign_matrix(n_qubits: int) -> np.ndarray:
     """
     if n_qubits < 2:
         raise ValueError(f"n_qubits must be >= 2, got {n_qubits}")
-    pairs = all_pairs(n_qubits)
-    size = len(pairs)
-    m = np.empty((size, size), dtype=int)
-    for a, (pn, pm) in enumerate(pairs):
-        for b, (j, k) in enumerate(pairs):
-            overlap = (pn == j) + (pn == k) + (pm == j) + (pm == k)
-            m[a, b] = -1 if overlap % 2 else 1
-    return m
+    pairs = np.array(all_pairs(n_qubits))
+    overlap = (pairs[:, None, :, None] == pairs[None, :, None, :]).sum(axis=(2, 3))
+    return np.where(overlap % 2, -1, 1)
 
 
 def coupling_vector(target: IsingSpec) -> np.ndarray:
@@ -66,7 +61,7 @@ def solve_times(target: IsingSpec) -> np.ndarray:
     m = sign_matrix(n)
     g_vec = coupling_vector(target)
     times = np.linalg.solve(m, g_vec) * (target.target_time / target.resource_coupling)
-    residual = solve_residual(target, times)
+    residual = _residual(m, target, times)
     if residual > RESIDUAL_TOL:
         raise RuntimeError(f"time solver residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     return times
@@ -74,7 +69,10 @@ def solve_times(target: IsingSpec) -> np.ndarray:
 
 def solve_residual(target: IsingSpec, times: np.ndarray) -> float:
     """Max-norm residual of the duration solution against the target couplings."""
-    m = sign_matrix(target.n_qubits)
+    return _residual(sign_matrix(target.n_qubits), target, times)
+
+
+def _residual(m: np.ndarray, target: IsingSpec, times) -> float:
     lhs = m @ np.asarray(times) * (target.resource_coupling / target.target_time)
     return float(np.max(np.abs(lhs - coupling_vector(target))))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -28,6 +27,7 @@ from .program import (
     UnsupportedGateError,
     XGate,
     execute_program,
+    execute_shots,
 )
 from .qft import beta_state, build_dqc_circuit, exact_qft, readout_instruction
 from .statevector import fidelity
@@ -86,34 +86,50 @@ def sample_noise(kind: str, config: NoiseConfig, rng: np.random.Generator) -> fl
     Zero widths give the ideal values exactly (while still consuming a draw,
     which keeps draw sequences aligned across error scales).
     """
+    # low + (high - low) * u and loc + scale * z are the maps rng.uniform and
+    # rng.normal apply, so these draws equal theirs bit for bit, at less cost.
     if kind == "sqg":
         half_width = config.sqgn * config.error_scale
-        return float(rng.uniform(1.0 - half_width, 1.0 + half_width))
+        low, high = 1.0 - half_width, 1.0 + half_width
+        return low + (high - low) * rng.random()
     if kind == "tqg":
-        return float(rng.normal(0.0, config.tqg_std))
+        return 0.0 + config.tqg_std * rng.standard_normal()
     if kind == "abn_s":
-        return float(rng.normal(0.0, config.abn_s * config.error_scale))
+        return 0.0 + (config.abn_s * config.error_scale) * rng.standard_normal()
     if kind == "abn_b":
-        return float(rng.normal(0.0, config.abn_b * config.error_scale))
+        return 0.0 + (config.abn_b * config.error_scale) * rng.standard_normal()
     raise ValueError(f"unknown noise kind {kind!r}")
+
+
+# The channel each instruction type draws from; analog blocks pick theirs by
+# schedule kind, and a window draws one sqg value per driven qubit.
+_NOISE_KINDS = {
+    Rotation: "sqg",
+    XGate: "sqg",
+    HadamardGate: "sqg",
+    Entangler: "tqg",
+    AnalogBlock: "abn",
+    BangedWindow: "window",
+    Permute: None,
+}
 
 
 def make_sampler(config: NoiseConfig, rng: np.random.Generator):
     """Per-instruction noise draws, consumed in program order."""
 
     def sampler(instr):
-        if isinstance(instr, (Rotation, XGate, HadamardGate)):
-            return sample_noise("sqg", config, rng)
-        if isinstance(instr, Entangler):
-            return sample_noise("tqg", config, rng)
-        if isinstance(instr, AnalogBlock):
+        try:
+            kind = _NOISE_KINDS[type(instr)]
+        except KeyError:
+            name = type(instr).__name__
+            raise UnsupportedGateError(f"no noise model for {name}") from None
+        if kind == "abn":
             kind = "abn_s" if instr.kind == "stepwise" else "abn_b"
-            return sample_noise(kind, config, rng)
-        if isinstance(instr, BangedWindow):
+        elif kind == "window":
             return np.array([sample_noise("sqg", config, rng) for _ in instr.qubits])
-        if isinstance(instr, Permute):
+        elif kind is None:
             return None
-        raise UnsupportedGateError(f"no noise model for {type(instr).__name__}")
+        return sample_noise(kind, config, rng)
 
     return sampler
 
@@ -171,17 +187,23 @@ def monte_carlo(
     config: NoiseConfig | None,
     delta_t: float = DEFAULT_DELTA_T,
     workers: int = 1,
+    program: Program | None = None,
 ) -> ExperimentRecord:
     """Mean/std fidelity over independent noise shots.
 
-    Shot i draws from a generator keyed by (config.seed, i), so results do not
-    depend on execution order or the number of worker threads.
+    Shot i draws from a generator keyed by (config.seed, i), in program
+    order.  The shots run as blocks of amplitude rows (see
+    ``execute_shots``): ``workers`` is the number of blocks, run in turn, so
+    a block holds at most ceil(shots / workers) rows of 2^n amplitudes.  No
+    result depends on it.  ``program`` is the compiled protocol program when
+    the caller reuses one across cells; by default it is compiled here.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    program = build_protocol_program(protocol, n_qubits, delta_t)
+    if program is None:
+        program = build_protocol_program(protocol, n_qubits, delta_t)
     state = beta_state(n_qubits, beta)
     reference = exact_qft(state)
 
@@ -189,16 +211,14 @@ def monte_carlo(
         value = fidelity(reference, execute_program(state, program, None))
         fidelities = np.full(shots, value)
     else:
-
-        def one_shot(index: int) -> float:
-            sampler = make_sampler(config, _shot_rng(config.seed, index))
-            return fidelity(reference, execute_program(state, program, sampler))
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fidelities = np.array(list(pool.map(one_shot, range(shots))))
-        else:
-            fidelities = np.array([one_shot(i) for i in range(shots)])
+        batch = -(-shots // workers)
+        fidelities = []
+        for first in range(0, shots, batch):
+            indices = range(first, min(first + batch, shots))
+            samplers = [make_sampler(config, _shot_rng(config.seed, i)) for i in indices]
+            block = execute_shots(state, program, samplers)
+            # Each row's fidelity exactly as statevector.fidelity computes it.
+            fidelities += [float(np.abs(np.vdot(reference.amplitudes, row)) ** 2) for row in block]
 
     return ExperimentRecord(
         protocol=PROTOCOL_LABELS[protocol.lower()],
@@ -236,10 +256,12 @@ def sweep_beta(
     records = []
     for protocol in protocols:
         for n in n_list:
+            program = build_protocol_program(protocol, n, delta_t)
             for beta in beta_grid:
-                records.append(
-                    monte_carlo(protocol, n, float(beta), shots, config, delta_t, workers)
+                record = monte_carlo(
+                    protocol, n, float(beta), shots, config, delta_t, workers, program=program
                 )
+                records.append(record)
     records.sort(key=lambda r: (r.protocol, r.n_qubits, r.beta))
     return records
 
@@ -257,14 +279,19 @@ def sweep_error_scale(
     """Scale all noise widths by a common factor; beta fixed at pi/4."""
     if config is None:
         config = NoiseConfig()
+    scales = [float(scale) for scale in scale_grid]
+    if any(scale < 0 for scale in scales):
+        raise ValueError("error scales must be >= 0")
     records = []
-    for scale in scale_grid:
-        if scale < 0:
-            raise ValueError("error scales must be >= 0")
-        scaled = replace(config, error_scale=float(scale))
-        for protocol in protocols:
-            for n in n_list:
-                records.append(monte_carlo(protocol, n, beta, shots, scaled, delta_t, workers))
+    for protocol in protocols:
+        for n in n_list:
+            program = build_protocol_program(protocol, n, delta_t)
+            for scale in scales:
+                scaled = replace(config, error_scale=scale)
+                record = monte_carlo(
+                    protocol, n, beta, shots, scaled, delta_t, workers, program=program
+                )
+                records.append(record)
     records.sort(key=lambda r: (r.protocol, r.n_qubits, r.error_scale))
     return records
 

@@ -1,13 +1,17 @@
 """Executable circuit programs: a small instruction set over statevectors.
 
 Instructions know how to apply themselves ideally, and how to apply a
-perturbed version of themselves given a noise draw (see noise module).  A
-Program bundles instructions with the analog resource they evolve under.
+perturbed version of themselves given noise draws (see noise module).  Both
+act on a (k, 2^n) block of amplitude rows at once: the shots of a
+Monte-Carlo cell, or the basis columns of a dense unitary.  A noisy
+application takes one draw per row.  A Program bundles instructions with the
+analog resource they evolve under.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +37,12 @@ def _check_qubit(q: int, name: str = "qubit") -> None:
         raise ValueError(f"{name} must be >= 1, got {q}")
 
 
+def _rotations(theta: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """cos(t)*1 + i*sin(t)*P for each angle t of a (k,) array: a (k, 2, 2) stack."""
+    theta = theta[:, None, None]
+    return np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * axis
+
+
 @dataclass(frozen=True)
 class Rotation:
     """exp(i * angle * P) on one qubit, P a Pauli axis; noise scales the angle."""
@@ -47,13 +57,18 @@ class Rotation:
         if not math.isfinite(self.angle):
             raise ValueError("angle must be finite")
 
-    def noisy_apply(self, amps: np.ndarray, n: int, value: float) -> np.ndarray:
-        theta = self.angle * value
-        matrix = math.cos(theta) * np.eye(2) + 1j * math.sin(theta) * pauli(self.axis)
-        return _apply_matrix_1q(amps, self.qubit, matrix)
+    def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
+        return _apply_matrix_1q(amps, self.qubit, self._matrices(value))
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
-        return self.noisy_apply(amps, n, 1.0)
+        return _apply_matrix_1q(amps, self.qubit, self._ideal)
+
+    def _matrices(self, values: np.ndarray) -> np.ndarray:
+        return _rotations(self.angle * values, pauli(self.axis))
+
+    @functools.cached_property
+    def _ideal(self) -> np.ndarray:
+        return self._matrices(np.ones(1))
 
 
 _Z_PLUS_X = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -68,16 +83,22 @@ class HadamardGate:
     def __post_init__(self) -> None:
         _check_qubit(self.qubit)
 
-    def noisy_apply(self, amps: np.ndarray, n: int, value: float) -> np.ndarray:
-        # exp(i*v*H_H) with H_H = (pi/2)(1 - (Z+X)/sqrt2); H_H has eigenvalues {0, pi}
-        half = np.pi * value / 2.0
-        matrix = np.exp(1j * half) * (
-            math.cos(half) * np.eye(2) - 1j * math.sin(half) * (_Z_PLUS_X / SQRT2)
-        )
-        return _apply_matrix_1q(amps, self.qubit, matrix)
+    def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
+        return _apply_matrix_1q(amps, self.qubit, self._matrices(value))
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
-        return self.noisy_apply(amps, n, 1.0)
+        return _apply_matrix_1q(amps, self.qubit, self._ideal)
+
+    def _matrices(self, values: np.ndarray) -> np.ndarray:
+        # exp(i*v*H_H) with H_H = (pi/2)(1 - (Z+X)/sqrt2); H_H has eigenvalues {0, pi}
+        half = (np.pi * values / 2.0)[:, None, None]
+        return np.exp(1j * half) * (
+            np.cos(half) * np.eye(2) - 1j * np.sin(half) * (_Z_PLUS_X / SQRT2)
+        )
+
+    @functools.cached_property
+    def _ideal(self) -> np.ndarray:
+        return self._matrices(np.ones(1))
 
 
 @dataclass(frozen=True)
@@ -89,13 +110,18 @@ class XGate:
     def __post_init__(self) -> None:
         _check_qubit(self.qubit)
 
-    def noisy_apply(self, amps: np.ndarray, n: int, value: float) -> np.ndarray:
-        half = np.pi * value / 2.0
-        matrix = math.cos(half) * np.eye(2) + 1j * math.sin(half) * PAULI_X
-        return _apply_matrix_1q(amps, self.qubit, matrix)
+    def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
+        return _apply_matrix_1q(amps, self.qubit, self._matrices(value))
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
-        return self.noisy_apply(amps, n, 1.0)
+        return _apply_matrix_1q(amps, self.qubit, self._ideal)
+
+    def _matrices(self, values: np.ndarray) -> np.ndarray:
+        return _rotations(np.pi * values / 2.0, PAULI_X)
+
+    @functools.cached_property
+    def _ideal(self) -> np.ndarray:
+        return self._matrices(np.ones(1))
 
 
 @dataclass(frozen=True)
@@ -111,14 +137,20 @@ class Entangler:
         if self.qubit_a == self.qubit_b:
             raise ValueError("entangler qubits must differ")
 
-    def noisy_apply(self, amps: np.ndarray, n: int, value: float) -> np.ndarray:
-        phi = (np.pi / 4.0) * (1.0 + value)
-        up, down = np.exp(1j * phi), np.exp(-1j * phi)
-        phases = np.array([up, down, down, up])
-        return _apply_diag_2q(amps, n, self.qubit_a, self.qubit_b, phases)
+    def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
+        return _apply_diag_2q(amps, n, self.qubit_a, self.qubit_b, self._phases(value))
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
-        return self.noisy_apply(amps, n, 0.0)
+        return _apply_diag_2q(amps, n, self.qubit_a, self.qubit_b, self._ideal)
+
+    def _phases(self, values: np.ndarray) -> np.ndarray:
+        phi = (np.pi / 4.0) * (1.0 + values)
+        up, down = np.exp(1j * phi), np.exp(-1j * phi)
+        return np.stack([up, down, down, up], axis=-1)
+
+    @functools.cached_property
+    def _ideal(self) -> np.ndarray:
+        return self._phases(np.zeros(1))
 
 
 @dataclass(frozen=True)
@@ -143,8 +175,11 @@ class ControlledPhase:
         )
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
-        phases = np.array([1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** self.k)])
-        return _apply_diag_2q(amps, n, self.control, self.target, phases)
+        return _apply_diag_2q(amps, n, self.control, self.target, self._ideal)
+
+    @functools.cached_property
+    def _ideal(self) -> np.ndarray:
+        return np.array([[1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** self.k)]])
 
 
 @dataclass(frozen=True)
@@ -161,12 +196,12 @@ class AnalogBlock:
             raise ValueError(f"unknown analog block kind {self.kind!r}")
 
     def noisy_apply(
-        self, amps: np.ndarray, n: int, value: float, energy: np.ndarray
+        self, amps: np.ndarray, n: int, value: np.ndarray, energy: np.ndarray
     ) -> np.ndarray:
-        return amps * np.exp(1j * (self.duration + value) * energy)
+        return amps * np.exp(1j * (self.duration + value)[:, None] * energy)
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy: np.ndarray) -> np.ndarray:
-        return self.noisy_apply(amps, n, 0.0, energy)
+        return self.noisy_apply(amps, n, np.zeros(1), energy)
 
 
 @dataclass(frozen=True)
@@ -200,7 +235,7 @@ class BangedWindow:
         return _apply_banged_window(amps, n, energy, self.qubits, self.duration, values)
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy: np.ndarray) -> np.ndarray:
-        return self.noisy_apply(amps, n, np.ones(len(self.qubits)), energy)
+        return self.noisy_apply(amps, n, np.ones((1, len(self.qubits))), energy)
 
 
 @dataclass(frozen=True)
@@ -219,9 +254,13 @@ class Permute:
         return self.ideal_apply(amps, n)
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
-        if len(self.index_map) != amps.size:
+        if len(self.index_map) != amps.shape[-1]:
             raise ValueError("permutation size does not match the register")
-        return amps[np.asarray(self.index_map)]
+        return amps[:, self._index]
+
+    @functools.cached_property
+    def _index(self) -> np.ndarray:
+        return np.asarray(self.index_map)
 
 
 Instruction = (
@@ -283,21 +322,22 @@ def _apply_banged_window(
     duration: float,
     drive_values: np.ndarray,
 ) -> np.ndarray:
-    """exp(i*duration*(H_res + sum_q c_q X_q)) on a homogeneous resource.
+    """exp(i*duration*(H_res + sum_q c_q X_q)) on each row of a (k, 2^n) block.
 
-    The driven qubits cut the register into 2^(n-m) blocks of dimension 2^m
-    whose Hamiltonians differ only by weight class (see _window_structure),
-    so one eigh over the floor((n-m)/2)+1 class blocks serves every row.
+    Row s takes its drive scales c_q from drive_values[s] (shape (k, m)).  The
+    driven qubits cut the register into 2^(n-m) blocks of dimension 2^m whose
+    Hamiltonians differ only by weight class (see _window_structure), so one
+    eigh over k x (floor((n-m)/2)+1) class blocks serves every row.
     """
     index, weight, class_rows = _window_structure(n, qubits)
     dim = 1 << len(qubits)
-    coeffs = (np.pi / (2.0 * duration)) * np.asarray(drive_values, dtype=float)
+    coeffs = (np.pi / (2.0 * duration)) * drive_values
     h = energy[class_rows][:, :, None] * np.eye(dim)
-    h += (coeffs @ _lifted_x(len(qubits))).reshape(dim, dim)
+    h = h + (coeffs @ _lifted_x(len(qubits))).reshape(-1, 1, dim, dim)
     w, v = np.linalg.eigh(h)
-    u = (v * np.exp(1j * duration * w)[:, None, :]) @ v.transpose(0, 2, 1)
+    u = (v * np.exp(1j * duration * w)[..., None, :]) @ v.swapaxes(-1, -2)
     out = np.empty(amps.shape, dtype=complex)
-    out[index] = (u[weight] @ amps[index][:, :, None])[:, :, 0]
+    out[:, index] = (u[:, weight] @ amps[:, index][..., None])[..., 0]
     return out
 
 
@@ -332,26 +372,37 @@ class Program:
         object.__setattr__(self, "energy", energy)
 
 
-def _run(program: Program, columns, sampler=None) -> list[np.ndarray]:
-    """Apply the program to each amplitude array: the one loop over instructions."""
+def _run(program: Program, block: np.ndarray, draws=None) -> np.ndarray:
+    """Apply the program to every row of a (k, 2^n) block: the one loop over instructions.
+
+    ``draws`` holds one entry per instruction: None applies it ideally, an
+    array holds the rows' noise values, (k,) or (k, m) for an m-qubit window.
+    """
     n = program.n_qubits
     energy = program.energy
-    outputs = []
-    for amps in columns:
-        for instr in program.instructions:
-            value = sampler(instr) if sampler is not None else None
-            if isinstance(instr, _ANALOG_KINDS):
-                if value is None:
-                    amps = instr.ideal_apply(amps, n, energy)
-                else:
-                    amps = instr.noisy_apply(amps, n, value, energy)
+    for instr, value in zip(program.instructions, draws or itertools.repeat(None)):
+        if isinstance(instr, _ANALOG_KINDS):
+            if value is None:
+                block = instr.ideal_apply(block, n, energy)
             else:
-                if value is None:
-                    amps = instr.ideal_apply(amps, n)
-                else:
-                    amps = instr.noisy_apply(amps, n, value)
-        outputs.append(amps)
-    return outputs
+                block = instr.noisy_apply(block, n, value, energy)
+        else:
+            if value is None:
+                block = instr.ideal_apply(block, n)
+            else:
+                block = instr.noisy_apply(block, n, value)
+    return block
+
+
+def _draws(program: Program, samplers) -> list:
+    """Per-instruction noise values of k shots; each sampler is called in program order."""
+    rows = [[sampler(instr) for instr in program.instructions] for sampler in samplers]
+    return [None if column[0] is None else np.array(column) for column in zip(*rows)]
+
+
+def _check_register(state: Statevector, program: Program) -> None:
+    if state.n_qubits != program.n_qubits:
+        raise ValueError("state and program disagree on the number of qubits")
 
 
 def execute_program(state: Statevector, program: Program, sampler=None) -> Statevector:
@@ -360,13 +411,23 @@ def execute_program(state: Statevector, program: Program, sampler=None) -> State
     ``sampler`` maps an instruction to its noise draw (or None for an ideal
     application); omitting it runs the whole program ideally.
     """
-    if state.n_qubits != program.n_qubits:
-        raise ValueError("state and program disagree on the number of qubits")
-    (amps,) = _run(program, (state.amplitudes,), sampler)
+    _check_register(state, program)
+    draws = None if sampler is None else _draws(program, [sampler])
+    (amps,) = _run(program, state.amplitudes[None], draws)
     return Statevector(program.n_qubits, amps)
+
+
+def execute_shots(state: Statevector, program: Program, samplers) -> np.ndarray:
+    """Run a program once per sampler on a state, all shots as one block.
+
+    Row i of the (k, 2^n) result equals
+    ``execute_program(state, program, samplers[i]).amplitudes``.
+    """
+    _check_register(state, program)
+    block = np.tile(state.amplitudes, (len(samplers), 1))
+    return _run(program, block, _draws(program, samplers))
 
 
 def program_unitary(program: Program) -> np.ndarray:
     """Dense matrix of the whole program (exactness oracle; small registers only)."""
-    basis = np.eye(1 << program.n_qubits, dtype=complex)
-    return np.stack(_run(program, basis), axis=1)
+    return _run(program, np.eye(1 << program.n_qubits, dtype=complex)).T

@@ -7,6 +7,7 @@ never mutate their inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,20 +75,34 @@ def fidelity(a: Statevector, b: Statevector) -> float:
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def _apply_matrix_1q(amps: np.ndarray, target: int, matrix: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix on qubit ``target`` of a flat amplitude array."""
-    a = amps.reshape(1 << (target - 1), 2, -1)
-    return np.einsum("ij,ajb->aib", matrix, a).reshape(-1)
+def _apply_matrix_1q(amps: np.ndarray, target: int, matrices: np.ndarray) -> np.ndarray:
+    """Apply 2x2 matrices on qubit ``target`` of a (k, 2^n) block.
+
+    ``matrices`` is (k, 2, 2), one per row, or (1, 2, 2), one for every row.
+    """
+    a = amps.reshape(amps.shape[0], 1 << (target - 1), 2, -1)
+    m = matrices[:, None, :, :, None]
+    out = m[:, :, :, 0] * a[:, :, None, 0] + m[:, :, :, 1] * a[:, :, None, 1]
+    return out.reshape(amps.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _branch_index(n_qubits: int, q1: int, q2: int) -> np.ndarray:
+    """Per basis state, the (q1, q2) branch 2*b1 + b2 its bits select."""
+    indices = np.arange(1 << n_qubits)
+    branch = 2 * ((indices >> (n_qubits - q1)) & 1) + ((indices >> (n_qubits - q2)) & 1)
+    branch.flags.writeable = False
+    return branch
 
 
 def _apply_diag_2q(
     amps: np.ndarray, n_qubits: int, q1: int, q2: int, phases: np.ndarray
 ) -> np.ndarray:
-    """Multiply amplitudes by per-branch phases of the (q1, q2) subspace."""
-    indices = np.arange(amps.size)
-    b1 = (indices >> (n_qubits - q1)) & 1
-    b2 = (indices >> (n_qubits - q2)) & 1
-    return amps * phases[2 * b1 + b2]
+    """Multiply a (k, 2^n) block by per-branch phases of the (q1, q2) subspace.
+
+    ``phases`` is (k, 4), one set per row, or (1, 4), one for every row.
+    """
+    return amps * phases[:, _branch_index(n_qubits, q1, q2)]
 
 
 def phase_insensitive_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -5,6 +5,7 @@ on failure) and then asserts, so `pytest -v` gives one verdict per criterion.
 The noisy reproduction criteria share one 100-shot Monte-Carlo sweep.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -232,6 +233,14 @@ def test_criterion_06_noisy_reproduction(noisy_sweep):
     assert sdaqc.mean >= 0.55
     assert bdaqc.mean >= 0.65
     assert elapsed[6] < 600
+
+
+def test_noisy_sweep_csv_digest(noisy_sweep):
+    """The seed-0 fixture sweep reproduces its recorded CSV bytes (SHA-256)."""
+    records, _ = noisy_sweep
+    text = records_to_csv(records[5] + records[6] + records[7])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "272298795678c7dd157a7ecfeb9d4be1aacb00461760d2f2f239f59adaa38e98"
 
 
 def test_criterion_07_protocol_ordering(noisy_sweep):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -60,6 +61,11 @@ class TestSweepBeta:
         assert manifest["config"]["noise"]["seed"] == 7
         assert manifest["config"]["ideal"] is False
         assert "timestamp" in manifest
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["wall_s"] > 0
+        # two beta points of two shots each
+        assert manifest["shots_per_s"] == pytest.approx(4 / manifest["wall_s"])
 
     def test_noise_config_file(self, tmp_path):
         """A JSON config sets the widths and may carry delta_t."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from daqft import daqc
 from daqft.daqc import (
     DaqcSchedule,
     SingularSignMatrixError,
@@ -95,6 +96,18 @@ class TestSolveTimes:
         """The 4-qubit system has no duration solution."""
         with pytest.raises(SingularSignMatrixError, match="singular sign matrix for N=4"):
             solve_times(IsingSpec.homogeneous(4))
+
+    def test_sign_matrix_built_once_per_solve(self, monkeypatch):
+        """Solving and checking the residual share one sign matrix."""
+        built = []
+
+        def counting(n_qubits):
+            built.append(n_qubits)
+            return sign_matrix(n_qubits)
+
+        monkeypatch.setattr(daqc, "sign_matrix", counting)
+        solve_times(qft_block_target(5, 1))
+        assert built == [5]
 
     def test_residual_is_tiny(self):
         """Solutions reproduce the target couplings to solver precision."""

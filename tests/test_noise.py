@@ -1,5 +1,6 @@
 """Tests for the coherent-noise model and Monte-Carlo experiment layer."""
 
+import copy
 import json
 
 import numpy as np
@@ -37,6 +38,7 @@ from daqft.program import (
     UnsupportedGateError,
     XGate,
     execute_program,
+    execute_shots,
 )
 from daqft.qft import beta_state, exact_qft
 from daqft.statevector import Statevector, fidelity
@@ -106,6 +108,31 @@ class TestSampling:
         assert sample_noise("tqg", ZERO_NOISE, rng) == 0.0
         assert sample_noise("abn_s", ZERO_NOISE, rng) == 0.0
         assert sample_noise("abn_b", ZERO_NOISE, rng) == 0.0
+
+    @pytest.mark.parametrize(
+        "config",
+        [NoiseConfig(), NoiseConfig(error_scale=0.0), NoiseConfig(error_scale=1.7, tqgn_is_std=False)],
+        ids=["default", "scale-0", "scale-1.7-variance"],
+    )
+    def test_draws_equal_numpy_samplers(self, config):
+        """Each channel equals rng.uniform / rng.normal on a cloned generator, bit for bit."""
+        scale = config.error_scale
+        half = config.sqgn * scale
+        reference = {
+            "sqg": lambda rng: rng.uniform(1.0 - half, 1.0 + half),
+            "tqg": lambda rng: rng.normal(0.0, config.tqg_std),
+            "abn_s": lambda rng: rng.normal(0.0, config.abn_s * scale),
+            "abn_b": lambda rng: rng.normal(0.0, config.abn_b * scale),
+        }
+        rng = np.random.default_rng([3, 1])
+        for _ in range(25):
+            for kind, draw in reference.items():
+                clone = copy.deepcopy(rng)
+                value = sample_noise(kind, config, rng)
+                expected = draw(clone)
+                assert type(value) is float
+                assert value == expected, (kind, value, expected)
+                assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_unknown_kind(self):
         """Unrecognized channel names raise."""
@@ -236,6 +263,25 @@ class TestMonteCarlo:
         assert record.std_fidelity == pytest.approx(0.0, abs=1e-12)
         assert record.error_scale == 0.0
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_block_matches_serial_shots(self, protocol):
+        """The shots of one block give each serial execute_program run's fidelity."""
+        config = NoiseConfig(seed=4)
+        for n in (3, 5, 6, 7):
+            program = build_protocol_program(protocol, n)
+            state = beta_state(n, 0.9)
+            reference = exact_qft(state)
+            samplers = [make_sampler(config, np.random.default_rng([4, i])) for i in range(5)]
+            block = execute_shots(state, program, samplers)
+            batched = [fidelity(reference, Statevector(n, row)) for row in block]
+            serial = [
+                fidelity(reference, execute_program(state, program, make_sampler(config, rng)))
+                for rng in (np.random.default_rng([4, i]) for i in range(5))
+            ]
+            assert np.allclose(batched, serial, rtol=0, atol=1e-12), (n, batched, serial)
+            record = monte_carlo(protocol, n, 0.9, 5, config, program=program)
+            assert record.mean_fidelity == pytest.approx(np.mean(serial), abs=1e-12)
+
     def test_single_shot_equals_run_protocol(self):
         """shots=1 reproduces a direct run with the derived shot-0 generator."""
         config = NoiseConfig(seed=13)
@@ -337,7 +383,7 @@ class TestSerialization:
         assert lines[1] == "sDAQC,3,1.570796327,10,7,0.750000000,0.125000000,0.000100000,1.000000000"
 
     def test_csv_is_deterministic_across_workers(self):
-        """Byte-identical output whatever the thread count."""
+        """Byte-identical output whatever the number of shot batches."""
         config = NoiseConfig(seed=11)
         grid = default_beta_grid(2)
         one = records_to_csv(sweep_beta(["dqc"], [2], grid, 6, config, workers=1))
