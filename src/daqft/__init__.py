@@ -36,7 +36,6 @@ from .noise import (
 )
 from .nn2ata import (
     HamiltonianPath,
-    VertexPermutation,
     decompose_complete_graph,
     hp_permutation,
     verify_nn_simulates_ata,
@@ -65,7 +64,6 @@ __all__ = [
     "Program",
     "SingularSignMatrixError",
     "Statevector",
-    "VertexPermutation",
     "all_pairs",
     "banged_segment_durations",
     "basis_state",

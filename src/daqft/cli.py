@@ -52,23 +52,14 @@ def _parse_protocols(text: str) -> list[str]:
     return names
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind, noun: str) -> list:
+    """Comma-separated values converted by kind; noun names them in errors."""
     try:
-        values = [int(item) for item in text.split(",") if item.strip()]
+        values = [kind(item) for item in text.split(",") if item.strip()]
     except ValueError as exc:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from exc
+        raise ValueError(f"expected a comma-separated {noun} list, got {text!r}") from exc
     if not values:
-        raise ValueError("empty integer list")
-    return values
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        values = [float(item) for item in text.split(",") if item.strip()]
-    except ValueError as exc:
-        raise ValueError(f"expected a comma-separated number list, got {text!r}") from exc
-    if not values:
-        raise ValueError("empty number list")
+        raise ValueError(f"empty {noun} list")
     return values
 
 
@@ -87,83 +78,70 @@ def _resolve_noise(args) -> tuple[NoiseConfig | None, float, int]:
     return config, delta_t, config.seed
 
 
-def _timed_sweep(sweep, *args):
-    """Records of one sweep, and its wall time and shot rate for the manifest."""
+def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dict) -> int:
+    """Time one sweep; write its CSV and a manifest with this sweep's extra settings."""
+    config, delta_t, seed = noise
     start = time.perf_counter()
-    records = sweep(*args)
+    records = sweep(protocols, qubits, grid, shots, config, delta_t, args.workers)
     wall_s = time.perf_counter() - start
-    shots = sum(record.shots for record in records)
-    return records, {"wall_s": wall_s, "shots_per_s": shots / wall_s}
-
-
-def _write_outputs(out_path: str, records, manifest: dict) -> None:
-    with open(out_path, "w", encoding="utf-8", newline="") as handle:
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(records_to_csv(records))
-    manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
-    manifest["python"] = platform.python_version()
-    manifest["numpy"] = np.__version__
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "seed": seed,
+        "wall_s": wall_s,
+        "shots_per_s": sum(record.shots for record in records) / wall_s,
+        "config": {
+            "protocols": protocols,
+            "qubits": qubits,
+            "shots": shots,
+            "workers": args.workers,
+            "noise": None if config is None else config_to_dict(config, delta_t),
+            "delta_t": delta_t,
+            **settings,
+        },
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    return 0
 
 
 def _cmd_sweep_beta(args) -> int:
     protocols = _parse_protocols(args.protocols)
-    qubits = _parse_int_list(args.qubits)
-    config, delta_t, seed = _resolve_noise(args)
-    shots = 1 if config is None else args.shots
+    qubits = _parse_list(args.qubits, int, "integer")
+    noise = _resolve_noise(args)
+    ideal = noise[0] is None
+    shots = 1 if ideal else args.shots
     grid = default_beta_grid(args.beta_points)
-    records, timing = _timed_sweep(
-        sweep_beta, protocols, qubits, grid, shots, config, delta_t, args.workers
-    )
-    manifest = {
-        "command": "sweep-beta",
-        "version": __version__,
-        "seed": seed,
-        **timing,
-        "config": {
-            "protocols": protocols,
-            "qubits": qubits,
-            "beta_points": args.beta_points,
-            "shots": shots,
-            "ideal": config is None,
-            "workers": args.workers,
-            "noise": None if config is None else config_to_dict(config, delta_t),
-            "delta_t": delta_t,
-        },
-    }
-    _write_outputs(args.out, records, manifest)
-    return 0
+    settings = {"beta_points": args.beta_points, "ideal": ideal}
+    return _run_sweep(args, sweep_beta, protocols, qubits, grid, shots, noise, settings)
 
 
 def _cmd_sweep_error_scale(args) -> int:
     protocols = _parse_protocols(args.protocols)
-    qubits = _parse_int_list(args.qubits)
-    scales = _parse_float_list(args.scales)
-    config, delta_t, seed = _resolve_noise(args)
-    if config is None:
+    qubits = _parse_list(args.qubits, int, "integer")
+    scales = _parse_list(args.scales, float, "number")
+    noise = _resolve_noise(args)
+    if noise[0] is None:
         raise ValueError("the error-scale sweep needs a noise config; drop --ideal")
-    records, timing = _timed_sweep(
-        sweep_error_scale, protocols, qubits, scales, args.shots, config, delta_t, args.workers
+    settings = {"scales": scales, "beta": np.pi / 4}
+    return _run_sweep(
+        args, sweep_error_scale, protocols, qubits, scales, args.shots, noise, settings
     )
-    manifest = {
-        "command": "sweep-error-scale",
-        "version": __version__,
-        "seed": seed,
-        **timing,
-        "config": {
-            "protocols": protocols,
-            "qubits": qubits,
-            "scales": scales,
-            "beta": np.pi / 4,
-            "shots": args.shots,
-            "workers": args.workers,
-            "noise": config_to_dict(config, delta_t),
-            "delta_t": delta_t,
-        },
-    }
-    _write_outputs(args.out, records, manifest)
-    return 0
+
+
+def _write_or_print(text: str, out) -> None:
+    """Write text to the --out path, or to stdout when there is none."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_coupling_file(path, n_qubits: int, target_time: float) -> IsingSpec:
@@ -199,24 +177,14 @@ def _cmd_compile(args) -> int:
         schedule = build_sdaqc_schedule(times, resource)
     else:
         schedule = build_bdaqc_schedule(times, args.delta_t, resource)
-    dump = schedule_dump(schedule)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dump)
-    else:
-        sys.stdout.write(dump)
+    _write_or_print(schedule_dump(schedule), args.out)
     print(f"residual {solve_residual(target, times):.3e}")
     return 0
 
 
 def _cmd_nn2ata(args) -> int:
     report = cover_report(args.size)
-    dump = paths_dump(report.paths)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dump)
-    else:
-        sys.stdout.write(dump)
+    _write_or_print(paths_dump(report.paths), args.out)
     print(f"paths {len(report.paths)}")
     if report.covered:
         print("edge-cover PASS")

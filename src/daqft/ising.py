@@ -17,6 +17,11 @@ MAX_QUBITS = 14
 Pair = tuple[int, int]
 
 
+def _check_register_size(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {n_qubits}")
+
+
 def all_pairs(n_qubits: int) -> list[Pair]:
     """All ordered pairs (j, k) with 1 <= j < k <= n_qubits."""
     return [(j, k) for j in range(1, n_qubits + 1) for k in range(j + 1, n_qubits + 1)]
@@ -38,8 +43,7 @@ class IsingSpec:
     target_time: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
+        _check_register_size(self.n_qubits)
         for pair, value in self.couplings.items():
             j, k = pair
             if not (1 <= j < k <= self.n_qubits):

@@ -20,22 +20,8 @@ VERIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class VertexPermutation:
-    """A relabeling of the L line positions, stored as the label sequence."""
-
-    size: int
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
-        if sorted(self.mapping) != list(range(1, self.size + 1)):
-            raise ValueError(f"mapping {self.mapping} is not a bijection on 1..{self.size}")
-
-
-@dataclass(frozen=True)
 class HamiltonianPath:
-    """An ordering of all L vertices; consecutive pairs are its edges."""
+    """An ordering of 1..L: a path through K_L, or a line layout; consecutive pairs are edges."""
 
     vertices: tuple[int, ...]
 
@@ -66,8 +52,8 @@ def _zigzag_vertex(length: int, k: int, position: int) -> int:
     return running % length + 1
 
 
-def hp_permutation(length: int, k: int) -> VertexPermutation:
-    """The k-th Hamiltonian-path ordering of K_length as a vertex permutation.
+def hp_permutation(length: int, k: int) -> HamiltonianPath:
+    """The k-th zigzag Hamiltonian path of K_length.
 
     Walks outward from vertex k, alternating forward and backward around the
     cyclic vertex order, so consecutive path edges sweep every chord length.
@@ -76,17 +62,15 @@ def hp_permutation(length: int, k: int) -> VertexPermutation:
         raise ValueError("need at least two vertices")
     if not 0 <= k <= length // 2:
         raise ValueError(f"path index {k} outside 0..{length // 2}")
-    mapping = tuple(_zigzag_vertex(length, k, j) for j in range(length))
-    return VertexPermutation(length, mapping)
+    return HamiltonianPath(tuple(_zigzag_vertex(length, k, j) for j in range(length)))
 
 
-def apply_permutation_to_layout(current: VertexPermutation, i: int, j: int) -> VertexPermutation:
+def apply_permutation_to_layout(current: HamiltonianPath, i: int, j: int) -> HamiltonianPath:
     """Entrywise transposition of labels i and j in a layout."""
     if i == j:
         raise ValueError("relabeling needs two distinct labels")
     swap = {i: j, j: i}
-    mapping = tuple(swap.get(label, label) for label in current.mapping)
-    return VertexPermutation(current.size, mapping)
+    return HamiltonianPath(tuple(swap.get(label, label) for label in current.vertices))
 
 
 @dataclass(frozen=True)
@@ -106,9 +90,7 @@ def cover_report(length: int) -> CoverReport:
     """
     if length < 2:
         raise ValueError("need at least two vertices")
-    paths = tuple(
-        HamiltonianPath(hp_permutation(length, k).mapping) for k in range(1, length // 2 + 1)
-    )
+    paths = tuple(hp_permutation(length, k) for k in range(1, length // 2 + 1))
     seen: set[tuple[int, int]] = set()
     offending = None
     for path in paths:
@@ -161,9 +143,9 @@ def iswap_unitary(n_qubits: int, i: int, j: int) -> np.ndarray:
     return matrix
 
 
-def transpositions_for_layout(target: VertexPermutation) -> tuple[tuple[int, int], ...]:
+def transpositions_for_layout(target: HamiltonianPath) -> tuple[tuple[int, int], ...]:
     """Label transpositions turning the identity layout into the target one."""
-    sigma = {pos: target.mapping[pos - 1] for pos in range(1, target.size + 1)}
+    sigma = {pos: target.vertices[pos - 1] for pos in range(1, target.size + 1)}
     steps: list[tuple[int, int]] = []
     seen: set[int] = set()
     for start in sorted(sigma):
@@ -178,15 +160,15 @@ def transpositions_for_layout(target: VertexPermutation) -> tuple[tuple[int, int
         seen.update(cycle)
         for member in cycle[1:]:
             steps.append((start, member))
-    layout = VertexPermutation(target.size, tuple(range(1, target.size + 1)))
+    layout = HamiltonianPath(tuple(range(1, target.size + 1)))
     for i, j in steps:
         layout = apply_permutation_to_layout(layout, i, j)
     if layout != target:
-        raise RuntimeError(f"transposition synthesis failed for layout {target.mapping}")
+        raise RuntimeError(f"transposition synthesis failed for layout {target.vertices}")
     return tuple(steps)
 
 
-def relabel_unitary(target: VertexPermutation) -> np.ndarray:
+def relabel_unitary(target: HamiltonianPath) -> np.ndarray:
     """Product of iSWAPs whose conjugation relabels Z_i to Z at the target label."""
     dim = 1 << target.size
     matrix = np.eye(dim, dtype=complex)
@@ -229,11 +211,7 @@ def verify_nn_simulates_ata(
     if len(strengths) != 1:
         raise NotImplementedError("weighted lines are not implemented; couplings must be equal")
 
-    report = cover_report(length)
-    if not report.covered:
-        raise ValueError(
-            f"paths do not cover K_{length} exactly: offending edge {report.offending_edge}"
-        )
+    paths = decompose_complete_graph(length)
     g = strengths.pop()
     time = resource.target_time
     line_phase = np.exp(1j * time * coupling_diagonal(resource))
@@ -242,9 +220,8 @@ def verify_nn_simulates_ata(
     built = np.eye(dim, dtype=complex)
     offending = None
     worst = 0.0
-    for path in report.paths:
-        layout = VertexPermutation(length, path.vertices)
-        relabel = relabel_unitary(layout)
+    for path in paths:
+        relabel = relabel_unitary(path)
         term = (relabel * line_phase) @ relabel.conj().T
         path_spec = IsingSpec(length, {edge: g for edge in path.edges})
         expected = np.diag(np.exp(1j * time * coupling_diagonal(path_spec)))
@@ -260,7 +237,7 @@ def verify_nn_simulates_ata(
     passed = distance < tolerance
     return SimulationReport(
         length=length,
-        paths=report.paths,
+        paths=paths,
         distance=distance,
         tolerance=tolerance,
         passed=passed,

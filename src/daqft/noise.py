@@ -240,6 +240,23 @@ def default_beta_grid(points: int = 21) -> np.ndarray:
     return np.linspace(0.0, np.pi, points)
 
 
+def _sweep_cells(protocols, n_list, cells, shots, delta_t, workers) -> list[ExperimentRecord]:
+    """One record per (protocol, n) and (beta, config) cell; one compile per (protocol, n).
+
+    Sorted by (protocol, n, beta, error scale); a sweep varies only one of the last two.
+    """
+    records = []
+    for protocol in protocols:
+        for n in n_list:
+            program = build_protocol_program(protocol, n, delta_t)
+            for beta, config in cells:
+                records.append(
+                    monte_carlo(protocol, n, beta, shots, config, delta_t, workers, program=program)
+                )
+    records.sort(key=lambda r: (r.protocol, r.n_qubits, r.beta, r.error_scale))
+    return records
+
+
 def sweep_beta(
     protocols,
     n_list,
@@ -253,17 +270,8 @@ def sweep_beta(
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size and (beta_grid.min() < -1e-12 or beta_grid.max() > np.pi + 1e-12):
         raise ValueError("beta grid must lie within [0, pi]")
-    records = []
-    for protocol in protocols:
-        for n in n_list:
-            program = build_protocol_program(protocol, n, delta_t)
-            for beta in beta_grid:
-                record = monte_carlo(
-                    protocol, n, float(beta), shots, config, delta_t, workers, program=program
-                )
-                records.append(record)
-    records.sort(key=lambda r: (r.protocol, r.n_qubits, r.beta))
-    return records
+    cells = [(float(beta), config) for beta in beta_grid]
+    return _sweep_cells(protocols, n_list, cells, shots, delta_t, workers)
 
 
 def sweep_error_scale(
@@ -282,18 +290,8 @@ def sweep_error_scale(
     scales = [float(scale) for scale in scale_grid]
     if any(scale < 0 for scale in scales):
         raise ValueError("error scales must be >= 0")
-    records = []
-    for protocol in protocols:
-        for n in n_list:
-            program = build_protocol_program(protocol, n, delta_t)
-            for scale in scales:
-                scaled = replace(config, error_scale=scale)
-                record = monte_carlo(
-                    protocol, n, beta, shots, scaled, delta_t, workers, program=program
-                )
-                records.append(record)
-    records.sort(key=lambda r: (r.protocol, r.n_qubits, r.error_scale))
-    return records
+    cells = [(beta, replace(config, error_scale=scale)) for scale in scales]
+    return _sweep_cells(protocols, n_list, cells, shots, delta_t, workers)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Render sweep tables as standalone SVG line plots.
 
 The CSV is the canonical artifact; these plots are a thin presentational
-layer with no dependency beyond the standard library.
+layer that draws with the standard library alone.
 """
 
 from __future__ import annotations
@@ -9,19 +9,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+from .noise import CSV_HEADER
+
 X_FIELDS = ("beta", "error_scale", "n_qubits")
 
-EXPECTED_HEADER = [
-    "protocol",
-    "n_qubits",
-    "beta",
-    "shots",
-    "seed",
-    "mean_fidelity",
-    "std_fidelity",
-    "delta_t",
-    "error_scale",
-]
+EXPECTED_HEADER = CSV_HEADER.split(",")
 
 SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import MAX_QUBITS
+from .ising import _check_register_size
 
 NORM_ATOL = 1e-12
 
@@ -41,8 +41,7 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
+        _check_register_size(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(

@@ -324,7 +324,7 @@ def test_criterion_10_line_to_all_to_all():
 
 
 def test_criterion_11_deterministic_output():
-    """Identical seeds give byte-identical CSVs under any thread count."""
+    """Identical seeds give byte-identical CSVs under any number of shot batches."""
     grid = default_beta_grid(5)
     config = NoiseConfig(seed=21)
     runs = [
@@ -332,6 +332,6 @@ def test_criterion_11_deterministic_output():
         for w in (1, 1, 3)
     ]
     ok = runs[0] == runs[1] == runs[2]
-    report(11, ok, f"{len(runs[0].splitlines()) - 1} rows, repeat and 3-thread runs identical: {ok}")
+    report(11, ok, f"{len(runs[0].splitlines()) - 1} rows, repeat and 3-batch runs identical: {ok}")
     assert runs[0] == runs[1]
     assert runs[0] == runs[2]

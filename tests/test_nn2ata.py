@@ -7,7 +7,6 @@ from daqft.ising import IsingSpec, all_pairs
 from daqft.nn2ata import (
     CoverReport,
     HamiltonianPath,
-    VertexPermutation,
     apply_permutation_to_layout,
     cover_report,
     decompose_complete_graph,
@@ -32,10 +31,10 @@ class TestPermutations:
     """Layout bookkeeping."""
 
     def test_bijection_validation(self):
-        """Mappings must visit each label exactly once."""
-        VertexPermutation(3, (2, 3, 1))
-        with pytest.raises(ValueError, match="bijection"):
-            VertexPermutation(3, (1, 1, 2))
+        """Layouts must visit each label exactly once."""
+        HamiltonianPath((2, 3, 1))
+        with pytest.raises(ValueError, match="exactly once"):
+            HamiltonianPath((1, 1, 2))
 
     def test_path_edges(self):
         """Edges are the sorted consecutive pairs."""
@@ -53,12 +52,12 @@ class TestZigzagPaths:
         for length in range(2, 11):
             for k in range(0, length // 2 + 1):
                 layout = hp_permutation(length, k)
-                assert sorted(layout.mapping) == list(range(1, length + 1))
+                assert sorted(layout.vertices) == list(range(1, length + 1))
 
     def test_known_four_vertex_paths(self):
         """The two paths of K_4 are the standard zigzags."""
-        assert hp_permutation(4, 1).mapping == (1, 4, 2, 3)
-        assert hp_permutation(4, 2).mapping == (2, 1, 3, 4)
+        assert hp_permutation(4, 1).vertices == (1, 4, 2, 3)
+        assert hp_permutation(4, 2).vertices == (2, 1, 3, 4)
 
     def test_index_range(self):
         """Path indices beyond L/2 are rejected."""
@@ -99,15 +98,15 @@ class TestRelabeling:
 
     def test_layout_transposition(self):
         """Entrywise swaps keep layouts bijective."""
-        identity = VertexPermutation(4, (1, 2, 3, 4))
+        identity = HamiltonianPath((1, 2, 3, 4))
         swapped = apply_permutation_to_layout(identity, 1, 2)
-        assert swapped.mapping == (2, 1, 3, 4)
+        assert swapped.vertices == (2, 1, 3, 4)
         rng = np.random.default_rng(3)
         layout = identity
         for _ in range(20):
             i, j = rng.choice(np.arange(1, 5), size=2, replace=False)
             layout = apply_permutation_to_layout(layout, int(i), int(j))
-        assert sorted(layout.mapping) == [1, 2, 3, 4]
+        assert sorted(layout.vertices) == [1, 2, 3, 4]
 
     def test_iswap_matrix(self):
         """The two-qubit block is diag(1, i, i, 1) with the swap."""
@@ -144,15 +143,15 @@ class TestRelabeling:
         for size in (2, 3, 5, 6):
             for _ in range(10):
                 mapping = tuple(int(v) for v in rng.permutation(np.arange(1, size + 1)))
-                target = VertexPermutation(size, mapping)
-                layout = VertexPermutation(size, tuple(range(1, size + 1)))
+                target = HamiltonianPath(mapping)
+                layout = HamiltonianPath(tuple(range(1, size + 1)))
                 for i, j in transpositions_for_layout(target):
                     layout = apply_permutation_to_layout(layout, i, j)
                 assert layout == target
 
     def test_relabel_unitary_is_generalized_permutation(self):
         """The iSWAP product has one unit-modulus entry per row and column."""
-        target = VertexPermutation(3, (3, 1, 2))
+        target = HamiltonianPath((3, 1, 2))
         matrix = relabel_unitary(target)
         nonzero = np.abs(matrix) > 1e-12
         assert np.all(nonzero.sum(axis=0) == 1)

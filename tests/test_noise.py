@@ -252,10 +252,10 @@ class TestMonteCarlo:
         assert record.std_fidelity >= 0.0
 
     def test_workers_do_not_change_results(self):
-        """Thread count never affects the statistics."""
+        """The number of shot batches never affects the statistics."""
         serial = monte_carlo("sdaqc", 2, 1.0, 8, NoiseConfig(seed=3), workers=1)
-        threaded = monte_carlo("sdaqc", 2, 1.0, 8, NoiseConfig(seed=3), workers=3)
-        assert serial == threaded
+        batched = monte_carlo("sdaqc", 2, 1.0, 8, NoiseConfig(seed=3), workers=3)
+        assert serial == batched
 
     def test_ideal_runs_have_zero_spread(self):
         """Without a config every shot is the same deterministic value."""

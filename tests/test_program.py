@@ -1,9 +1,11 @@
 """Tests for circuit instructions and program execution."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from daqft.ising import IsingSpec, all_pairs, coupling_diagonal
+from daqft.ising import MAX_QUBITS, IsingSpec, all_pairs, coupling_diagonal
 from daqft.program import (
     AnalogBlock,
     BangedWindow,
@@ -79,6 +81,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="exceeds"):
             Program(2, (HadamardGate(3),))
 
+    def test_program_register_size(self):
+        """Registers hold 1..MAX_QUBITS qubits, as states and resources do."""
+        with pytest.raises(ValueError, match="n_qubits must be in"):
+            Program(MAX_QUBITS + 6, ())
+        with pytest.raises(ValueError, match="n_qubits must be in"):
+            Program(0, ())
+
+    def test_permute_matches_register(self):
+        """A readout map must relabel exactly the 2^n basis states, checked when built."""
+        with pytest.raises(ValueError, match="permutation size"):
+            Program(3, (Permute(tuple(range(4))),))
+        Program(2, (Permute(tuple(range(4))),))
+
     def test_analog_requires_resource(self):
         """Analog instructions need a coupling resource."""
         with pytest.raises(ValueError, match="resource"):
@@ -90,6 +105,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="homogeneous resource"):
             Program(3, (BangedWindow(0.1, (1, 2)),), resource=resource)
         Program(3, (AnalogBlock(0.1),), resource=resource)
+
+
+INSTRUCTION_CLASSES = (
+    Rotation,
+    HadamardGate,
+    XGate,
+    Entangler,
+    ControlledPhase,
+    AnalogBlock,
+    BangedWindow,
+    Permute,
+)
+
+
+class TestKernelEntryPoints:
+    """The kernel methods every instruction class holds in its own namespace.
+
+    perfbench's tracer patches ``vars(cls)["noisy_apply"]`` and
+    ``vars(cls)["ideal_apply"]`` of each class and tags its spans by the
+    register size, the third positional argument.
+    """
+
+    def test_kernels_in_class_namespace(self):
+        """Each class binds both entry points in its own body, not through a base."""
+        for cls in INSTRUCTION_CLASSES:
+            for method in ("noisy_apply", "ideal_apply"):
+                assert method in vars(cls), (cls.__name__, method)
+
+    def test_kernel_signatures(self):
+        """All eight take (amps, n, value, energy=None) and (amps, n, energy=None)."""
+        for cls in INSTRUCTION_CLASSES:
+            noisy = list(inspect.signature(vars(cls)["noisy_apply"]).parameters)
+            ideal = list(inspect.signature(vars(cls)["ideal_apply"]).parameters)
+            assert noisy == ["self", "amps", "n", "value", "energy"], cls.__name__
+            assert ideal == ["self", "amps", "n", "energy"], cls.__name__
 
 
 class TestIdealSemantics:
