@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -81,10 +82,19 @@ def _resolve_noise(args) -> tuple[NoiseConfig | None, float, int]:
 def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dict) -> int:
     """Time one sweep; write its CSV and a manifest with this sweep's extra settings."""
     config, delta_t, seed = noise
-    start = time.perf_counter()
-    records = sweep(protocols, qubits, grid, shots, config, delta_t, args.workers)
-    wall_s = time.perf_counter() - start
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    # --out opens before the sweep, so a bad path fails before any work.  A
+    # failed sweep removes the file if it made it and leaves an old one as it was.
+    created = not os.path.exists(args.out)
+    with open(args.out, "a", encoding="utf-8", newline="") as handle:
+        start = time.perf_counter()
+        try:
+            records = sweep(protocols, qubits, grid, shots, config, delta_t, args.workers)
+        except BaseException:
+            if created:
+                os.remove(args.out)
+            raise
+        wall_s = time.perf_counter() - start
+        handle.truncate(0)
         handle.write(records_to_csv(records))
     manifest = {
         "command": args.command,
@@ -168,7 +178,13 @@ def _load_coupling_file(path, n_qubits: int, target_time: float) -> IsingSpec:
 def _cmd_compile(args) -> int:
     n = args.qubits
     if args.target.startswith("qft-block:"):
-        target = qft_block_target(n, int(args.target.split(":", 1)[1]))
+        try:
+            m = int(args.target.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(
+                f"--target qft-block:<m> needs an integer block index m, got {args.target!r}"
+            ) from None
+        target = qft_block_target(n, m)
     else:
         target = _load_coupling_file(args.target, n, args.target_time)
     times = solve_times(target)
@@ -214,7 +230,7 @@ def _add_sweep_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise-config", default=None, help="JSON noise config path")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
-        "--workers", type=int, default=1, help="shot batches per cell, run in turn (same output)"
+        "--workers", type=int, default=1, help="shot batches, run in turn (same output)"
     )
     parser.add_argument("--out", required=True, help="output CSV path")
 

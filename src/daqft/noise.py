@@ -26,10 +26,12 @@ from .program import (
     Rotation,
     UnsupportedGateError,
     XGate,
+    _draws,
+    _run,
     execute_program,
     execute_shots,
 )
-from .qft import beta_state, build_dqc_circuit, exact_qft, readout_instruction
+from .qft import beta_state, build_dqc_circuit, exact_qft, ghz_state, readout_instruction, w_state
 from .statevector import fidelity
 
 PROTOCOLS = ("dqc", "sdaqc", "bdaqc")
@@ -179,47 +181,21 @@ class ExperimentRecord:
             raise ValueError("std fidelity must be >= 0")
 
 
-def monte_carlo(
-    protocol: str,
-    n_qubits: int,
-    beta: float,
-    shots: int,
-    config: NoiseConfig | None,
-    delta_t: float = DEFAULT_DELTA_T,
-    workers: int = 1,
-    program: Program | None = None,
-) -> ExperimentRecord:
-    """Mean/std fidelity over independent noise shots.
-
-    Shot i draws from a generator keyed by (config.seed, i), in program
-    order.  The shots run as blocks of amplitude rows (see
-    ``execute_shots``): ``workers`` is the number of blocks, run in turn, so
-    a block holds at most ceil(shots / workers) rows of 2^n amplitudes.  No
-    result depends on it.  ``program`` is the compiled protocol program when
-    the caller reuses one across cells; by default it is compiled here.
-    """
+def _check_run(shots: int, workers: int) -> None:
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if program is None:
-        program = build_protocol_program(protocol, n_qubits, delta_t)
-    state = beta_state(n_qubits, beta)
-    reference = exact_qft(state)
 
-    if config is None:
-        value = fidelity(reference, execute_program(state, program, None))
-        fidelities = np.full(shots, value)
-    else:
-        batch = -(-shots // workers)
-        fidelities = []
-        for first in range(0, shots, batch):
-            indices = range(first, min(first + batch, shots))
-            samplers = [make_sampler(config, _shot_rng(config.seed, i)) for i in indices]
-            block = execute_shots(state, program, samplers)
-            # Each row's fidelity exactly as statevector.fidelity computes it.
-            fidelities += [float(np.abs(np.vdot(reference.amplitudes, row)) ** 2) for row in block]
 
+def _shot_batches(shots: int, workers: int) -> list[range]:
+    """Shot indices cut into ``workers`` batches of at most ceil(shots / workers)."""
+    batch = -(-shots // workers)
+    return [range(first, min(first + batch, shots)) for first in range(0, shots, batch)]
+
+
+def _record(protocol, n_qubits, beta, shots, config, delta_t, fidelities) -> ExperimentRecord:
+    """One cell's record from its per-shot fidelities, in shot order."""
     return ExperimentRecord(
         protocol=PROTOCOL_LABELS[protocol.lower()],
         n_qubits=n_qubits,
@@ -233,6 +209,76 @@ def monte_carlo(
     )
 
 
+def monte_carlo(
+    protocol: str,
+    n_qubits: int,
+    beta: float,
+    shots: int,
+    config: NoiseConfig | None,
+    delta_t: float = DEFAULT_DELTA_T,
+    workers: int = 1,
+    program: Program | None = None,
+) -> ExperimentRecord:
+    """Mean/std fidelity over independent noise shots at one beta.
+
+    Shot i draws from a generator keyed by (config.seed, i), in program
+    order.  The shots run as blocks of amplitude rows (see
+    ``execute_shots``): ``workers`` is the number of blocks, run in turn, so
+    a block holds at most ceil(shots / workers) rows of 2^n amplitudes.  No
+    result depends on it.  ``program`` is the compiled protocol program when
+    the caller reuses one across cells; by default it is compiled here.
+    ``sweep_beta`` runs a grid of more than one beta without this function,
+    one run per shot for the whole grid.
+    """
+    _check_run(shots, workers)
+    if program is None:
+        program = build_protocol_program(protocol, n_qubits, delta_t)
+    state = beta_state(n_qubits, beta)
+    reference = exact_qft(state)
+
+    if config is None:
+        value = fidelity(reference, execute_program(state, program, None))
+        fidelities = np.full(shots, value)
+    else:
+        fidelities = []
+        for indices in _shot_batches(shots, workers):
+            samplers = [make_sampler(config, _shot_rng(config.seed, i)) for i in indices]
+            block = execute_shots(state, program, samplers)
+            # Each row's fidelity exactly as statevector.fidelity computes it.
+            fidelities += [float(np.abs(np.vdot(reference.amplitudes, row)) ** 2) for row in block]
+    return _record(protocol, n_qubits, beta, shots, config, delta_t, fidelities)
+
+
+def _grid_records(protocol, n_qubits, program, betas, shots, config, delta_t, workers):
+    """One record per beta of a grid, from one run of each shot.
+
+    beta_state is sin(beta)|W> + cos(beta)|GHZ>, and shot i applies the same
+    unitary U_i at every beta.  So each shot runs two rows, |W> and |GHZ>, on
+    one set of draws (replayed for the second row), and its output at beta is
+    sin(beta) U_i|W> + cos(beta) U_i|GHZ>.  Batches, draws and fidelities are
+    as in ``monte_carlo``, which this matches to rounding.
+    """
+    w_ghz = np.stack([w_state(n_qubits).amplitudes, ghz_state(n_qubits).amplitudes])
+    references = [exact_qft(beta_state(n_qubits, beta)).amplitudes for beta in betas]
+    fidelities = [[] for _ in betas]
+    for indices in [range(1)] if config is None else _shot_batches(shots, workers):
+        draws = None
+        if config is not None:
+            samplers = [make_sampler(config, _shot_rng(config.seed, i)) for i in indices]
+            draws = [d if d is None else np.concatenate([d, d]) for d in _draws(program, samplers)]
+        block = _run(program, np.repeat(w_ghz, len(indices), axis=0), draws)
+        w_rows, ghz_rows = np.split(block, 2)
+        for beta, reference, values in zip(betas, references, fidelities):
+            rows = math.sin(beta) * w_rows + math.cos(beta) * ghz_rows
+            values += [float(np.abs(np.vdot(reference, row)) ** 2) for row in rows]
+    if config is None:
+        fidelities = [np.full(shots, values[0]) for values in fidelities]
+    return [
+        _record(protocol, n_qubits, beta, shots, config, delta_t, values)
+        for beta, values in zip(betas, fidelities)
+    ]
+
+
 def default_beta_grid(points: int = 21) -> np.ndarray:
     """Evenly spaced beta angles across [0, pi]."""
     if points < 1:
@@ -240,19 +286,17 @@ def default_beta_grid(points: int = 21) -> np.ndarray:
     return np.linspace(0.0, np.pi, points)
 
 
-def _sweep_cells(protocols, n_list, cells, shots, delta_t, workers) -> list[ExperimentRecord]:
-    """One record per (protocol, n) and (beta, config) cell; one compile per (protocol, n).
+def _sweep_cells(protocols, n_list, delta_t, run_cells) -> list[ExperimentRecord]:
+    """Records of every (protocol, n), compiled once each and run by run_cells.
 
-    Sorted by (protocol, n, beta, error scale); a sweep varies only one of the last two.
+    ``run_cells(protocol, n, program)`` returns that program's records.  They
+    are sorted by (protocol, n, beta, error scale); a sweep varies only one
+    of the last two.
     """
     records = []
     for protocol in protocols:
         for n in n_list:
-            program = build_protocol_program(protocol, n, delta_t)
-            for beta, config in cells:
-                records.append(
-                    monte_carlo(protocol, n, beta, shots, config, delta_t, workers, program=program)
-                )
+            records += run_cells(protocol, n, build_protocol_program(protocol, n, delta_t))
     records.sort(key=lambda r: (r.protocol, r.n_qubits, r.beta, r.error_scale))
     return records
 
@@ -266,12 +310,28 @@ def sweep_beta(
     delta_t: float = DEFAULT_DELTA_T,
     workers: int = 1,
 ) -> list[ExperimentRecord]:
-    """One record per (protocol, n, beta), sorted by that key."""
+    """One record per (protocol, n, beta), sorted by that key.
+
+    A grid of more than one beta runs each shot once per (protocol, n) for
+    all its cells (see ``_grid_records``), and its records agree with
+    per-cell ``monte_carlo`` runs to rounding; a one-point grid is one
+    ``monte_carlo`` cell.
+    """
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size and (beta_grid.min() < -1e-12 or beta_grid.max() > np.pi + 1e-12):
         raise ValueError("beta grid must lie within [0, pi]")
-    cells = [(float(beta), config) for beta in beta_grid]
-    return _sweep_cells(protocols, n_list, cells, shots, delta_t, workers)
+    _check_run(shots, workers)
+    betas = [float(beta) for beta in beta_grid]
+
+    def run_cells(protocol, n, program):
+        if len(betas) > 1:
+            return _grid_records(protocol, n, program, betas, shots, config, delta_t, workers)
+        return [
+            monte_carlo(protocol, n, beta, shots, config, delta_t, workers, program)
+            for beta in betas
+        ]
+
+    return _sweep_cells(protocols, n_list, delta_t, run_cells)
 
 
 def sweep_error_scale(
@@ -284,14 +344,26 @@ def sweep_error_scale(
     workers: int = 1,
     beta: float = np.pi / 4,
 ) -> list[ExperimentRecord]:
-    """Scale all noise widths by a common factor; beta fixed at pi/4."""
+    """Scale all noise widths by a common factor; beta fixed at pi/4.
+
+    Each scale is one ``monte_carlo`` cell: the draws scale with it, so no
+    two cells share a shot's unitary.
+    """
     if config is None:
         config = NoiseConfig()
     scales = [float(scale) for scale in scale_grid]
     if any(scale < 0 for scale in scales):
         raise ValueError("error scales must be >= 0")
-    cells = [(beta, replace(config, error_scale=scale)) for scale in scales]
-    return _sweep_cells(protocols, n_list, cells, shots, delta_t, workers)
+    _check_run(shots, workers)
+    configs = [replace(config, error_scale=scale) for scale in scales]
+
+    def run_cells(protocol, n, program):
+        return [
+            monte_carlo(protocol, n, beta, shots, scaled, delta_t, workers, program)
+            for scaled in configs
+        ]
+
+    return _sweep_cells(protocols, n_list, delta_t, run_cells)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import daqft
+from daqft import cli
 from daqft.cli import main
 from daqft.daqc import solve_times
 from daqft.ising import IsingSpec
@@ -126,6 +132,31 @@ class TestSweepBeta:
         assert rc == 2
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep-beta", "sweep-error-scale"])
+    def test_bad_out_fails_before_sweep(self, tmp_path, capsys, monkeypatch, command):
+        """An --out that cannot be opened exits 2 before any cell runs."""
+
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "sweep_beta", no_sweep)
+        monkeypatch.setattr(cli, "sweep_error_scale", no_sweep)
+        out = tmp_path / "missing" / "x.csv"
+        args = [command, "--qubits", "3", "--shots", "2", "--out", out]
+        rc = run(args + (["--scales", "1"] if command == "sweep-error-scale" else []))
+        assert rc == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_failed_sweep_keeps_existing_out(self, tmp_path):
+        """A sweep that fails leaves a file already at --out as it was."""
+        out = tmp_path / "x.csv"
+        out.write_text("earlier run\n")
+        rc = run(["sweep-beta", "--qubits", "2", "--shots", "1", "--workers", "0", "--out", out])
+        assert rc == 2
+        assert out.read_text() == "earlier run\n"
+        assert not (tmp_path / "x.csv.manifest.json").exists()
 
     def test_four_qubits_rejected(self, tmp_path, capsys):
         """The singular register size is reported on stderr with exit 2."""
@@ -341,6 +372,15 @@ class TestCompile:
         assert rc == 2
         assert "outside 1..2" in capsys.readouterr().err
 
+    def test_block_index_not_integer(self, capsys):
+        """A non-integer block index names the flag and the expected form."""
+        rc = run(["compile", "--qubits", "3", "--target", "qft-block:x"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--target" in err
+        assert "qft-block:<m>" in err
+        assert "'qft-block:x'" in err
+
 
 class TestNn2ata:
     """The connectivity-compiler command."""
@@ -433,3 +473,17 @@ class TestParser:
             run(["--version"])
         assert info.value.code == 0
         assert "daqft" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        """python -m daqft runs the command line from a source checkout."""
+        src = str(Path(daqft.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "daqft", "--help"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "sweep-beta" in result.stdout

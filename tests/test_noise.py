@@ -318,6 +318,46 @@ class TestSweeps:
         keys = [(r.protocol, r.n_qubits, r.beta) for r in records]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("config", [NoiseConfig(seed=6), None], ids=["noisy", "ideal"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_matches_per_cell_monte_carlo(self, config, workers):
+        """One run per shot for the grid gives each cell's monte_carlo statistics."""
+        grid = [0.0, 0.8, 2.2]
+        shots = 5
+        for n in (3, 5):
+            records = sweep_beta(PROTOCOLS, [n], grid, shots, config, workers=workers)
+            assert len(records) == len(PROTOCOLS) * len(grid)
+            for record in records:
+                protocol = record.protocol.lower()
+                program = build_protocol_program(protocol, n)
+                cell = monte_carlo(
+                    protocol, n, record.beta, shots, config, workers=workers, program=program
+                )
+                assert (record.protocol, record.n_qubits, record.shots) == (
+                    cell.protocol, cell.n_qubits, cell.shots
+                )
+                assert (record.seed, record.error_scale) == (cell.seed, cell.error_scale)
+                assert abs(record.mean_fidelity - cell.mean_fidelity) <= 1e-12
+                assert abs(record.std_fidelity - cell.std_fidelity) <= 1e-12
+
+    def test_one_point_grid_is_monte_carlo(self):
+        """A one-point grid returns exactly the monte_carlo record."""
+        config = NoiseConfig(seed=12)
+        for protocol in PROTOCOLS:
+            (record,) = sweep_beta([protocol], [3], [0.6], 4, config, workers=2)
+            assert record == monte_carlo(protocol, 3, 0.6, 4, config, workers=2)
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_sweep_run_validation(self, points):
+        """Zero shots or workers are rejected for any grid size."""
+        grid = default_beta_grid(points)
+        with pytest.raises(ValueError, match="shots"):
+            sweep_beta(["dqc"], [2], grid, 0, NoiseConfig())
+        with pytest.raises(ValueError, match="workers"):
+            sweep_beta(["dqc"], [2], grid, 2, NoiseConfig(), workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            sweep_beta(["dqc"], [2], grid, 1, None, workers=0)
+
     def test_beta_grid_bounds(self):
         """Angles outside [0, pi] are rejected."""
         with pytest.raises(ValueError, match="beta grid"):
