@@ -43,6 +43,14 @@ from .plotting import X_FIELDS, plot_csv
 from .qft import qft_block_target
 
 
+def _reject_repeats(values: list, noun: str, text: str) -> list:
+    """The values, unless one repeats: its cells would run twice and write duplicate rows."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"repeated {noun} {value!r} in {text!r}")
+    return values
+
+
 def _parse_protocols(text: str) -> list[str]:
     names = [item.strip().lower() for item in text.split(",") if item.strip()]
     if not names:
@@ -50,18 +58,18 @@ def _parse_protocols(text: str) -> list[str]:
     for name in names:
         if name not in PROTOCOLS:
             raise ValueError(f"unknown protocol {name!r}; choose from {', '.join(PROTOCOLS)}")
-    return names
+    return _reject_repeats(names, "protocol", text)
 
 
 def _parse_list(text: str, kind, noun: str) -> list:
-    """Comma-separated values converted by kind; noun names them in errors."""
+    """Distinct comma-separated values converted by kind; noun names them in errors."""
     try:
         values = [kind(item) for item in text.split(",") if item.strip()]
     except ValueError as exc:
         raise ValueError(f"expected a comma-separated {noun} list, got {text!r}") from exc
     if not values:
         raise ValueError(f"empty {noun} list")
-    return values
+    return _reject_repeats(values, noun, text)
 
 
 def _resolve_noise(args) -> tuple[NoiseConfig | None, float, int]:
@@ -87,8 +95,9 @@ def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dic
     created = not os.path.exists(args.out)
     with open(args.out, "a", encoding="utf-8", newline="") as handle:
         start = time.perf_counter()
+        cells = []
         try:
-            records = sweep(protocols, qubits, grid, shots, config, delta_t, args.workers)
+            records = sweep(protocols, qubits, grid, shots, config, delta_t, args.workers, cells=cells)
         except BaseException:
             if created:
                 os.remove(args.out)
@@ -102,6 +111,7 @@ def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dic
         "seed": seed,
         "wall_s": wall_s,
         "shots_per_s": sum(record.shots for record in records) / wall_s,
+        "cells": cells,
         "config": {
             "protocols": protocols,
             "qubits": qubits,

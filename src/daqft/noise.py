@@ -9,8 +9,10 @@ an explicitly seeded generator so every experiment is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -26,10 +28,8 @@ from .program import (
     Rotation,
     UnsupportedGateError,
     XGate,
-    _draws,
     _run,
     execute_program,
-    execute_shots,
 )
 from .qft import beta_state, build_dqc_circuit, exact_qft, ghz_state, readout_instruction, w_state
 from .statevector import fidelity
@@ -80,27 +80,15 @@ ZERO_NOISE = NoiseConfig(sqgn=0.0, tqgn=0.0, abn_s=0.0, abn_b=0.0)
 CONFIG_FILE_KEYS = tuple(f.name for f in fields(NoiseConfig)) + ("delta_t",)
 
 
-def sample_noise(kind: str, config: NoiseConfig, rng: np.random.Generator) -> float:
-    """One draw of the requested noise channel.
+_CHANNELS = ("sqg", "tqg", "abn_s", "abn_b")  # sqg draws are uniform, the others normal
 
-    SQG draws the amplitude factor DeltaB ~ U(1-s, 1+s); TQG draws the phase
-    offset eps ~ N(0, sigma); ABN draws the time offset delta ~ N(0, width).
-    Zero widths give the ideal values exactly (while still consuming a draw,
-    which keeps draw sequences aligned across error scales).
-    """
-    # low + (high - low) * u and loc + scale * z are the maps rng.uniform and
-    # rng.normal apply, so these draws equal theirs bit for bit, at less cost.
-    if kind == "sqg":
-        half_width = config.sqgn * config.error_scale
-        low, high = 1.0 - half_width, 1.0 + half_width
-        return low + (high - low) * rng.random()
-    if kind == "tqg":
-        return 0.0 + config.tqg_std * rng.standard_normal()
-    if kind == "abn_s":
-        return 0.0 + (config.abn_s * config.error_scale) * rng.standard_normal()
-    if kind == "abn_b":
-        return 0.0 + (config.abn_b * config.error_scale) * rng.standard_normal()
-    raise ValueError(f"unknown noise kind {kind!r}")
+
+def _channel_maps(config: NoiseConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per channel (in _CHANNELS order), the offset and scale of its draw's affine map."""
+    half_width = config.sqgn * config.error_scale
+    low, high = 1.0 - half_width, 1.0 + half_width
+    scale = config.error_scale
+    return (low, 0.0, 0.0, 0.0), (high - low, config.tqg_std, config.abn_s * scale, config.abn_b * scale)
 
 
 # The channel each instruction type draws from; analog blocks pick theirs by
@@ -116,20 +104,109 @@ _NOISE_KINDS = {
 }
 
 
+def _instruction_kind(instr) -> str | None:
+    """The channel an instruction draws from, "window", or None for no draw."""
+    try:
+        kind = _NOISE_KINDS[type(instr)]
+    except KeyError:
+        raise UnsupportedGateError(f"no noise model for {type(instr).__name__}") from None
+    if kind == "abn":
+        return "abn_s" if instr.kind == "stepwise" else "abn_b"
+    return kind
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseSites:
+    """Where one shot's noise draws land in a program.
+
+    ``channels`` holds the channel of each draw site in program order (an
+    index into _CHANNELS), ``runs`` cuts the sites into maximal runs of one
+    distribution, (uniform, sites) each, and ``columns`` holds each
+    instruction's site index, slice of sites (a window's driven qubits) or
+    None (no draw).
+    """
+
+    channels: np.ndarray
+    runs: tuple[tuple[bool, slice], ...]
+    columns: tuple
+
+    @classmethod
+    def for_program(cls, program: Program) -> NoiseSites:
+        """The program's table; an instruction with no noise model raises UnsupportedGateError."""
+        channels, columns = [], []
+        for instr in program.instructions:
+            kind = _instruction_kind(instr)
+            if kind is None:
+                columns.append(None)
+            elif kind == "window":
+                columns.append(slice(len(channels), len(channels) + len(instr.qubits)))
+                channels += [0] * len(instr.qubits)
+            else:
+                columns.append(len(channels))
+                channels.append(_CHANNELS.index(kind))
+        runs, start = [], 0
+        for uniform, group in itertools.groupby(channel == 0 for channel in channels):
+            stop = start + len(list(group))
+            runs.append((uniform, slice(start, stop)))
+            start = stop
+        return cls(np.array(channels, dtype=np.intp), tuple(runs), tuple(columns))
+
+    def draws(self, samplers, copies: int = 1) -> list:
+        """Per-instruction noise values of k shots, as ``program._draws`` lays them out.
+
+        Each shot's sampler is called once, with this table, so the values
+        equal the per-instruction draws of the same generators bit for bit.
+        ``copies`` stacks the k rows that many times.
+        """
+        values = np.tile([sampler(self) for sampler in samplers], (copies, 1))
+        return [None if column is None else values[:, column] for column in self.columns]
+
+
+def sample_noise(
+    kind: str | NoiseSites, config: NoiseConfig, rng: np.random.Generator
+) -> float | np.ndarray:
+    """One draw of the requested noise channel, or one shot's draws of a site table.
+
+    SQG draws the amplitude factor DeltaB ~ U(1-s, 1+s); TQG draws the phase
+    offset eps ~ N(0, sigma); ABN draws the time offset delta ~ N(0, width).
+    Zero widths give the ideal values exactly (while still consuming a draw,
+    which keeps draw sequences aligned across error scales).  Given a
+    ``NoiseSites`` table it returns every site's draw in program order:
+    each run is one numpy call, which gives the same doubles as that many
+    scalar calls, and the maps apply once over the whole vector.
+    """
+    # low + (high - low) * u and loc + scale * z are the maps rng.uniform and
+    # rng.normal apply, so these draws equal theirs bit for bit, at less cost.
+    offsets, scales = _channel_maps(config)
+    if isinstance(kind, NoiseSites):
+        raw = np.empty(len(kind.channels))
+        for uniform, sites in kind.runs:
+            if uniform:
+                rng.random(out=raw[sites])
+            else:
+                rng.standard_normal(out=raw[sites])
+        return np.array(offsets)[kind.channels] + np.array(scales)[kind.channels] * raw
+    if kind not in _CHANNELS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    channel = _CHANNELS.index(kind)
+    draw = rng.random() if channel == 0 else rng.standard_normal()
+    return offsets[channel] + scales[channel] * draw
+
+
 def make_sampler(config: NoiseConfig, rng: np.random.Generator):
-    """Per-instruction noise draws, consumed in program order."""
+    """Noise draws from rng, consumed in program order.
+
+    The sampler maps an instruction to its draw, or a program's
+    ``NoiseSites`` table to a whole shot's draws at once.
+    """
 
     def sampler(instr):
-        try:
-            kind = _NOISE_KINDS[type(instr)]
-        except KeyError:
-            name = type(instr).__name__
-            raise UnsupportedGateError(f"no noise model for {name}") from None
-        if kind == "abn":
-            kind = "abn_s" if instr.kind == "stepwise" else "abn_b"
-        elif kind == "window":
+        if isinstance(instr, NoiseSites):
+            return sample_noise(instr, config, rng)
+        kind = _instruction_kind(instr)
+        if kind == "window":
             return np.array([sample_noise("sqg", config, rng) for _ in instr.qubits])
-        elif kind is None:
+        if kind is None:
             return None
         return sample_noise(kind, config, rng)
 
@@ -222,7 +299,8 @@ def monte_carlo(
     """Mean/std fidelity over independent noise shots at one beta.
 
     Shot i draws from a generator keyed by (config.seed, i), in program
-    order.  The shots run as blocks of amplitude rows (see
+    order: its sampler is called once, on the program's ``NoiseSites``
+    table.  The shots run as blocks of amplitude rows (as in
     ``execute_shots``): ``workers`` is the number of blocks, run in turn, so
     a block holds at most ceil(shots / workers) rows of 2^n amplitudes.  No
     result depends on it.  ``program`` is the compiled protocol program when
@@ -240,10 +318,11 @@ def monte_carlo(
         value = fidelity(reference, execute_program(state, program, None))
         fidelities = np.full(shots, value)
     else:
+        sites = NoiseSites.for_program(program)
         fidelities = []
         for indices in _shot_batches(shots, workers):
-            samplers = [make_sampler(config, _shot_rng(config.seed, i)) for i in indices]
-            block = execute_shots(state, program, samplers)
+            draws = sites.draws([make_sampler(config, _shot_rng(config.seed, i)) for i in indices])
+            block = _run(program, np.tile(state.amplitudes, (len(indices), 1)), draws)
             # Each row's fidelity exactly as statevector.fidelity computes it.
             fidelities += [float(np.abs(np.vdot(reference.amplitudes, row)) ** 2) for row in block]
     return _record(protocol, n_qubits, beta, shots, config, delta_t, fidelities)
@@ -261,11 +340,12 @@ def _grid_records(protocol, n_qubits, program, betas, shots, config, delta_t, wo
     w_ghz = np.stack([w_state(n_qubits).amplitudes, ghz_state(n_qubits).amplitudes])
     references = [exact_qft(beta_state(n_qubits, beta)).amplitudes for beta in betas]
     fidelities = [[] for _ in betas]
+    sites = None if config is None else NoiseSites.for_program(program)
     for indices in [range(1)] if config is None else _shot_batches(shots, workers):
         draws = None
         if config is not None:
             samplers = [make_sampler(config, _shot_rng(config.seed, i)) for i in indices]
-            draws = [d if d is None else np.concatenate([d, d]) for d in _draws(program, samplers)]
+            draws = sites.draws(samplers, copies=2)
         block = _run(program, np.repeat(w_ghz, len(indices), axis=0), draws)
         w_rows, ghz_rows = np.split(block, 2)
         for beta, reference, values in zip(betas, references, fidelities):
@@ -286,17 +366,33 @@ def default_beta_grid(points: int = 21) -> np.ndarray:
     return np.linspace(0.0, np.pi, points)
 
 
-def _sweep_cells(protocols, n_list, delta_t, run_cells) -> list[ExperimentRecord]:
+def _sweep_cells(protocols, n_list, delta_t, run_cells, cells=None) -> list[ExperimentRecord]:
     """Records of every (protocol, n), compiled once each and run by run_cells.
 
     ``run_cells(protocol, n, program)`` returns that program's records.  They
     are sorted by (protocol, n, beta, error scale); a sweep varies only one
-    of the last two.
+    of the last two.  A ``cells`` list receives one summary per (protocol, n):
+    its wall time and shots per second, compile included, and for a banged
+    program its count of negative-duration segments.
     """
     records = []
     for protocol in protocols:
         for n in n_list:
-            records += run_cells(protocol, n, build_protocol_program(protocol, n, delta_t))
+            start = time.perf_counter()
+            program = build_protocol_program(protocol, n, delta_t)
+            cell_records = run_cells(protocol, n, program)
+            wall_s = time.perf_counter() - start
+            records += cell_records
+            if cells is not None:
+                summary = {
+                    "protocol": program.metadata["protocol"],
+                    "n_qubits": n,
+                    "wall_s": wall_s,
+                    "shots_per_s": sum(record.shots for record in cell_records) / wall_s,
+                }
+                if program.metadata.get("mode") == "banged":
+                    summary["negative_segments"] = program.metadata["negative_segments"]
+                cells.append(summary)
     records.sort(key=lambda r: (r.protocol, r.n_qubits, r.beta, r.error_scale))
     return records
 
@@ -309,13 +405,15 @@ def sweep_beta(
     config: NoiseConfig | None,
     delta_t: float = DEFAULT_DELTA_T,
     workers: int = 1,
+    cells: list | None = None,
 ) -> list[ExperimentRecord]:
     """One record per (protocol, n, beta), sorted by that key.
 
     A grid of more than one beta runs each shot once per (protocol, n) for
     all its cells (see ``_grid_records``), and its records agree with
     per-cell ``monte_carlo`` runs to rounding; a one-point grid is one
-    ``monte_carlo`` cell.
+    ``monte_carlo`` cell.  ``cells`` collects per-(protocol, n) timings (see
+    ``_sweep_cells``).
     """
     beta_grid = np.asarray(beta_grid, dtype=float)
     if beta_grid.size and (beta_grid.min() < -1e-12 or beta_grid.max() > np.pi + 1e-12):
@@ -331,7 +429,7 @@ def sweep_beta(
             for beta in betas
         ]
 
-    return _sweep_cells(protocols, n_list, delta_t, run_cells)
+    return _sweep_cells(protocols, n_list, delta_t, run_cells, cells)
 
 
 def sweep_error_scale(
@@ -343,11 +441,13 @@ def sweep_error_scale(
     delta_t: float = DEFAULT_DELTA_T,
     workers: int = 1,
     beta: float = np.pi / 4,
+    cells: list | None = None,
 ) -> list[ExperimentRecord]:
     """Scale all noise widths by a common factor; beta fixed at pi/4.
 
     Each scale is one ``monte_carlo`` cell: the draws scale with it, so no
-    two cells share a shot's unitary.
+    two cells share a shot's unitary.  ``cells`` collects per-(protocol, n)
+    timings (see ``_sweep_cells``).
     """
     if config is None:
         config = NoiseConfig()
@@ -363,7 +463,7 @@ def sweep_error_scale(
             for scaled in configs
         ]
 
-    return _sweep_cells(protocols, n_list, delta_t, run_cells)
+    return _sweep_cells(protocols, n_list, delta_t, run_cells, cells)
 
 
 @dataclass(frozen=True)

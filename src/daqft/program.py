@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,7 +197,9 @@ class AnalogBlock:
             raise ValueError(f"unknown analog block kind {self.kind!r}")
 
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
-        return amps * np.exp(1j * (self.duration + value)[:, None] * energy)
+        # exp at each row's few distinct levels, gathered onto the basis: every
+        # amplitude's exponent is the same product as with its own energy.
+        return amps * np.exp(1j * (self.duration + value)[:, None] * energy.levels)[:, energy.index]
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
         return self.noisy_apply(amps, n, np.zeros(1), energy)
@@ -297,7 +300,7 @@ def _lifted_x(m: int) -> np.ndarray:
 def _apply_banged_window(
     amps: np.ndarray,
     n: int,
-    energy: np.ndarray,
+    energy: ResourceEnergy,
     qubits: tuple[int, ...],
     duration: float,
     drive_values: np.ndarray,
@@ -312,13 +315,35 @@ def _apply_banged_window(
     index, weight, class_rows = _window_structure(n, qubits)
     dim = 1 << len(qubits)
     coeffs = (np.pi / (2.0 * duration)) * drive_values
-    h = energy[class_rows][:, :, None] * np.eye(dim)
+    h = energy.values[class_rows][:, :, None] * np.eye(dim)
     h = h + (coeffs @ _lifted_x(len(qubits))).reshape(-1, 1, dim, dim)
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(1j * duration * w)[..., None, :]) @ v.swapaxes(-1, -2)
     out = np.empty(amps.shape, dtype=complex)
     out[:, index] = (u[:, weight] @ amps[:, index][..., None])[..., 0]
     return out
+
+
+class ResourceEnergy(NamedTuple):
+    """A resource's basis-state energies and their few distinct levels.
+
+    ``values == levels[index]``, levels in order of first appearance.  The
+    compiler's homogeneous resource has floor(n/2)+1 levels for its 2^n
+    basis states: 4 against 128 at n = 7.
+    """
+
+    values: np.ndarray
+    levels: np.ndarray
+    index: np.ndarray
+
+    @classmethod
+    def of(cls, resource: IsingSpec) -> ResourceEnergy:
+        values = coupling_diagonal(resource)
+        # A dict rather than np.unique: the first call of np.unique's argsort
+        # alone raises a run's peak memory by ~0.4 MB.
+        first: dict[float, int] = {}
+        index = np.array([first.setdefault(value, len(first)) for value in values.tolist()])
+        return cls(values, np.array(list(first)), index)
 
 
 @dataclass(frozen=True)
@@ -329,8 +354,8 @@ class Program:
     instructions: tuple
     resource: IsingSpec | None = None
     metadata: dict = field(default_factory=dict)
-    # The resource's basis-state energies, computed once so every shot shares them.
-    energy: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # The resource's energies and levels, computed once so every shot shares them.
+    energy: ResourceEnergy | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_register_size(self.n_qubits)
@@ -349,7 +374,7 @@ class Program:
                 raise ValueError("permutation size does not match the register")
             if isinstance(instr, BangedWindow) and not homogeneous:
                 raise ValueError("banged windows require a homogeneous resource")
-        energy = coupling_diagonal(self.resource) if self.resource is not None else None
+        energy = ResourceEnergy.of(self.resource) if self.resource is not None else None
         object.__setattr__(self, "energy", energy)
 
 

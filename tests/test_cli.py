@@ -73,6 +73,46 @@ class TestSweepBeta:
         # two beta points of two shots each
         assert manifest["shots_per_s"] == pytest.approx(4 / manifest["wall_s"])
 
+    def test_manifest_cells(self, tmp_path):
+        """The manifest times each (protocol, n); banged cells carry their negative segments."""
+        out = tmp_path / "run.csv"
+        args = ["sweep-beta", "--protocols", "dqc,bdaqc", "--qubits", "3,5", "--beta-points", "2",
+                "--shots", "3", "--seed", "0"]
+        assert run(args + ["--out", out]) == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        cells = manifest["cells"]
+        assert [(c["protocol"], c["n_qubits"]) for c in cells] == [
+            ("dqc", 3), ("dqc", 5), ("bdaqc", 3), ("bdaqc", 5)
+        ]
+        for cell in cells:
+            assert cell["wall_s"] > 0
+            # two beta points of three shots each
+            assert cell["shots_per_s"] == pytest.approx(6 / cell["wall_s"])
+            if cell["protocol"] == "bdaqc":
+                program = daqft.compile_qft_daqc(cell["n_qubits"], "banged")
+                assert cell["negative_segments"] == program.metadata["negative_segments"]
+            else:
+                assert "negative_segments" not in cell
+        assert sum(c["wall_s"] for c in cells) <= manifest["wall_s"]
+        # Timing the cells leaves the CSV as the library writes it.
+        records = daqft.sweep_beta(["dqc", "bdaqc"], [3, 5], daqft.default_beta_grid(2), 3,
+                                   daqft.NoiseConfig())
+        assert out.read_text() == daqft.records_to_csv(records)
+
+    @pytest.mark.parametrize(
+        "flag, value, repeated",
+        [("--protocols", "dqc,DQC", "'dqc'"), ("--qubits", "2,3,2", "2"), ("--scales", "0.5,1,0.50", "0.5")],
+    )
+    def test_repeated_list_entry_rejected(self, tmp_path, capsys, flag, value, repeated):
+        """A list flag naming a value twice exits 2 before any work, naming the value."""
+        lists = {"--protocols": "dqc", "--qubits": "2", "--scales": "1", flag: value}
+        out = tmp_path / "x.csv"
+        argv = ["sweep-error-scale", "--shots", "1", "--out", out]
+        assert run(argv + [item for pair in lists.items() for item in pair]) == 2
+        err = capsys.readouterr().err
+        assert "repeated" in err and repeated in err
+        assert not out.exists()
+
     def test_noise_config_file(self, tmp_path):
         """A JSON config sets the widths and may carry delta_t."""
         noise = tmp_path / "noise.json"

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from daqft.ising import IsingSpec
 from daqft.noise import (
     CONFIG_FILE_KEYS,
     CSV_HEADER,
@@ -14,6 +15,7 @@ from daqft.noise import (
     BetaSummary,
     ExperimentRecord,
     NoiseConfig,
+    NoiseSites,
     beta_average,
     build_protocol_program,
     config_to_dict,
@@ -133,6 +135,62 @@ class TestSampling:
                 assert type(value) is float
                 assert value == expected, (kind, value, expected)
                 assert rng.bit_generator.state == clone.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "config",
+        [NoiseConfig(), NoiseConfig(error_scale=0.0), NoiseConfig(error_scale=1.7, tqgn_is_std=False)],
+        ids=["default", "scale-0", "scale-1.7-variance"],
+    )
+    def test_site_table_draws_equal_per_instruction_draws(self, config):
+        """One table call per shot equals the per-instruction sampler calls, bit for bit.
+
+        Each shot's generator also ends in the same state.
+        """
+        for protocol in PROTOCOLS:
+            for n in (3, 5):
+                program = build_protocol_program(protocol, n)
+                rngs = [np.random.default_rng([config.seed, i]) for i in range(4)]
+                clones = copy.deepcopy(rngs)
+                batch = NoiseSites.for_program(program).draws(
+                    [make_sampler(config, rng) for rng in rngs]
+                )
+                samplers = [make_sampler(config, rng) for rng in clones]
+                serial = [[sampler(instr) for sampler in samplers] for instr in program.instructions]
+                assert len(batch) == len(serial)
+                for values, column in zip(batch, serial):
+                    if column[0] is None:
+                        assert values is None
+                    else:
+                        assert np.array_equal(values, np.array(column)), (protocol, n)
+                        assert values.shape == np.shape(column)
+                for rng, clone in zip(rngs, clones):
+                    assert rng.bit_generator.state == clone.bit_generator.state
+
+    def test_site_table_layout(self):
+        """Sites follow program order in runs of one distribution; windows take a slice."""
+        program = Program(
+            2,
+            (
+                HadamardGate(1),
+                Rotation(2, "z", 0.3),
+                Entangler(1, 2),
+                AnalogBlock(0.5, kind="banged"),
+                BangedWindow(0.01, (1, 2)),
+                Permute((0, 1, 2, 3)),
+            ),
+            resource=IsingSpec.homogeneous(2),
+        )
+        sites = NoiseSites.for_program(program)
+        assert sites.channels.tolist() == [0, 0, 1, 3, 0, 0]
+        assert sites.runs == ((True, slice(0, 2)), (False, slice(2, 4)), (True, slice(4, 6)))
+        assert sites.columns == (0, 1, 2, 3, slice(4, 6), None)
+        copies = sites.draws([make_sampler(NoiseConfig(), np.random.default_rng(3))], copies=2)
+        assert copies[4].shape == (2, 2) and np.array_equal(copies[4][0], copies[4][1])
+
+    def test_site_table_unsupported_gate(self):
+        """A table over a raw controlled phase raises like the per-instruction sampler."""
+        with pytest.raises(UnsupportedGateError):
+            NoiseSites.for_program(Program(2, (ControlledPhase(1, 2, 2),)))
 
     def test_unknown_kind(self):
         """Unrecognized channel names raise."""

@@ -223,6 +223,32 @@ class TestAnalogExecution:
         expected = state.amplitudes * np.exp(-0.62j * coupling_diagonal(resource))
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
+    def test_level_indexed_phase_is_exact(self):
+        """Phases gathered from the resource's distinct levels equal amps * exp(1j t E) bit for bit.
+
+        Homogeneous resources at n = 3, 5, 6, 7 have floor(n/2)+1 levels; the
+        inhomogeneous one has 2^(n-1), since flipping every qubit keeps each energy.
+        """
+        rng = np.random.default_rng(47)
+        couplings = {pair: float(rng.normal()) for pair in all_pairs(5)}
+        resources = [IsingSpec.homogeneous(n) for n in (3, 5, 6, 7)] + [IsingSpec(5, couplings)]
+        for resource in resources:
+            n = resource.n_qubits
+            energy = Program(n, (), resource=resource).energy
+            diagonal = coupling_diagonal(resource)
+            assert np.array_equal(energy.values, diagonal)
+            assert np.array_equal(energy.levels[energy.index], diagonal)
+            expected_levels = n // 2 + 1 if resource.is_homogeneous() else 2 ** (n - 1)
+            assert len(energy.levels) == expected_levels
+            amps = rng.normal(size=(4, 2 ** n)) + 1j * rng.normal(size=(4, 2 ** n))
+            values = rng.normal(scale=0.02, size=4)
+            for block in (AnalogBlock(-0.62), AnalogBlock(1.37, "banged")):
+                noisy = block.noisy_apply(amps, n, values, energy)
+                expected = amps * np.exp(1j * (block.duration + values)[:, None] * diagonal)
+                assert np.array_equal(noisy, expected), (n, block)
+                ideal = block.ideal_apply(amps, n, energy)
+                assert np.array_equal(ideal, amps * np.exp(1j * block.duration * diagonal))
+
     def test_analog_block_noise_shifts_duration(self):
         """A draw of delta evolves for duration + delta."""
         resource = IsingSpec.homogeneous(2)
