@@ -19,7 +19,9 @@ from .qft import qft_block_target, readout_instruction
 
 # Default drive-window width for banged schedules.  The window error grows
 # linearly with the width and with register size; 1e-4 keeps the ideal banged
-# QFT above 0.90 fidelity through n = 7 with margin (worst case ~0.993).
+# QFT above 0.90 fidelity through n = 7 with margin (worst case ~0.993).  At
+# beta = 0.7 it reaches 0.980 at n = 8 and 0.939 at n = 9, and falls below the
+# floor at n = 10 (0.844).
 DEFAULT_DELTA_T = 1e-4
 
 RESIDUAL_TOL = 1e-10

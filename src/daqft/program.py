@@ -44,9 +44,15 @@ def _rotations(theta: np.ndarray, axis: np.ndarray) -> np.ndarray:
     return np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * axis
 
 
-# The kernel entry points and ideal matrix that Rotation, HadamardGate and
-# XGate share; each binds them in its own class body, where perfbench's
-# tracer looks up an instruction's kernels.
+def _constant(array: np.ndarray) -> np.ndarray:
+    """Mark an operand that every instance or call shares as read-only."""
+    array.flags.writeable = False
+    return array
+
+
+# The kernel entry points that Rotation, HadamardGate and XGate share; each
+# binds them in its own class body, where perfbench's tracer looks up an
+# instruction's kernels.
 def _single_qubit_noisy(
     self, amps: np.ndarray, n: int, value: np.ndarray, energy=None
 ) -> np.ndarray:
@@ -55,11 +61,6 @@ def _single_qubit_noisy(
 
 def _single_qubit_ideal(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
     return _apply_matrix_1q(amps, self.qubit, self._ideal)
-
-
-@functools.cached_property
-def _single_qubit_ideal_matrix(self) -> np.ndarray:
-    return self._matrices(np.ones(1))
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,13 @@ class Rotation:
 
     noisy_apply = _single_qubit_noisy
     ideal_apply = _single_qubit_ideal
-    _ideal = _single_qubit_ideal_matrix
 
     def _matrices(self, values: np.ndarray) -> np.ndarray:
         return _rotations(self.angle * values, pauli(self.axis))
+
+    @functools.cached_property
+    def _ideal(self) -> np.ndarray:
+        return self._matrices(np.ones(1))
 
 
 _Z_PLUS_X = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -98,14 +102,16 @@ class HadamardGate:
 
     noisy_apply = _single_qubit_noisy
     ideal_apply = _single_qubit_ideal
-    _ideal = _single_qubit_ideal_matrix
 
-    def _matrices(self, values: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _matrices(values: np.ndarray) -> np.ndarray:
         # exp(i*v*H_H) with H_H = (pi/2)(1 - (Z+X)/sqrt2); H_H has eigenvalues {0, pi}
         half = (np.pi * values / 2.0)[:, None, None]
         return np.exp(1j * half) * (
             np.cos(half) * np.eye(2) - 1j * np.sin(half) * (_Z_PLUS_X / SQRT2)
         )
+
+    _ideal = _constant(_matrices(np.ones(1)))
 
 
 @dataclass(frozen=True)
@@ -119,10 +125,12 @@ class XGate:
 
     noisy_apply = _single_qubit_noisy
     ideal_apply = _single_qubit_ideal
-    _ideal = _single_qubit_ideal_matrix
 
-    def _matrices(self, values: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _matrices(values: np.ndarray) -> np.ndarray:
         return _rotations(np.pi * values / 2.0, PAULI_X)
+
+    _ideal = _constant(_matrices(np.ones(1)))
 
 
 @dataclass(frozen=True)
@@ -144,14 +152,13 @@ class Entangler:
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
         return _apply_diag_2q(amps, n, self.qubit_a, self.qubit_b, self._ideal)
 
-    def _phases(self, values: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _phases(values: np.ndarray) -> np.ndarray:
         phi = (np.pi / 4.0) * (1.0 + values)
         up, down = np.exp(1j * phi), np.exp(-1j * phi)
         return np.stack([up, down, down, up], axis=-1)
 
-    @functools.cached_property
-    def _ideal(self) -> np.ndarray:
-        return self._phases(np.zeros(1))
+    _ideal = _constant(_phases(np.zeros(1)))
 
 
 @dataclass(frozen=True)
@@ -231,10 +238,20 @@ class BangedWindow:
         object.__setattr__(self, "qubits", qs)
 
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
-        return _apply_banged_window(amps, n, energy, self.qubits, self.duration, value)
+        u = _window_unitaries(n, energy, self.qubits, self.duration, value)
+        return _apply_window_unitaries(amps, n, self.qubits, u)
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
-        return self.noisy_apply(amps, n, np.ones((1, len(self.qubits))), energy)
+        # A program repeats each of its windows many times; the ideal
+        # unitaries are built on first use and kept with the program's energy.
+        key = (self.qubits, self.duration)
+        u = energy.windows.get(key)
+        if u is None:
+            drives = np.ones((1, len(self.qubits)))
+            u = energy.windows[key] = _constant(
+                _window_unitaries(n, energy, self.qubits, self.duration, drives)
+            )
+        return _apply_window_unitaries(amps, n, self.qubits, u)
 
 
 @dataclass(frozen=True)
@@ -283,42 +300,48 @@ def _window_structure(n: int, qubits: tuple[int, ...]):
     weight = np.minimum(weight, n - m - weight)
     # Row r has popcount(r) undriven bits set, so row 2^c - 1 stands for class c.
     class_rows = index[(1 << np.arange((n - m) // 2 + 1)) - 1]
-    for array in (index, weight, class_rows):
-        array.flags.writeable = False
-    return index, weight, class_rows
+    return _constant(index), _constant(weight), _constant(class_rows)
 
 
 @functools.lru_cache(maxsize=None)
 def _lifted_x(m: int) -> np.ndarray:
     """X on each of m qubits (the first most significant), as m flattened 2^m x 2^m rows."""
     flipped = np.arange(1 << m) ^ (1 << np.arange(m - 1, -1, -1))[:, None]
-    lifts = np.eye(1 << m)[flipped].reshape(m, -1)
-    lifts.flags.writeable = False
-    return lifts
+    return _constant(np.eye(1 << m)[flipped].reshape(m, -1))
 
 
-def _apply_banged_window(
-    amps: np.ndarray,
+def _window_unitaries(
     n: int,
     energy: ResourceEnergy,
     qubits: tuple[int, ...],
     duration: float,
     drive_values: np.ndarray,
 ) -> np.ndarray:
-    """exp(i*duration*(H_res + sum_q c_q X_q)) on each row of a (k, 2^n) block.
+    """The class blocks of exp(i*duration*(H_res + sum_q c_q X_q)), one set per drive row.
 
-    Row s takes its drive scales c_q from drive_values[s] (shape (k, m)).  The
+    Row s of drive_values (shape (k, m)) holds the drive scales c_q.  The
     driven qubits cut the register into 2^(n-m) blocks of dimension 2^m whose
     Hamiltonians differ only by weight class (see _window_structure), so one
-    eigh over k x (floor((n-m)/2)+1) class blocks serves every row.
+    eigh over k x C class blocks, C = floor((n-m)/2)+1, gives the (k, C, 2^m,
+    2^m) unitaries that serve every register row.
     """
-    index, weight, class_rows = _window_structure(n, qubits)
+    _, _, class_rows = _window_structure(n, qubits)
     dim = 1 << len(qubits)
     coeffs = (np.pi / (2.0 * duration)) * drive_values
     h = energy.values[class_rows][:, :, None] * np.eye(dim)
     h = h + (coeffs @ _lifted_x(len(qubits))).reshape(-1, 1, dim, dim)
     w, v = np.linalg.eigh(h)
-    u = (v * np.exp(1j * duration * w)[..., None, :]) @ v.swapaxes(-1, -2)
+    return (v * np.exp(1j * duration * w)[..., None, :]) @ v.swapaxes(-1, -2)
+
+
+def _apply_window_unitaries(
+    amps: np.ndarray, n: int, qubits: tuple[int, ...], u: np.ndarray
+) -> np.ndarray:
+    """Apply a window's class unitaries to a (k, 2^n) block.
+
+    ``u`` is (k, C, 2^m, 2^m), one set per row, or (1, C, 2^m, 2^m), one for every row.
+    """
+    index, weight, _ = _window_structure(n, qubits)
     out = np.empty(amps.shape, dtype=complex)
     out[:, index] = (u[:, weight] @ amps[:, index][..., None])[..., 0]
     return out
@@ -329,12 +352,15 @@ class ResourceEnergy(NamedTuple):
 
     ``values == levels[index]``, levels in order of first appearance.  The
     compiler's homogeneous resource has floor(n/2)+1 levels for its 2^n
-    basis states: 4 against 128 at n = 7.
+    basis states: 4 against 128 at n = 7.  ``windows`` holds the ideal class
+    unitaries of each banged window run so far, keyed by (qubits, duration);
+    it belongs to one Program and goes with it.
     """
 
     values: np.ndarray
     levels: np.ndarray
     index: np.ndarray
+    windows: dict
 
     @classmethod
     def of(cls, resource: IsingSpec) -> ResourceEnergy:
@@ -343,7 +369,7 @@ class ResourceEnergy(NamedTuple):
         # alone raises a run's peak memory by ~0.4 MB.
         first: dict[float, int] = {}
         index = np.array([first.setdefault(value, len(first)) for value in values.tolist()])
-        return cls(values, np.array(list(first)), index)
+        return cls(values, np.array(list(first)), index, {})
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,16 @@ class TestRunProtocol:
         value = monte_carlo("bdaqc", 3, 0.7, 1, None).mean_fidelity
         assert 0.99 < value < 1.0
 
+    def test_ideal_banged_floor_at_default_width(self):
+        """At the default window width, ideal bDAQC (beta = 0.7) clears 0.90 at n = 9, not at 10.
+
+        Measured: 0.980 at n = 8, 0.939 at n = 9 and 0.844 at n = 10.
+        """
+        fidelity = {n: monte_carlo("bdaqc", n, 0.7, 1, None).mean_fidelity for n in (8, 9, 10)}
+        assert fidelity[8] > 0.90
+        assert fidelity[9] > 0.90
+        assert fidelity[10] < 0.90
+
     def test_seed_reproducibility(self):
         """The same config gives the same noisy fidelity."""
         first = monte_carlo("dqc", 3, 1.1, 1, NoiseConfig(seed=42))

@@ -1,10 +1,14 @@
 """Tests for circuit instructions and program execution."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import daqft.program as program_module
+from daqft.daqc import compile_qft_daqc
 from daqft.ising import MAX_QUBITS, IsingSpec, all_pairs, coupling_diagonal
 from daqft.program import (
     AnalogBlock,
@@ -133,6 +137,32 @@ class TestKernelEntryPoints:
             for method in ("noisy_apply", "ideal_apply"):
                 assert method in vars(cls), (cls.__name__, method)
 
+    def test_perfbench_kernel_map_covers_every_class(self):
+        """perfbench/spans.py maps every instruction class here, and names no other.
+
+        Its tracer looks each class up by name, so a class added, renamed or
+        deleted here without a matching ``KERNELS`` entry would break it.
+        The file is parsed, not imported.
+        """
+        spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        tree = ast.parse(spans.read_text())
+        (kernels,) = [
+            node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets] == ["KERNELS"]
+        ]
+        mapped = set(ast.literal_eval(kernels))
+        defined = {
+            name
+            for name, cls in vars(program_module).items()
+            if inspect.isclass(cls)
+            and cls.__module__ == program_module.__name__
+            and "ideal_apply" in vars(cls)
+        }
+        assert defined == {cls.__name__ for cls in INSTRUCTION_CLASSES}
+        assert mapped == defined
+
     def test_kernel_signatures(self):
         """All eight take (amps, n, value, energy=None) and (amps, n, energy=None)."""
         for cls in INSTRUCTION_CLASSES:
@@ -144,6 +174,20 @@ class TestKernelEntryPoints:
 
 class TestIdealSemantics:
     """Ideal instruction matrices against closed forms."""
+
+    def test_shared_constant_operands(self):
+        """X, H and the entangler share one read-only ideal operand, bit-equal to a fresh build."""
+        constants = [
+            (XGate._ideal, XGate._matrices(np.ones(1))),
+            (HadamardGate._ideal, HadamardGate._matrices(np.ones(1))),
+            (Entangler._ideal, Entangler._phases(np.zeros(1))),
+        ]
+        for shared, fresh in constants:
+            assert np.array_equal(shared, fresh)
+            assert shared.dtype == fresh.dtype and shared.shape == fresh.shape
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.0
+        assert XGate(1)._ideal is XGate(2)._ideal
 
     def test_x_gate_is_ix(self):
         """exp(i pi/2 X) equals iX."""
@@ -299,6 +343,49 @@ class TestAnalogExecution:
                             ham += (np.pi / (2 * dt)) * value * kron_lift(n, q, PAULI_X)
                         slow = expm_evolve(ham, dt, state.amplitudes)
                         assert np.max(np.abs(fast.amplitudes - slow)) <= 1e-13, (g, n, pair, dt)
+
+    def test_window_memo_stays_with_its_program(self):
+        """One window in n = 3 and n = 5 programs at g = 1 and 0.8, run interleaved, matches expm.
+
+        Each program keeps the ideal unitaries it builds; a memo shared by the
+        window instance, the register size or the pair would give a later
+        program an earlier one's unitaries.
+        """
+        rng = np.random.default_rng(53)
+        dt = 0.21
+        window = BangedWindow(dt, (1, 3))
+        programs = [
+            Program(n, (window,), resource=IsingSpec.homogeneous(n, g))
+            for n in (3, 5)
+            for g in (1.0, 0.8)
+        ]
+        for _ in range(2):
+            for program in programs:
+                n = program.n_qubits
+                ham = np.diag(coupling_diagonal(program.resource)).astype(complex)
+                for q in window.qubits:
+                    ham += (np.pi / (2 * dt)) * kron_lift(n, q, PAULI_X)
+                state = random_state(n, rng)
+                fast = execute_program(state, program)
+                slow = expm_evolve(ham, dt, state.amplitudes)
+                assert np.max(np.abs(fast.amplitudes - slow)) <= 1e-13, (n, program.resource)
+
+    def test_window_memo_equals_uncached_kernel(self):
+        """The bDAQC n = 5 unitary equals, bit for bit, runs that build every window afresh.
+
+        A sampler returning unit drives for each window takes the noisy kernel
+        path, which builds the unitaries on every call.
+        """
+        program = compile_qft_daqc(5, "banged")
+
+        def sampler(instr):
+            return np.ones(len(instr.qubits)) if isinstance(instr, BangedWindow) else None
+
+        columns = [
+            execute_program(basis_state(5, index), program, sampler).amplitudes
+            for index in range(2 ** 5)
+        ]
+        assert np.array_equal(program_unitary(program), np.stack(columns, axis=1))
 
     def test_banged_window_noise_scales_drives(self):
         """Per-qubit draws rescale each drive amplitude independently."""
