@@ -29,6 +29,7 @@ from .daqc import (
 )
 from .ising import IsingSpec
 from .noise import (
+    ERROR_SCALE_BETA,
     PROTOCOLS,
     NoiseConfig,
     config_to_dict,
@@ -149,7 +150,7 @@ def _cmd_sweep_error_scale(args) -> int:
     noise = _resolve_noise(args)
     if noise[0] is None:
         raise ValueError("the error-scale sweep needs a noise config; drop --ideal")
-    settings = {"scales": scales, "beta": np.pi / 4}
+    settings = {"scales": scales, "beta": ERROR_SCALE_BETA}
     return _run_sweep(
         args, sweep_error_scale, protocols, qubits, scales, args.shots, noise, settings
     )
@@ -240,7 +241,9 @@ def _add_sweep_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise-config", default=None, help="JSON noise config path")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
-        "--workers", type=int, default=1, help="shot batches, run in turn (same output)"
+        "--workers", type=int, default=1,
+        help="shot batches per (protocol, n), run in turn; a block holds ceil(shots/workers) "
+        "shots of every grid point (same output)",
     )
     parser.add_argument("--out", required=True, help="output CSV path")
 

@@ -36,6 +36,7 @@ from .statevector import fidelity
 
 PROTOCOLS = ("dqc", "sdaqc", "bdaqc")
 PROTOCOL_LABELS = {"dqc": "DQC", "sdaqc": "sDAQC", "bdaqc": "bDAQC"}
+ERROR_SCALE_BETA = np.pi / 4  # the input angle of every error-scale sweep
 
 
 def _is_real(value) -> bool:
@@ -151,53 +152,64 @@ class NoiseSites:
             start = stop
         return cls(np.array(channels, dtype=np.intp), tuple(runs), tuple(columns))
 
-    def draws(self, samplers, copies: int = 1) -> list:
-        """Per-instruction noise values of k shots, as ``program._draws`` lays them out.
+    def draws(self, standard: np.ndarray, configs, rows: int = 1) -> list:
+        """Per-instruction noise values, as ``program._draws`` lays them out.
 
-        Each shot's sampler is called once, with this table, so the values
-        equal the per-instruction draws of the same generators bit for bit.
-        ``copies`` stacks the k rows that many times.
+        ``standard`` holds k shots' standard draws, one row per shot (see
+        ``sample_noise``).  Each config maps them through its channel maps,
+        ``offset + scale * standard``, the map rng.uniform and rng.normal
+        apply, so the values equal the per-instruction draws of the same
+        generators bit for bit.  The rows run (config, input row, shot): each
+        config's k rows repeat ``rows`` times.
         """
-        values = np.tile([sampler(self) for sampler in samplers], (copies, 1))
+        offsets, scales = (
+            np.array(maps)[:, None, None, self.channels]
+            for maps in zip(*(_channel_maps(config) for config in configs))
+        )
+        values = offsets + scales * standard
+        shape = (len(configs), rows) + standard.shape
+        values = np.broadcast_to(values, shape).reshape(-1, standard.shape[1])
         return [None if column is None else values[:, column] for column in self.columns]
 
 
 def sample_noise(
-    kind: str | NoiseSites, config: NoiseConfig, rng: np.random.Generator
+    kind: str | NoiseSites, config: NoiseConfig | None, rng: np.random.Generator
 ) -> float | np.ndarray:
-    """One draw of the requested noise channel, or one shot's draws of a site table.
+    """One draw of the requested noise channel, or one shot's standard draws of a site table.
 
     SQG draws the amplitude factor DeltaB ~ U(1-s, 1+s); TQG draws the phase
     offset eps ~ N(0, sigma); ABN draws the time offset delta ~ N(0, width).
     Zero widths give the ideal values exactly (while still consuming a draw,
     which keeps draw sequences aligned across error scales).  Given a
-    ``NoiseSites`` table it returns every site's draw in program order:
-    each run is one numpy call, which gives the same doubles as that many
-    scalar calls, and the maps apply once over the whole vector.
+    ``NoiseSites`` table it returns every site's standard draw in program
+    order, U[0, 1) at a uniform site and N(0, 1) at the others, and needs no
+    config: each run is one numpy call, which gives the same doubles as that
+    many scalar calls, and ``NoiseSites.draws`` maps them through any config.
     """
+    if isinstance(kind, NoiseSites):
+        standard = np.empty(len(kind.channels))
+        for uniform, sites in kind.runs:
+            if uniform:
+                rng.random(out=standard[sites])
+            else:
+                rng.standard_normal(out=standard[sites])
+        return standard
+    if kind not in _CHANNELS:
+        raise ValueError(f"unknown noise kind {kind!r}")
     # low + (high - low) * u and loc + scale * z are the maps rng.uniform and
     # rng.normal apply, so these draws equal theirs bit for bit, at less cost.
     offsets, scales = _channel_maps(config)
-    if isinstance(kind, NoiseSites):
-        raw = np.empty(len(kind.channels))
-        for uniform, sites in kind.runs:
-            if uniform:
-                rng.random(out=raw[sites])
-            else:
-                rng.standard_normal(out=raw[sites])
-        return np.array(offsets)[kind.channels] + np.array(scales)[kind.channels] * raw
-    if kind not in _CHANNELS:
-        raise ValueError(f"unknown noise kind {kind!r}")
     channel = _CHANNELS.index(kind)
     draw = rng.random() if channel == 0 else rng.standard_normal()
     return offsets[channel] + scales[channel] * draw
 
 
-def make_sampler(config: NoiseConfig, rng: np.random.Generator):
+def make_sampler(config: NoiseConfig | None, rng: np.random.Generator):
     """Noise draws from rng, consumed in program order.
 
-    The sampler maps an instruction to its draw, or a program's
-    ``NoiseSites`` table to a whole shot's draws at once.
+    The sampler maps an instruction to its draw under ``config``, or a
+    program's ``NoiseSites`` table to a whole shot's standard draws at once;
+    a sampler that only draws tables needs no config.
     """
 
     def sampler(instr):
@@ -286,6 +298,55 @@ def _record(protocol, n_qubits, beta, shots, config, delta_t, fidelities) -> Exp
     )
 
 
+def _fidelities(reference: np.ndarray, rows) -> list[float]:
+    """Each row's fidelity to the reference, exactly as statevector.fidelity computes it."""
+    return [float(np.abs(np.vdot(reference, row)) ** 2) for row in rows]
+
+
+def _shot_fidelities(program, rows, configs, shots, workers, score) -> np.ndarray:
+    """The one Monte-Carlo shot runner: (S, X, shots) fidelities of S configs.
+
+    ``rows`` is an (R, 2^n) stack of input states; the configs share one
+    seed.  Shot i's sampler, on a generator keyed by (seed, i), is called
+    once on the program's ``NoiseSites`` table, and each config maps the
+    same standard draws.  The shots run in ``workers`` batches, one after
+    another; a batch of b shots is one block of S*R*b rows stacked as
+    (config, input row, shot), and ``score`` turns its (S, R, b, 2^n) output
+    into (S, X, b) fidelities.  ``configs`` of ``[None]`` runs the rows once
+    without draws, and every shot gets that run's fidelities.
+    """
+    if configs == [None]:
+        return np.repeat(score(_run(program, rows)[None, :, None]), shots, axis=-1)
+    sites = NoiseSites.for_program(program)
+    seed = configs[0].seed
+    parts = []
+    for indices in _shot_batches(shots, workers):
+        standard = np.array([make_sampler(None, _shot_rng(seed, i))(sites) for i in indices])
+        shape = (len(configs), len(rows), len(indices), rows.shape[1])
+        block = np.broadcast_to(rows[:, None], shape).reshape(-1, rows.shape[1])
+        block = _run(program, block, sites.draws(standard, configs, len(rows)))
+        parts.append(score(block.reshape(shape)))
+    return np.concatenate(parts, axis=-1)
+
+
+def _scale_records(protocol, n_qubits, program, beta, shots, configs, delta_t, workers):
+    """One record per noise config at one beta, from one run of each shot.
+
+    A shot's draws scale with the config, so no two configs share its
+    unitary, but they share its standard draws.
+    """
+    state = beta_state(n_qubits, beta)
+    reference = exact_qft(state).amplitudes
+    fidelities = _shot_fidelities(
+        program, state.amplitudes[None], configs, shots, workers,
+        lambda out: [[_fidelities(reference, rows[0])] for rows in out],
+    )
+    return [
+        _record(protocol, n_qubits, beta, shots, config, delta_t, values)
+        for config, (values,) in zip(configs, fidelities)
+    ]
+
+
 def monte_carlo(
     protocol: str,
     n_qubits: int,
@@ -305,27 +366,22 @@ def monte_carlo(
     a block holds at most ceil(shots / workers) rows of 2^n amplitudes.  No
     result depends on it.  ``program`` is the compiled protocol program when
     the caller reuses one across cells; by default it is compiled here.
-    ``sweep_beta`` runs a grid of more than one beta without this function,
-    one run per shot for the whole grid.
+    ``sweep_beta`` and ``sweep_error_scale`` run grids through the same shot
+    runner, one run per shot for the whole grid.
     """
     _check_run(shots, workers)
     if program is None:
         program = build_protocol_program(protocol, n_qubits, delta_t)
+    if config is not None:
+        (record,) = _scale_records(
+            protocol, n_qubits, program, beta, shots, [config], delta_t, workers
+        )
+        return record
+    # An ideal cell stays one public execute_program run, which no other
+    # sweep path reaches; the runner's ideal case would give the same bits.
     state = beta_state(n_qubits, beta)
-    reference = exact_qft(state)
-
-    if config is None:
-        value = fidelity(reference, execute_program(state, program, None))
-        fidelities = np.full(shots, value)
-    else:
-        sites = NoiseSites.for_program(program)
-        fidelities = []
-        for indices in _shot_batches(shots, workers):
-            draws = sites.draws([make_sampler(config, _shot_rng(config.seed, i)) for i in indices])
-            block = _run(program, np.tile(state.amplitudes, (len(indices), 1)), draws)
-            # Each row's fidelity exactly as statevector.fidelity computes it.
-            fidelities += [float(np.abs(np.vdot(reference.amplitudes, row)) ** 2) for row in block]
-    return _record(protocol, n_qubits, beta, shots, config, delta_t, fidelities)
+    value = fidelity(exact_qft(state), execute_program(state, program, None))
+    return _record(protocol, n_qubits, beta, shots, config, delta_t, np.full(shots, value))
 
 
 def _grid_records(protocol, n_qubits, program, betas, shots, config, delta_t, workers):
@@ -333,26 +389,21 @@ def _grid_records(protocol, n_qubits, program, betas, shots, config, delta_t, wo
 
     beta_state is sin(beta)|W> + cos(beta)|GHZ>, and shot i applies the same
     unitary U_i at every beta.  So each shot runs two rows, |W> and |GHZ>, on
-    one set of draws (replayed for the second row), and its output at beta is
+    one set of draws, and its output at beta is
     sin(beta) U_i|W> + cos(beta) U_i|GHZ>.  Batches, draws and fidelities are
     as in ``monte_carlo``, which this matches to rounding.
     """
     w_ghz = np.stack([w_state(n_qubits).amplitudes, ghz_state(n_qubits).amplitudes])
     references = [exact_qft(beta_state(n_qubits, beta)).amplitudes for beta in betas]
-    fidelities = [[] for _ in betas]
-    sites = None if config is None else NoiseSites.for_program(program)
-    for indices in [range(1)] if config is None else _shot_batches(shots, workers):
-        draws = None
-        if config is not None:
-            samplers = [make_sampler(config, _shot_rng(config.seed, i)) for i in indices]
-            draws = sites.draws(samplers, copies=2)
-        block = _run(program, np.repeat(w_ghz, len(indices), axis=0), draws)
-        w_rows, ghz_rows = np.split(block, 2)
-        for beta, reference, values in zip(betas, references, fidelities):
-            rows = math.sin(beta) * w_rows + math.cos(beta) * ghz_rows
-            values += [float(np.abs(np.vdot(reference, row)) ** 2) for row in rows]
-    if config is None:
-        fidelities = [np.full(shots, values[0]) for values in fidelities]
+
+    def score(out):
+        ((w_rows, ghz_rows),) = out
+        return [[
+            _fidelities(reference, math.sin(beta) * w_rows + math.cos(beta) * ghz_rows)
+            for beta, reference in zip(betas, references)
+        ]]
+
+    (fidelities,) = _shot_fidelities(program, w_ghz, [config], shots, workers, score)
     return [
         _record(protocol, n_qubits, beta, shots, config, delta_t, values)
         for beta, values in zip(betas, fidelities)
@@ -416,7 +467,9 @@ def sweep_beta(
     ``_sweep_cells``).
     """
     beta_grid = np.asarray(beta_grid, dtype=float)
-    if beta_grid.size and (beta_grid.min() < -1e-12 or beta_grid.max() > np.pi + 1e-12):
+    if not beta_grid.size:
+        raise ValueError("empty beta grid")
+    if beta_grid.min() < -1e-12 or beta_grid.max() > np.pi + 1e-12:
         raise ValueError("beta grid must lie within [0, pi]")
     _check_run(shots, workers)
     betas = [float(beta) for beta in beta_grid]
@@ -440,28 +493,29 @@ def sweep_error_scale(
     config: NoiseConfig | None = None,
     delta_t: float = DEFAULT_DELTA_T,
     workers: int = 1,
-    beta: float = np.pi / 4,
+    beta: float = ERROR_SCALE_BETA,
     cells: list | None = None,
 ) -> list[ExperimentRecord]:
-    """Scale all noise widths by a common factor; beta fixed at pi/4.
+    """Scale all noise widths by a common factor, at one beta (ERROR_SCALE_BETA by default).
 
-    Each scale is one ``monte_carlo`` cell: the draws scale with it, so no
-    two cells share a shot's unitary.  ``cells`` collects per-(protocol, n)
-    timings (see ``_sweep_cells``).
+    Each shot runs once per (protocol, n) for the whole grid: the cells
+    share the shot's standard draws, which each scale maps to its own draws,
+    though not its unitary, and a block holds S*ceil(shots / workers) rows
+    for S scales.  The records equal per-scale ``monte_carlo`` cells exactly.
+    ``cells`` collects per-(protocol, n) timings (see ``_sweep_cells``).
     """
     if config is None:
         config = NoiseConfig()
     scales = [float(scale) for scale in scale_grid]
+    if not scales:
+        raise ValueError("empty error-scale grid")
     if any(scale < 0 for scale in scales):
         raise ValueError("error scales must be >= 0")
     _check_run(shots, workers)
     configs = [replace(config, error_scale=scale) for scale in scales]
 
     def run_cells(protocol, n, program):
-        return [
-            monte_carlo(protocol, n, beta, shots, scaled, delta_t, workers, program)
-            for scaled in configs
-        ]
+        return _scale_records(protocol, n, program, beta, shots, configs, delta_t, workers)
 
     return _sweep_cells(protocols, n_list, delta_t, run_cells, cells)
 

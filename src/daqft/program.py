@@ -41,13 +41,19 @@ def _check_qubit(q: int, name: str = "qubit") -> None:
 def _rotations(theta: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """cos(t)*1 + i*sin(t)*P for each angle t of a (k,) array: a (k, 2, 2) stack."""
     theta = theta[:, None, None]
-    return np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * axis
+    return np.cos(theta) * _identity(2) + 1j * np.sin(theta) * axis
 
 
 def _constant(array: np.ndarray) -> np.ndarray:
     """Mark an operand that every instance or call shares as read-only."""
     array.flags.writeable = False
     return array
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """The dim x dim identity, built once."""
+    return _constant(np.eye(dim))
 
 
 # The kernel entry points that Rotation, HadamardGate and XGate share; each
@@ -108,7 +114,7 @@ class HadamardGate:
         # exp(i*v*H_H) with H_H = (pi/2)(1 - (Z+X)/sqrt2); H_H has eigenvalues {0, pi}
         half = (np.pi * values / 2.0)[:, None, None]
         return np.exp(1j * half) * (
-            np.cos(half) * np.eye(2) - 1j * np.sin(half) * (_Z_PLUS_X / SQRT2)
+            np.cos(half) * _identity(2) - 1j * np.sin(half) * (_Z_PLUS_X / SQRT2)
         )
 
     _ideal = _constant(_matrices(np.ones(1)))
@@ -328,7 +334,7 @@ def _window_unitaries(
     _, _, class_rows = _window_structure(n, qubits)
     dim = 1 << len(qubits)
     coeffs = (np.pi / (2.0 * duration)) * drive_values
-    h = energy.values[class_rows][:, :, None] * np.eye(dim)
+    h = energy.values[class_rows][:, :, None] * _identity(dim)
     h = h + (coeffs @ _lifted_x(len(qubits))).reshape(-1, 1, dim, dim)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * duration * w)[..., None, :]) @ v.swapaxes(-1, -2)

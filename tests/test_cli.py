@@ -295,6 +295,23 @@ class TestSweepErrorScale:
         assert lines[1].split(",")[8] == "0.000000000"
         assert lines[2].split(",")[8] == "1.000000000"
 
+    def test_manifest_beta_is_records_beta(self, tmp_path, monkeypatch):
+        """The manifest's beta is the one the sweep's records were run at."""
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(daqft.sweep_error_scale(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "sweep_error_scale", spy)
+        out = tmp_path / "scale.csv"
+        argv = ["sweep-error-scale", "--qubits", "2,3", "--scales", "0.5,0", "--shots", "2"]
+        assert run(argv + ["--out", out]) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        (records,) = runs
+        assert len(records) == 3 * 2 * 2
+        assert {record.beta for record in records} == {manifest["config"]["beta"]}
+
     def test_ideal_flag_rejected(self, tmp_path, capsys):
         """Scaling noise makes no sense without a noise config."""
         rc = run(

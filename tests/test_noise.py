@@ -2,10 +2,12 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from daqft import noise
 from daqft.ising import IsingSpec
 from daqft.noise import (
     CONFIG_FILE_KEYS,
@@ -151,9 +153,9 @@ class TestSampling:
                 program = build_protocol_program(protocol, n)
                 rngs = [np.random.default_rng([config.seed, i]) for i in range(4)]
                 clones = copy.deepcopy(rngs)
-                batch = NoiseSites.for_program(program).draws(
-                    [make_sampler(config, rng) for rng in rngs]
-                )
+                sites = NoiseSites.for_program(program)
+                standard = np.array([make_sampler(None, rng)(sites) for rng in rngs])
+                batch = sites.draws(standard, [config])
                 samplers = [make_sampler(config, rng) for rng in clones]
                 serial = [[sampler(instr) for sampler in samplers] for instr in program.instructions]
                 assert len(batch) == len(serial)
@@ -165,6 +167,31 @@ class TestSampling:
                         assert values.shape == np.shape(column)
                 for rng, clone in zip(rngs, clones):
                     assert rng.bit_generator.state == clone.bit_generator.state
+
+    def test_site_table_maps_each_config(self):
+        """One shot's standard draws map to each config's per-instruction draws, in block order.
+
+        The block's rows run (config, input row, shot), so the rows of config c
+        and input row r are rows (c * 2 + r) * k ... (c * 2 + r + 1) * k - 1.
+        """
+        configs = [NoiseConfig(seed=5, error_scale=scale) for scale in (1.3, 0.0, 0.4)]
+        program = build_protocol_program("bdaqc", 3)
+        sites = NoiseSites.for_program(program)
+        k = 3
+        standard = np.array(
+            [make_sampler(None, np.random.default_rng([5, i]))(sites) for i in range(k)]
+        )
+        batch = sites.draws(standard, configs, rows=2)
+        for c, config in enumerate(configs):
+            samplers = [make_sampler(config, np.random.default_rng([5, i])) for i in range(k)]
+            serial = [[sampler(instr) for sampler in samplers] for instr in program.instructions]
+            for r in range(2):
+                block = slice((2 * c + r) * k, (2 * c + r + 1) * k)
+                for values, column in zip(batch, serial):
+                    if column[0] is None:
+                        assert values is None
+                    else:
+                        assert np.array_equal(values[block], np.array(column)), (c, r)
 
     def test_site_table_layout(self):
         """Sites follow program order in runs of one distribution; windows take a slice."""
@@ -184,7 +211,9 @@ class TestSampling:
         assert sites.channels.tolist() == [0, 0, 1, 3, 0, 0]
         assert sites.runs == ((True, slice(0, 2)), (False, slice(2, 4)), (True, slice(4, 6)))
         assert sites.columns == (0, 1, 2, 3, slice(4, 6), None)
-        copies = sites.draws([make_sampler(NoiseConfig(), np.random.default_rng(3))], copies=2)
+        standard = make_sampler(None, np.random.default_rng(3))(sites)
+        assert standard.shape == (6,)
+        copies = sites.draws(standard[None], [NoiseConfig()], rows=2)
         assert copies[4].shape == (2, 2) and np.array_equal(copies[4][0], copies[4][1])
 
     def test_site_table_unsupported_gate(self):
@@ -465,6 +494,70 @@ class TestSweeps:
         assert records[0].mean_fidelity == pytest.approx(ideal, abs=1e-12)
         with pytest.raises(ValueError, match="scales"):
             sweep_error_scale(["dqc"], [2], [-0.5], 1, NoiseConfig())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_scale_grid_equals_per_scale_cells(self, workers):
+        """One run per shot for the scale grid gives each scale's monte_carlo cell exactly."""
+        scales = [1.5, 0.0, 0.6]
+        config = NoiseConfig(seed=14)
+        shots = 5
+        for n in (3, 5):
+            records = sweep_error_scale(PROTOCOLS, [n], scales, shots, config, workers=workers)
+            assert len(records) == len(PROTOCOLS) * len(scales)
+            for protocol in PROTOCOLS:
+                program = build_protocol_program(protocol, n)
+                for scale in scales:
+                    cell = monte_carlo(
+                        protocol, n, noise.ERROR_SCALE_BETA, shots,
+                        replace(config, error_scale=scale), workers=workers, program=program,
+                    )
+                    (record,) = [
+                        r for r in records
+                        if r.protocol == cell.protocol and r.error_scale == scale
+                    ]
+                    assert record.mean_fidelity == cell.mean_fidelity, (protocol, n, scale)
+                    assert record.std_fidelity == cell.std_fidelity, (protocol, n, scale)
+                    assert record == cell
+
+    def test_error_scale_grid_draws_once_per_shot(self, monkeypatch):
+        """One generator, sampler call and sample_noise call per shot and (protocol, n).
+
+        The counts do not depend on the number of scales.
+        """
+        counts = {"rng": 0, "sampler": 0, "sample_noise": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        make = noise.make_sampler
+        monkeypatch.setattr(noise, "_shot_rng", counting("rng", noise._shot_rng))
+        monkeypatch.setattr(
+            noise, "make_sampler", lambda *args: counting("sampler", make(*args))
+        )
+        monkeypatch.setattr(noise, "sample_noise", counting("sample_noise", noise.sample_noise))
+        shots = 3
+        cells = 2 * 2  # (protocol, n)
+        for scales in ([1.0], [0.0, 0.5, 1.0, 2.0]):
+            counts.update(rng=0, sampler=0, sample_noise=0)
+            sweep_error_scale(["dqc", "sdaqc"], [2, 3], scales, shots, NoiseConfig(seed=4))
+            assert counts == {"rng": shots * cells, "sampler": shots * cells,
+                              "sample_noise": shots * cells}, scales
+
+    @pytest.mark.parametrize("sweep", [sweep_beta, sweep_error_scale], ids=["beta", "error-scale"])
+    def test_empty_grid_rejected_before_compiling(self, sweep, monkeypatch):
+        """An empty grid raises a ValueError that names it, and compiles nothing."""
+
+        def no_compile(*args):
+            raise AssertionError("a program was compiled")
+
+        monkeypatch.setattr(noise, "build_protocol_program", no_compile)
+        name = "beta" if sweep is sweep_beta else "error-scale"
+        with pytest.raises(ValueError, match=f"empty {name} grid"):
+            sweep(PROTOCOLS, [3], [], 2, NoiseConfig())
 
     def test_beta_average(self):
         """Averaging pools per-beta means and combines shot noise."""
