@@ -40,7 +40,7 @@ from .nn2ata import (
     hp_permutation,
     verify_nn_simulates_ata,
 )
-from .program import Program, execute_program, execute_shots, program_unitary
+from .program import Program, execute_program, program_unitary
 from .qft import (
     beta_state,
     build_dqc_circuit,
@@ -79,7 +79,6 @@ __all__ = [
     "default_beta_grid",
     "exact_qft",
     "execute_program",
-    "execute_shots",
     "fidelity",
     "ghz_state",
     "hp_permutation",

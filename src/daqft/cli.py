@@ -146,7 +146,8 @@ def _cmd_sweep_beta(args) -> int:
 def _cmd_sweep_error_scale(args) -> int:
     protocols = _parse_protocols(args.protocols)
     qubits = _parse_list(args.qubits, int, "integer")
-    scales = _parse_list(args.scales, float, "number")
+    # + 0.0 turns -0.0 into 0.0, which the manifest would print as -0.0
+    scales = [scale + 0.0 for scale in _parse_list(args.scales, float, "number")]
     noise = _resolve_noise(args)
     if noise[0] is None:
         raise ValueError("the error-scale sweep needs a noise config; drop --ideal")

@@ -61,6 +61,7 @@ class NoiseConfig:
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+            object.__setattr__(self, name, abs(value))  # -0.0 passes, but would print as -0.0
         if not isinstance(self.tqgn_is_std, bool):
             raise ValueError(f"tqgn_is_std must be true or false, got {self.tqgn_is_std!r}")
         seed = self.seed
@@ -105,17 +106,6 @@ _NOISE_KINDS = {
 }
 
 
-def _instruction_kind(instr) -> str | None:
-    """The channel an instruction draws from, "window", or None for no draw."""
-    try:
-        kind = _NOISE_KINDS[type(instr)]
-    except KeyError:
-        raise UnsupportedGateError(f"no noise model for {type(instr).__name__}") from None
-    if kind == "abn":
-        return "abn_s" if instr.kind == "stepwise" else "abn_b"
-    return kind
-
-
 @dataclass(frozen=True, eq=False)
 class NoiseSites:
     """Where one shot's noise draws land in a program.
@@ -136,7 +126,12 @@ class NoiseSites:
         """The program's table; an instruction with no noise model raises UnsupportedGateError."""
         channels, columns = [], []
         for instr in program.instructions:
-            kind = _instruction_kind(instr)
+            try:
+                kind = _NOISE_KINDS[type(instr)]
+            except KeyError:
+                raise UnsupportedGateError(f"no noise model for {type(instr).__name__}") from None
+            if kind == "abn":
+                kind = "abn_s" if instr.kind == "stepwise" else "abn_b"
             if kind is None:
                 columns.append(None)
             elif kind == "window":
@@ -152,75 +147,48 @@ class NoiseSites:
             start = stop
         return cls(np.array(channels, dtype=np.intp), tuple(runs), tuple(columns))
 
-    def draws(self, standard: np.ndarray, configs, rows: int = 1) -> list:
-        """Per-instruction noise values, as ``program._draws`` lays them out.
+    def draws(self, standard: np.ndarray, configs) -> list:
+        """Per-instruction noise values, as ``program._run`` takes them.
 
         ``standard`` holds k shots' standard draws, one row per shot (see
         ``sample_noise``).  Each config maps them through its channel maps,
-        ``offset + scale * standard``, the map rng.uniform and rng.normal
-        apply, so the values equal the per-instruction draws of the same
-        generators bit for bit.  The rows run (config, input row, shot): each
-        config's k rows repeat ``rows`` times.
+        ``offset + scale * standard``: SQG's amplitude factor
+        DeltaB ~ U(1-s, 1+s), TQG's phase offset eps ~ N(0, sigma) and ABN's
+        time offset delta ~ N(0, width).  These are the maps rng.uniform and
+        rng.normal apply, so the values equal theirs bit for bit, and zero
+        widths give the ideal values exactly.  The rows run (config, shot).
         """
         offsets, scales = (
             np.array(maps)[:, None, None, self.channels]
             for maps in zip(*(_channel_maps(config) for config in configs))
         )
-        values = offsets + scales * standard
-        shape = (len(configs), rows) + standard.shape
-        values = np.broadcast_to(values, shape).reshape(-1, standard.shape[1])
+        values = (offsets + scales * standard).reshape(-1, standard.shape[1])
         return [None if column is None else values[:, column] for column in self.columns]
 
 
-def sample_noise(
-    kind: str | NoiseSites, config: NoiseConfig | None, rng: np.random.Generator
-) -> float | np.ndarray:
-    """One draw of the requested noise channel, or one shot's standard draws of a site table.
+def sample_noise(sites: NoiseSites, rng: np.random.Generator) -> np.ndarray:
+    """One shot's standard draws of a site table, in program order.
 
-    SQG draws the amplitude factor DeltaB ~ U(1-s, 1+s); TQG draws the phase
-    offset eps ~ N(0, sigma); ABN draws the time offset delta ~ N(0, width).
-    Zero widths give the ideal values exactly (while still consuming a draw,
-    which keeps draw sequences aligned across error scales).  Given a
-    ``NoiseSites`` table it returns every site's standard draw in program
-    order, U[0, 1) at a uniform site and N(0, 1) at the others, and needs no
-    config: each run is one numpy call, which gives the same doubles as that
-    many scalar calls, and ``NoiseSites.draws`` maps them through any config.
+    A uniform site draws U[0, 1) and the others N(0, 1); each run is one
+    numpy call, which gives the same doubles as that many scalar calls.
+    Every site consumes a draw whatever the widths, which keeps draw
+    sequences aligned across error scales; ``NoiseSites.draws`` maps the
+    draws through any config.
     """
-    if isinstance(kind, NoiseSites):
-        standard = np.empty(len(kind.channels))
-        for uniform, sites in kind.runs:
-            if uniform:
-                rng.random(out=standard[sites])
-            else:
-                rng.standard_normal(out=standard[sites])
-        return standard
-    if kind not in _CHANNELS:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    # low + (high - low) * u and loc + scale * z are the maps rng.uniform and
-    # rng.normal apply, so these draws equal theirs bit for bit, at less cost.
-    offsets, scales = _channel_maps(config)
-    channel = _CHANNELS.index(kind)
-    draw = rng.random() if channel == 0 else rng.standard_normal()
-    return offsets[channel] + scales[channel] * draw
+    standard = np.empty(len(sites.channels))
+    for uniform, run in sites.runs:
+        if uniform:
+            rng.random(out=standard[run])
+        else:
+            rng.standard_normal(out=standard[run])
+    return standard
 
 
-def make_sampler(config: NoiseConfig | None, rng: np.random.Generator):
-    """Noise draws from rng, consumed in program order.
+def make_sampler(rng: np.random.Generator):
+    """A sampler that maps a program's ``NoiseSites`` table to one shot's draws from rng."""
 
-    The sampler maps an instruction to its draw under ``config``, or a
-    program's ``NoiseSites`` table to a whole shot's standard draws at once;
-    a sampler that only draws tables needs no config.
-    """
-
-    def sampler(instr):
-        if isinstance(instr, NoiseSites):
-            return sample_noise(instr, config, rng)
-        kind = _instruction_kind(instr)
-        if kind == "window":
-            return np.array([sample_noise("sqg", config, rng) for _ in instr.qubits])
-        if kind is None:
-            return None
-        return sample_noise(kind, config, rng)
+    def sampler(sites):
+        return sample_noise(sites, rng)
 
     return sampler
 
@@ -310,22 +278,27 @@ def _shot_fidelities(program, rows, configs, shots, workers, score) -> np.ndarra
     seed.  Shot i's sampler, on a generator keyed by (seed, i), is called
     once on the program's ``NoiseSites`` table, and each config maps the
     same standard draws.  The shots run in ``workers`` batches, one after
-    another; a batch of b shots is one block of S*R*b rows stacked as
-    (config, input row, shot), and ``score`` turns its (S, R, b, 2^n) output
-    into (S, X, b) fidelities.  ``configs`` of ``[None]`` runs the rows once
-    without draws, and every shot gets that run's fidelities.
+    another; a batch of b shots is one (S*b, 2^n, R) block whose register
+    rows run (config, shot), and whose R inputs share their row's draws and
+    operands.  ``score`` turns its output, as (S, R, b, 2^n), into (S, X, b)
+    fidelities.  ``configs`` of ``[None]`` runs the rows once without draws,
+    and every shot gets that run's fidelities.
     """
+    inputs = rows.T
+
+    def scored(out):  # (S, b, 2^n, R) -> score's (S, R, b, 2^n)
+        return score(np.moveaxis(out, -1, 1))
+
     if configs == [None]:
-        return np.repeat(score(_run(program, rows)[None, :, None]), shots, axis=-1)
+        return np.repeat(scored(_run(program, inputs[None])[None]), shots, axis=-1)
     sites = NoiseSites.for_program(program)
     seed = configs[0].seed
     parts = []
     for indices in _shot_batches(shots, workers):
-        standard = np.array([make_sampler(None, _shot_rng(seed, i))(sites) for i in indices])
-        shape = (len(configs), len(rows), len(indices), rows.shape[1])
-        block = np.broadcast_to(rows[:, None], shape).reshape(-1, rows.shape[1])
-        block = _run(program, block, sites.draws(standard, configs, len(rows)))
-        parts.append(score(block.reshape(shape)))
+        standard = np.array([make_sampler(_shot_rng(seed, i))(sites) for i in indices])
+        block = np.broadcast_to(inputs, (len(configs) * len(indices),) + inputs.shape)
+        out = _run(program, block, sites.draws(standard, configs))
+        parts.append(scored(out.reshape((len(configs), len(indices)) + inputs.shape)))
     return np.concatenate(parts, axis=-1)
 
 
@@ -361,10 +334,10 @@ def monte_carlo(
 
     Shot i draws from a generator keyed by (config.seed, i), in program
     order: its sampler is called once, on the program's ``NoiseSites``
-    table.  The shots run as blocks of amplitude rows (as in
-    ``execute_shots``): ``workers`` is the number of blocks, run in turn, so
-    a block holds at most ceil(shots / workers) rows of 2^n amplitudes.  No
-    result depends on it.  ``program`` is the compiled protocol program when
+    table.  The shots run as blocks with one register row per shot:
+    ``workers`` is the number of blocks, run in turn, so a block holds at
+    most ceil(shots / workers) rows of 2^n amplitudes.  No result depends
+    on it.  ``program`` is the compiled protocol program when
     the caller reuses one across cells; by default it is compiled here.
     ``sweep_beta`` and ``sweep_error_scale`` run grids through the same shot
     runner, one run per shot for the whole grid.
@@ -388,8 +361,8 @@ def _grid_records(protocol, n_qubits, program, betas, shots, config, delta_t, wo
     """One record per beta of a grid, from one run of each shot.
 
     beta_state is sin(beta)|W> + cos(beta)|GHZ>, and shot i applies the same
-    unitary U_i at every beta.  So each shot runs two rows, |W> and |GHZ>, on
-    one set of draws, and its output at beta is
+    unitary U_i at every beta.  So each shot runs two inputs, |W> and |GHZ>,
+    on one register row's draws and operands, and its output at beta is
     sin(beta) U_i|W> + cos(beta) U_i|GHZ>.  Batches, draws and fidelities are
     as in ``monte_carlo``, which this matches to rounding.
     """

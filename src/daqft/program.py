@@ -2,10 +2,12 @@
 
 Instructions know how to apply themselves ideally, and how to apply a
 perturbed version of themselves given noise draws (see noise module).  Both
-act on a (k, 2^n) block of amplitude rows at once: the shots of a
-Monte-Carlo cell, or the basis columns of a dense unitary.  A noisy
-application takes one draw per row.  A Program bundles instructions with the
-analog resource they evolve under.
+act on a (k, 2^n, r) block of amplitudes: k register rows, one per noise
+shot (and config) of a Monte-Carlo run, each holding r input states that
+share that row's draws, such as the basis states of a dense unitary.  A noisy
+application takes one draw per register row and builds its operand once for
+all r inputs.  A Program bundles instructions with the analog resource they
+evolve under.
 """
 
 from __future__ import annotations
@@ -212,7 +214,8 @@ class AnalogBlock:
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
         # exp at each row's few distinct levels, gathered onto the basis: every
         # amplitude's exponent is the same product as with its own energy.
-        return amps * np.exp(1j * (self.duration + value)[:, None] * energy.levels)[:, energy.index]
+        phases = np.exp(1j * (self.duration + value)[:, None] * energy.levels)
+        return amps * phases[:, energy.index, None]
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
         return self.noisy_apply(amps, n, np.zeros(1), energy)
@@ -343,13 +346,16 @@ def _window_unitaries(
 def _apply_window_unitaries(
     amps: np.ndarray, n: int, qubits: tuple[int, ...], u: np.ndarray
 ) -> np.ndarray:
-    """Apply a window's class unitaries to a (k, 2^n) block.
+    """Apply a window's class unitaries to a (k, 2^n, r) block.
 
-    ``u`` is (k, C, 2^m, 2^m), one set per row, or (1, C, 2^m, 2^m), one for every row.
+    ``u`` is (k, C, 2^m, 2^m), one set per register row, or (1, C, 2^m, 2^m),
+    one for every row.  Each (register row, input) pair is one matvec; a
+    gemm over the r inputs would round differently from a single input.
     """
     index, weight, _ = _window_structure(n, qubits)
+    inputs = amps[:, index].swapaxes(-1, -2)[..., None]
     out = np.empty(amps.shape, dtype=complex)
-    out[:, index] = (u[:, weight] @ amps[:, index][..., None])[..., 0]
+    out[:, index] = (u[:, weight][:, :, None] @ inputs)[..., 0].swapaxes(-1, -2)
     return out
 
 
@@ -411,10 +417,11 @@ class Program:
 
 
 def _run(program: Program, block: np.ndarray, draws=None) -> np.ndarray:
-    """Apply the program to every row of a (k, 2^n) block: the one loop over instructions.
+    """Apply the program to a (k, 2^n, r) block: the one loop over instructions.
 
     ``draws`` holds one entry per instruction: None applies it ideally, an
-    array holds the rows' noise values, (k,) or (k, m) for an m-qubit window.
+    array holds the register rows' noise values, (k,) or (k, m) for an
+    m-qubit window, each shared by that row's r inputs.
     """
     n = program.n_qubits
     energy = program.energy
@@ -426,15 +433,10 @@ def _run(program: Program, block: np.ndarray, draws=None) -> np.ndarray:
     return block
 
 
-def _draws(program: Program, samplers) -> list:
-    """Per-instruction noise values of k shots; each sampler is called in program order."""
-    rows = [[sampler(instr) for instr in program.instructions] for sampler in samplers]
-    return [None if column[0] is None else np.array(column) for column in zip(*rows)]
-
-
-def _check_register(state: Statevector, program: Program) -> None:
-    if state.n_qubits != program.n_qubits:
-        raise ValueError("state and program disagree on the number of qubits")
+def _draws(program: Program, sampler) -> list:
+    """Per-instruction noise values of one shot; the sampler is called in program order."""
+    values = [sampler(instr) for instr in program.instructions]
+    return [None if value is None else np.array([value]) for value in values]
 
 
 def execute_program(state: Statevector, program: Program, sampler=None) -> Statevector:
@@ -443,23 +445,13 @@ def execute_program(state: Statevector, program: Program, sampler=None) -> State
     ``sampler`` maps an instruction to its noise draw (or None for an ideal
     application); omitting it runs the whole program ideally.
     """
-    _check_register(state, program)
-    draws = None if sampler is None else _draws(program, [sampler])
-    (amps,) = _run(program, state.amplitudes[None], draws)
+    if state.n_qubits != program.n_qubits:
+        raise ValueError("state and program disagree on the number of qubits")
+    draws = None if sampler is None else _draws(program, sampler)
+    amps = _run(program, state.amplitudes[None, :, None], draws)[0, :, 0]
     return Statevector(program.n_qubits, amps)
-
-
-def execute_shots(state: Statevector, program: Program, samplers) -> np.ndarray:
-    """Run a program once per sampler on a state, all shots as one block.
-
-    Row i of the (k, 2^n) result equals
-    ``execute_program(state, program, samplers[i]).amplitudes``.
-    """
-    _check_register(state, program)
-    block = np.tile(state.amplitudes, (len(samplers), 1))
-    return _run(program, block, _draws(program, samplers))
 
 
 def program_unitary(program: Program) -> np.ndarray:
     """Dense matrix of the whole program (exactness oracle; small registers only)."""
-    return _run(program, np.eye(1 << program.n_qubits, dtype=complex)).T
+    return _run(program, np.eye(1 << program.n_qubits, dtype=complex)[None])[0]

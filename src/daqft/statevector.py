@@ -75,9 +75,9 @@ def fidelity(a: Statevector, b: Statevector) -> float:
 
 
 def _apply_matrix_1q(amps: np.ndarray, target: int, matrices: np.ndarray) -> np.ndarray:
-    """Apply 2x2 matrices on qubit ``target`` of a (k, 2^n) block.
+    """Apply 2x2 matrices on qubit ``target`` of a (k, 2^n, r) block.
 
-    ``matrices`` is (k, 2, 2), one per row, or (1, 2, 2), one for every row.
+    ``matrices`` is (k, 2, 2), one per register row, or (1, 2, 2), one for every row.
     """
     a = amps.reshape(amps.shape[0], 1 << (target - 1), 2, -1)
     m = matrices[:, None, :, :, None]
@@ -97,11 +97,11 @@ def _branch_index(n_qubits: int, q1: int, q2: int) -> np.ndarray:
 def _apply_diag_2q(
     amps: np.ndarray, n_qubits: int, q1: int, q2: int, phases: np.ndarray
 ) -> np.ndarray:
-    """Multiply a (k, 2^n) block by per-branch phases of the (q1, q2) subspace.
+    """Multiply a (k, 2^n, r) block by per-branch phases of the (q1, q2) subspace.
 
-    ``phases`` is (k, 4), one set per row, or (1, 4), one for every row.
+    ``phases`` is (k, 4), one set per register row, or (1, 4), one for every row.
     """
-    return amps * phases[:, _branch_index(n_qubits, q1, q2)]
+    return amps * phases[:, _branch_index(n_qubits, q1, q2), None]
 
 
 def phase_insensitive_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -312,6 +312,18 @@ class TestSweepErrorScale:
         assert len(records) == 3 * 2 * 2
         assert {record.beta for record in records} == {manifest["config"]["beta"]}
 
+    def test_negative_zero_scale_is_zero(self, tmp_path):
+        """--scales=-0.0,1 writes the CSV bytes and manifest scales of --scales 0,1."""
+        outputs = []
+        for scales in ("--scales=-0.0,1", "--scales=0,1"):
+            out = tmp_path / f"scale{len(outputs)}.csv"
+            argv = ["sweep-error-scale", "--qubits", "3", "--shots", "2", "--protocols", "dqc"]
+            assert run(argv + [scales, "--out", out]) == 0
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            outputs.append((out.read_bytes(), repr(manifest["config"]["scales"])))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] == "[0.0, 1.0]"
+
     def test_ideal_flag_rejected(self, tmp_path, capsys):
         """Scaling noise makes no sense without a noise config."""
         rc = run(

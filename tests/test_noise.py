@@ -2,12 +2,14 @@
 
 import copy
 import json
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from daqft import noise
+from daqft import program as program_module
 from daqft.ising import IsingSpec
 from daqft.noise import (
     CONFIG_FILE_KEYS,
@@ -42,10 +44,62 @@ from daqft.program import (
     UnsupportedGateError,
     XGate,
     execute_program,
-    execute_shots,
 )
 from daqft.qft import beta_state, exact_qft
 from daqft.statevector import Statevector, fidelity
+
+CHANNEL_CONFIGS = pytest.mark.parametrize(
+    "config",
+    [NoiseConfig(), NoiseConfig(error_scale=0.0), NoiseConfig(error_scale=1.7, tqgn_is_std=False)],
+    ids=["default", "scale-0", "scale-1.7-variance"],
+)
+
+
+def reference_sampler(config, rng):
+    """Per-instruction draws written out with rng.uniform and rng.normal, in program order.
+
+    It shares no code with the site table, so it is an independent oracle
+    for the table's draws.
+    """
+    half = config.sqgn * config.error_scale
+
+    def sampler(instr):
+        if isinstance(instr, (Rotation, XGate, HadamardGate)):
+            return rng.uniform(1.0 - half, 1.0 + half)
+        if isinstance(instr, BangedWindow):
+            return np.array([rng.uniform(1.0 - half, 1.0 + half) for _ in instr.qubits])
+        if isinstance(instr, Entangler):
+            return rng.normal(0.0, config.tqg_std)
+        if isinstance(instr, AnalogBlock):
+            width = config.abn_s if instr.kind == "stepwise" else config.abn_b
+            return rng.normal(0.0, width * config.error_scale)
+        assert isinstance(instr, Permute), instr
+        return None
+
+    return sampler
+
+
+def table_sampler(program, config, rng):
+    """An execute_program sampler that hands out one shot's site-table draws in program order."""
+    sites = NoiseSites.for_program(program)
+    values = sites.draws(make_sampler(rng)(sites)[None], [config])
+    shot = iter([None if value is None else value[0] for value in values])
+    return lambda instr: next(shot)
+
+
+def every_channel_program(n=3):
+    """A program with one instruction of each noise channel, a window and a readout."""
+    instructions = (
+        Rotation(1, "z", 0.3),
+        XGate(2),
+        HadamardGate(1),
+        Entangler(1, 2),
+        AnalogBlock(0.5, kind="stepwise"),
+        AnalogBlock(0.5, kind="banged"),
+        BangedWindow(0.01, (1, 3)),
+        Permute(tuple(range(2 ** n))),
+    )
+    return Program(n, instructions, resource=IsingSpec.homogeneous(n))
 
 
 class TestNoiseConfig:
@@ -86,6 +140,12 @@ class TestNoiseConfig:
         with pytest.raises(ValueError, match="seed"):
             NoiseConfig(seed=True)
 
+    def test_negative_zero_widths_are_zero(self):
+        """A width or scale of -0.0 is stored as 0.0, so CSVs and manifests print no sign."""
+        for name in ("sqgn", "tqgn", "abn_s", "abn_b", "error_scale"):
+            value = getattr(NoiseConfig(**{name: -0.0}), name)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, name
+
     def test_zero_noise_constant(self):
         """The zero-noise config has every width at zero."""
         assert ZERO_NOISE.sqgn == 0.0
@@ -95,56 +155,49 @@ class TestNoiseConfig:
 
 
 class TestSampling:
-    """Channel draws and the per-instruction sampler."""
+    """Site-table draws, each config's channel maps, and the sampler."""
 
     def test_ranges_and_determinism(self):
         """Draws stay in range and repeat under the same seed."""
         config = NoiseConfig()
-        draws = [sample_noise("sqg", config, np.random.default_rng(5)) for _ in range(50)]
-        again = [sample_noise("sqg", config, np.random.default_rng(5)) for _ in range(50)]
-        assert draws == again
-        assert all(1 - 5e-4 <= d <= 1 + 5e-4 for d in draws)
+        sites = NoiseSites.for_program(Program(1, (Rotation(1, "z", 0.3),) * 50))
+        standard = sample_noise(sites, np.random.default_rng(5))
+        again = sample_noise(sites, np.random.default_rng(5))
+        assert np.array_equal(standard, again)
+        draws = np.concatenate(sites.draws(standard[None], [config]))
+        assert draws.shape == (50,)
+        assert np.all((1 - 5e-4 <= draws) & (draws <= 1 + 5e-4))
 
     def test_zero_widths_are_exact(self):
         """Zero-width channels return the ideal values bit-exactly."""
-        rng = np.random.default_rng(0)
-        assert sample_noise("sqg", ZERO_NOISE, rng) == 1.0
-        assert sample_noise("tqg", ZERO_NOISE, rng) == 0.0
-        assert sample_noise("abn_s", ZERO_NOISE, rng) == 0.0
-        assert sample_noise("abn_b", ZERO_NOISE, rng) == 0.0
+        sites = NoiseSites.for_program(every_channel_program())
+        standard = sample_noise(sites, np.random.default_rng(0))
+        values = sites.draws(standard[None], [ZERO_NOISE])
+        assert [value.tolist() for value in values[:6]] == [[1.0]] * 3 + [[0.0]] * 3
+        assert values[6].tolist() == [[1.0, 1.0]]
+        assert values[7] is None
 
-    @pytest.mark.parametrize(
-        "config",
-        [NoiseConfig(), NoiseConfig(error_scale=0.0), NoiseConfig(error_scale=1.7, tqgn_is_std=False)],
-        ids=["default", "scale-0", "scale-1.7-variance"],
-    )
+    @CHANNEL_CONFIGS
     def test_draws_equal_numpy_samplers(self, config):
         """Each channel equals rng.uniform / rng.normal on a cloned generator, bit for bit."""
-        scale = config.error_scale
-        half = config.sqgn * scale
-        reference = {
-            "sqg": lambda rng: rng.uniform(1.0 - half, 1.0 + half),
-            "tqg": lambda rng: rng.normal(0.0, config.tqg_std),
-            "abn_s": lambda rng: rng.normal(0.0, config.abn_s * scale),
-            "abn_b": lambda rng: rng.normal(0.0, config.abn_b * scale),
-        }
+        program = every_channel_program()
+        sites = NoiseSites.for_program(program)
         rng = np.random.default_rng([3, 1])
         for _ in range(25):
-            for kind, draw in reference.items():
-                clone = copy.deepcopy(rng)
-                value = sample_noise(kind, config, rng)
-                expected = draw(clone)
-                assert type(value) is float
-                assert value == expected, (kind, value, expected)
-                assert rng.bit_generator.state == clone.bit_generator.state
+            clone = copy.deepcopy(rng)
+            values = sites.draws(make_sampler(rng)(sites)[None], [config])
+            reference = reference_sampler(config, clone)
+            for instr, value in zip(program.instructions, values):
+                expected = reference(instr)
+                if expected is None:
+                    assert value is None
+                else:
+                    assert np.array_equal(value[0], expected), (instr, value, expected)
+            assert rng.bit_generator.state == clone.bit_generator.state
 
-    @pytest.mark.parametrize(
-        "config",
-        [NoiseConfig(), NoiseConfig(error_scale=0.0), NoiseConfig(error_scale=1.7, tqgn_is_std=False)],
-        ids=["default", "scale-0", "scale-1.7-variance"],
-    )
+    @CHANNEL_CONFIGS
     def test_site_table_draws_equal_per_instruction_draws(self, config):
-        """One table call per shot equals the per-instruction sampler calls, bit for bit.
+        """One table call per shot equals per-instruction rng.uniform/rng.normal calls, bit for bit.
 
         Each shot's generator also ends in the same state.
         """
@@ -154,9 +207,9 @@ class TestSampling:
                 rngs = [np.random.default_rng([config.seed, i]) for i in range(4)]
                 clones = copy.deepcopy(rngs)
                 sites = NoiseSites.for_program(program)
-                standard = np.array([make_sampler(None, rng)(sites) for rng in rngs])
+                standard = np.array([make_sampler(rng)(sites) for rng in rngs])
                 batch = sites.draws(standard, [config])
-                samplers = [make_sampler(config, rng) for rng in clones]
+                samplers = [reference_sampler(config, rng) for rng in clones]
                 serial = [[sampler(instr) for sampler in samplers] for instr in program.instructions]
                 assert len(batch) == len(serial)
                 for values, column in zip(batch, serial):
@@ -171,27 +224,24 @@ class TestSampling:
     def test_site_table_maps_each_config(self):
         """One shot's standard draws map to each config's per-instruction draws, in block order.
 
-        The block's rows run (config, input row, shot), so the rows of config c
-        and input row r are rows (c * 2 + r) * k ... (c * 2 + r + 1) * k - 1.
+        The block's rows run (config, shot), so the rows of config c are rows
+        c * k ... (c + 1) * k - 1.
         """
         configs = [NoiseConfig(seed=5, error_scale=scale) for scale in (1.3, 0.0, 0.4)]
         program = build_protocol_program("bdaqc", 3)
         sites = NoiseSites.for_program(program)
         k = 3
-        standard = np.array(
-            [make_sampler(None, np.random.default_rng([5, i]))(sites) for i in range(k)]
-        )
-        batch = sites.draws(standard, configs, rows=2)
+        standard = np.array([make_sampler(np.random.default_rng([5, i]))(sites) for i in range(k)])
+        batch = sites.draws(standard, configs)
         for c, config in enumerate(configs):
-            samplers = [make_sampler(config, np.random.default_rng([5, i])) for i in range(k)]
+            samplers = [reference_sampler(config, np.random.default_rng([5, i])) for i in range(k)]
             serial = [[sampler(instr) for sampler in samplers] for instr in program.instructions]
-            for r in range(2):
-                block = slice((2 * c + r) * k, (2 * c + r + 1) * k)
-                for values, column in zip(batch, serial):
-                    if column[0] is None:
-                        assert values is None
-                    else:
-                        assert np.array_equal(values[block], np.array(column)), (c, r)
+            for values, column in zip(batch, serial):
+                if column[0] is None:
+                    assert values is None
+                else:
+                    assert len(values) == len(configs) * k
+                    assert np.array_equal(values[c * k:(c + 1) * k], np.array(column)), c
 
     def test_site_table_layout(self):
         """Sites follow program order in runs of one distribution; windows take a slice."""
@@ -211,55 +261,70 @@ class TestSampling:
         assert sites.channels.tolist() == [0, 0, 1, 3, 0, 0]
         assert sites.runs == ((True, slice(0, 2)), (False, slice(2, 4)), (True, slice(4, 6)))
         assert sites.columns == (0, 1, 2, 3, slice(4, 6), None)
-        standard = make_sampler(None, np.random.default_rng(3))(sites)
+        standard = make_sampler(np.random.default_rng(3))(sites)
         assert standard.shape == (6,)
-        copies = sites.draws(standard[None], [NoiseConfig()], rows=2)
-        assert copies[4].shape == (2, 2) and np.array_equal(copies[4][0], copies[4][1])
+        values = sites.draws(standard[None], [NoiseConfig()])
+        assert [None if value is None else value.shape for value in values] == (
+            [(1,)] * 4 + [(1, 2), None]
+        )
 
     def test_site_table_unsupported_gate(self):
-        """A table over a raw controlled phase raises like the per-instruction sampler."""
+        """A table over a raw controlled phase raises: it has no noise channel."""
         with pytest.raises(UnsupportedGateError):
             NoiseSites.for_program(Program(2, (ControlledPhase(1, 2, 2),)))
 
     def test_unknown_kind(self):
-        """Unrecognized channel names raise."""
-        with pytest.raises(ValueError, match="noise kind"):
-            sample_noise("dephasing", NoiseConfig(), np.random.default_rng(0))
+        """An instruction type the noise model does not know raises and names the type."""
+
+        @dataclass(frozen=True)
+        class Dephasing:
+            qubit: int
+
+        with pytest.raises(UnsupportedGateError, match="no noise model for Dephasing"):
+            NoiseSites.for_program(Program(1, (Dephasing(1),)))
 
     def test_sqg_statistics(self):
         """10^5 amplitude draws: mean near one, support inside the interval."""
         config = NoiseConfig(sqgn=0.05)
+        sites = NoiseSites.for_program(Program(1, (XGate(1),) * 1000))
         rng = np.random.default_rng(101)
-        draws = np.array([sample_noise("sqg", config, rng) for _ in range(100_000)])
+        standard = np.array([sample_noise(sites, rng) for _ in range(100)])
+        draws = np.concatenate(sites.draws(standard, [config]))
+        assert draws.shape == (100_000,)
         assert abs(draws.mean() - 1.0) < 1e-3
         assert draws.min() >= 1 - 0.05 and draws.max() <= 1 + 0.05
 
     def test_tqg_statistics(self):
         """10^5 phase draws: empirical std within 5% of the width."""
         config = NoiseConfig(tqgn=0.2)
+        sites = NoiseSites.for_program(Program(2, (Entangler(1, 2),) * 1000))
         rng = np.random.default_rng(102)
-        draws = np.array([sample_noise("tqg", config, rng) for _ in range(100_000)])
+        standard = np.array([sample_noise(sites, rng) for _ in range(100)])
+        draws = np.concatenate(sites.draws(standard, [config]))
+        assert draws.shape == (100_000,)
         assert abs(draws.std() - 0.2) < 0.05 * 0.2
 
     def test_sampler_dispatch(self):
         """Each instruction type draws from its own channel."""
         config = NoiseConfig(sqgn=0.1, abn_s=0.0, abn_b=10.0)
-        sampler = make_sampler(config, np.random.default_rng(7))
-        assert 0.9 <= sampler(Rotation(1, "z", 0.3)) <= 1.1
-        assert 0.9 <= sampler(XGate(2)) <= 1.1
-        assert 0.9 <= sampler(HadamardGate(1)) <= 1.1
-        assert isinstance(sampler(Entangler(1, 2)), float)
-        assert sampler(AnalogBlock(0.5, kind="stepwise")) == 0.0
-        assert sampler(AnalogBlock(0.5, kind="banged")) != 0.0
-        window_values = sampler(BangedWindow(0.01, (1, 3)))
-        assert window_values.shape == (2,)
-        assert sampler(Permute((0, 1, 2, 3))) is None
+        sites = NoiseSites.for_program(every_channel_program())
+        sampler = make_sampler(np.random.default_rng(7))
+        rotation, x, hadamard, entangler, stepwise, banged, window, readout = (
+            sites.draws(sampler(sites)[None], [config])
+        )
+        for value in (rotation, x, hadamard):
+            assert value.shape == (1,) and 0.9 <= value[0] <= 1.1
+        assert entangler.shape == (1,) and entangler[0] != 0.0
+        assert stepwise.tolist() == [0.0]
+        assert banged.shape == (1,) and banged[0] != 0.0
+        assert window.shape == (1, 2) and np.all((0.9 <= window) & (window <= 1.1))
+        assert readout is None
 
     def test_controlled_phase_unsupported(self):
-        """Raw controlled-phase gates have no noise channel."""
-        sampler = make_sampler(NoiseConfig(), np.random.default_rng(7))
+        """Raw controlled-phase gates have no noise channel: a noisy run of one raises."""
+        program = Program(2, (ControlledPhase(1, 2, 2),))
         with pytest.raises(UnsupportedGateError):
-            sampler(ControlledPhase(1, 2, 2))
+            monte_carlo("dqc", 2, 0.3, 2, NoiseConfig(), program=program)
 
 
 class TestNoisyGates:
@@ -278,8 +343,10 @@ class TestNoisyGates:
         state = beta_state(2, 0.8)
         program = Program(2, (Rotation(1, "z", 0.7),))
         config = NoiseConfig(sqgn=0.1)
-        first = execute_program(state, program, make_sampler(config, np.random.default_rng(5)))
-        second = execute_program(state, program, make_sampler(config, np.random.default_rng(5)))
+        first, second = (
+            execute_program(state, program, table_sampler(program, config, rng))
+            for rng in (np.random.default_rng(5), np.random.default_rng(5))
+        )
         assert np.array_equal(first.amplitudes, second.amplitudes)
 
     def test_apply_noisy_gate_zero_widths(self):
@@ -287,7 +354,8 @@ class TestNoisyGates:
         state = beta_state(2, 0.8)
         program = Program(2, (HadamardGate(2),))
         ideal = execute_program(state, program)
-        noisy = execute_program(state, program, make_sampler(ZERO_NOISE, np.random.default_rng(0)))
+        sampler = table_sampler(program, ZERO_NOISE, np.random.default_rng(0))
+        noisy = execute_program(state, program, sampler)
         assert np.allclose(ideal.amplitudes, noisy.amplitudes, atol=1e-14)
 
 
@@ -362,29 +430,26 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_block_matches_serial_shots(self, protocol):
-        """The shots of one block give each serial execute_program run's fidelity."""
+        """A block of shots gives the statistics of serial execute_program runs."""
         config = NoiseConfig(seed=4)
         for n in (3, 5, 6, 7):
             program = build_protocol_program(protocol, n)
             state = beta_state(n, 0.9)
             reference = exact_qft(state)
-            samplers = [make_sampler(config, np.random.default_rng([4, i])) for i in range(5)]
-            block = execute_shots(state, program, samplers)
-            batched = [fidelity(reference, Statevector(n, row)) for row in block]
             serial = [
-                fidelity(reference, execute_program(state, program, make_sampler(config, rng)))
+                fidelity(reference, execute_program(state, program, reference_sampler(config, rng)))
                 for rng in (np.random.default_rng([4, i]) for i in range(5))
             ]
-            assert np.allclose(batched, serial, rtol=0, atol=1e-12), (n, batched, serial)
             record = monte_carlo(protocol, n, 0.9, 5, config, program=program)
             assert record.mean_fidelity == pytest.approx(np.mean(serial), abs=1e-12)
+            assert record.std_fidelity == pytest.approx(np.std(serial), abs=1e-12)
 
     def test_single_shot_equals_run_protocol(self):
         """shots=1 reproduces a direct run with the derived shot-0 generator."""
         config = NoiseConfig(seed=13)
         record = monte_carlo("dqc", 3, 0.6, 1, config)
         state = beta_state(3, 0.6)
-        sampler = make_sampler(config, np.random.default_rng([13, 0]))
+        sampler = reference_sampler(config, np.random.default_rng([13, 0]))
         program = build_protocol_program("dqc", 3)
         direct = fidelity(exact_qft(state), execute_program(state, program, sampler))
         assert record.mean_fidelity == direct
@@ -519,10 +584,11 @@ class TestSweeps:
                     assert record.std_fidelity == cell.std_fidelity, (protocol, n, scale)
                     assert record == cell
 
-    def test_error_scale_grid_draws_once_per_shot(self, monkeypatch):
+    @pytest.mark.parametrize("sweep", [sweep_beta, sweep_error_scale], ids=["beta", "error-scale"])
+    def test_error_scale_grid_draws_once_per_shot(self, sweep, monkeypatch):
         """One generator, sampler call and sample_noise call per shot and (protocol, n).
 
-        The counts do not depend on the number of scales.
+        The counts do not depend on the size of the grid, error scales or beta points.
         """
         counts = {"rng": 0, "sampler": 0, "sample_noise": 0}
 
@@ -541,11 +607,35 @@ class TestSweeps:
         monkeypatch.setattr(noise, "sample_noise", counting("sample_noise", noise.sample_noise))
         shots = 3
         cells = 2 * 2  # (protocol, n)
-        for scales in ([1.0], [0.0, 0.5, 1.0, 2.0]):
+        if sweep is sweep_error_scale:
+            grids = ([1.0], [0.0, 0.5, 1.0, 2.0])
+        else:
+            grids = ([0.4], [0.0, 0.8, 2.2])
+        for grid in grids:
             counts.update(rng=0, sampler=0, sample_noise=0)
-            sweep_error_scale(["dqc", "sdaqc"], [2, 3], scales, shots, NoiseConfig(seed=4))
+            sweep(["dqc", "sdaqc"], [2, 3], grid, shots, NoiseConfig(seed=4))
             assert counts == {"rng": shots * cells, "sampler": shots * cells,
-                              "sample_noise": shots * cells}, scales
+                              "sample_noise": shots * cells}, grid
+
+    def test_beta_grid_builds_one_operand_per_shot(self, monkeypatch):
+        """A noisy beta grid builds each window's unitaries once per shot, not once per input.
+
+        Its |W> and |GHZ> inputs share their shot's register row, so every
+        window of a batch of b shots gets b drive rows.
+        """
+        sizes = []
+        build = program_module._window_unitaries
+
+        def spy(n, energy, qubits, duration, drive_values):
+            sizes.append(drive_values.shape[0])
+            return build(n, energy, qubits, duration, drive_values)
+
+        monkeypatch.setattr(program_module, "_window_unitaries", spy)
+        sweep_beta(["bdaqc"], [3], [0.0, 0.8, 2.2], 5, NoiseConfig(seed=3), workers=2)
+        program = build_protocol_program("bdaqc", 3)
+        windows = sum(isinstance(instr, BangedWindow) for instr in program.instructions)
+        assert windows > 0
+        assert sizes == [3] * windows + [2] * windows
 
     @pytest.mark.parametrize("sweep", [sweep_beta, sweep_error_scale], ids=["beta", "error-scale"])
     def test_empty_grid_rejected_before_compiling(self, sweep, monkeypatch):

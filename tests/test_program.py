@@ -172,6 +172,52 @@ class TestKernelEntryPoints:
             assert ideal == ["self", "amps", "n", "energy"], cls.__name__
 
 
+# One instance of each instruction class at n = 5, with its noise values for k
+# register rows (None: the class has no noise model).
+_K = 4
+_RNG = np.random.default_rng(59)
+BROADCAST_CASES = {
+    "Rotation": (Rotation(2, "y", 0.4), _RNG.uniform(0.99, 1.01, _K)),
+    "HadamardGate": (HadamardGate(1), _RNG.uniform(0.99, 1.01, _K)),
+    "XGate": (XGate(5), _RNG.uniform(0.99, 1.01, _K)),
+    "Entangler": (Entangler(1, 4), _RNG.normal(0.0, 0.2, _K)),
+    "ControlledPhase": (ControlledPhase(2, 3, 3), None),
+    "AnalogBlock": (AnalogBlock(-0.37, "banged"), _RNG.normal(0.0, 0.01, _K)),
+    "BangedWindow": (BangedWindow(0.01, (2, 4)), _RNG.uniform(0.99, 1.01, (_K, 2))),
+    "Permute": (Permute(tuple(_RNG.permutation(32).tolist())), None),
+}
+
+
+class TestBlockLayout:
+    """Kernels act on (k, 2^n, r) blocks: k register rows, each with r inputs sharing its draws."""
+
+    def test_cases_cover_every_class(self):
+        """The broadcast cases name every instruction class once."""
+        classes = {
+            name for name, cls in vars(program_module).items()
+            if inspect.isclass(cls) and "noisy_apply" in vars(cls)
+        }
+        assert set(BROADCAST_CASES) == classes
+
+    @pytest.mark.parametrize("name", sorted(BROADCAST_CASES))
+    def test_inputs_equal_single_input_runs(self, name):
+        """One (k, 2^n, 3) block equals three (k, 2^n, 1) runs bit for bit, noisy and ideal."""
+        instr, values = BROADCAST_CASES[name]
+        n = 5
+        energy = Program(n, (), resource=IsingSpec.homogeneous(n)).energy
+        rng = np.random.default_rng(61)
+        amps = rng.normal(size=(_K, 2 ** n, 3)) + 1j * rng.normal(size=(_K, 2 ** n, 3))
+        runs = [lambda block: instr.ideal_apply(block, n, energy)]
+        if values is not None:
+            runs.append(lambda block: instr.noisy_apply(block, n, values, energy))
+        for run in runs:
+            together = run(amps)
+            assert together.shape == amps.shape
+            for j in range(3):
+                alone = run(amps[:, :, j:j + 1])
+                assert np.array_equal(together[:, :, j:j + 1], alone), (name, j)
+
+
 class TestIdealSemantics:
     """Ideal instruction matrices against closed forms."""
 
@@ -287,14 +333,16 @@ class TestAnalogExecution:
             assert np.array_equal(energy.levels[energy.index], diagonal)
             expected_levels = n // 2 + 1 if resource.is_homogeneous() else 2 ** (n - 1)
             assert len(energy.levels) == expected_levels
-            amps = rng.normal(size=(4, 2 ** n)) + 1j * rng.normal(size=(4, 2 ** n))
+            shape = (4, 2 ** n, 3)
+            amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             values = rng.normal(scale=0.02, size=4)
             for block in (AnalogBlock(-0.62), AnalogBlock(1.37, "banged")):
                 noisy = block.noisy_apply(amps, n, values, energy)
-                expected = amps * np.exp(1j * (block.duration + values)[:, None] * diagonal)
-                assert np.array_equal(noisy, expected), (n, block)
+                phases = np.exp(1j * (block.duration + values)[:, None] * diagonal)
+                assert np.array_equal(noisy, amps * phases[:, :, None]), (n, block)
                 ideal = block.ideal_apply(amps, n, energy)
-                assert np.array_equal(ideal, amps * np.exp(1j * block.duration * diagonal))
+                phases = np.exp(1j * block.duration * diagonal)
+                assert np.array_equal(ideal, amps * phases[:, None])
 
     def test_analog_block_noise_shifts_duration(self):
         """A draw of delta evolves for duration + delta."""
