@@ -184,14 +184,11 @@ class SimulationReport:
     length: int
     paths: tuple[HamiltonianPath, ...]
     distance: float
-    tolerance: float
     passed: bool
     offending_path: tuple[int, ...] | None
 
 
-def verify_nn_simulates_ata(
-    length: int, resource: IsingSpec | None = None, tolerance: float = VERIFY_TOL
-) -> SimulationReport:
+def verify_nn_simulates_ata(length: int, resource: IsingSpec | None = None) -> SimulationReport:
     """Check that relabeled line evolutions compose to the all-to-all evolution.
 
     The resource must be a homogeneous open line; each Hamiltonian path of the
@@ -234,12 +231,11 @@ def verify_nn_simulates_ata(
     ata = IsingSpec.homogeneous(length, g)
     target = np.exp(1j * time * coupling_diagonal(ata))
     distance = phase_insensitive_distance(built, np.diag(target))
-    passed = distance < tolerance
+    passed = distance < VERIFY_TOL
     return SimulationReport(
         length=length,
         paths=paths,
         distance=distance,
-        tolerance=tolerance,
         passed=passed,
         offending_path=None if passed else offending,
     )

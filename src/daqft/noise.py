@@ -271,52 +271,54 @@ def _fidelities(reference: np.ndarray, rows) -> list[float]:
     return [float(np.abs(np.vdot(reference, row)) ** 2) for row in rows]
 
 
-def _shot_fidelities(program, rows, configs, shots, workers, score) -> np.ndarray:
-    """The one Monte-Carlo shot runner: (S, X, shots) fidelities of S configs.
+def _cell_records(protocol, n_qubits, program, betas, shots, configs, delta_t, workers):
+    """One record per (config, beta) of a (protocol, n), from one run of each shot.
 
-    ``rows`` is an (R, 2^n) stack of input states; the configs share one
-    seed.  Shot i's sampler, on a generator keyed by (seed, i), is called
-    once on the program's ``NoiseSites`` table, and each config maps the
-    same standard draws.  The shots run in ``workers`` batches, one after
-    another; a batch of b shots is one (S*b, 2^n, R) block whose register
-    rows run (config, shot), and whose R inputs share their row's draws and
-    operands.  ``score`` turns its output, as (S, R, b, 2^n), into (S, X, b)
-    fidelities.  ``configs`` of ``[None]`` runs the rows once without draws,
-    and every shot gets that run's fidelities.
+    One beta runs its own state, and each output row is scored as it is.
+    More betas run |W> and |GHZ>: shot i applies one unitary U_i, so its
+    output at beta is sin(beta) U_i|W> + cos(beta) U_i|GHZ>, as beta_state is.
+    Shot i's sampler, on a generator keyed by (seed, i) of the configs' one
+    seed, is called once on the program's ``NoiseSites`` table, and each
+    config maps those standard draws.  The shots run in ``workers`` batches,
+    in turn; a batch of b shots is one (S*b, 2^n, R) block of S configs and R
+    inputs, whose register rows run (config, shot) and whose inputs share
+    their row's draws and operands.  ``configs`` of ``[None]`` runs the inputs
+    once, without draws, for every shot.
     """
-    inputs = rows.T
+    if len(betas) == 1:
+        states = [beta_state(n_qubits, betas[0])]
+    else:
+        states = [w_state(n_qubits), ghz_state(n_qubits)]
+    inputs = np.stack([state.amplitudes for state in states]).T
+    references = [exact_qft(beta_state(n_qubits, beta)).amplitudes for beta in betas]
 
-    def scored(out):  # (S, b, 2^n, R) -> score's (S, R, b, 2^n)
-        return score(np.moveaxis(out, -1, 1))
-
-    if configs == [None]:
-        return np.repeat(scored(_run(program, inputs[None])[None]), shots, axis=-1)
-    sites = NoiseSites.for_program(program)
-    seed = configs[0].seed
+    ideal = configs == [None]
+    sites = None if ideal else NoiseSites.for_program(program)
     parts = []
-    for indices in _shot_batches(shots, workers):
-        standard = np.array([make_sampler(_shot_rng(seed, i))(sites) for i in indices])
+    for indices in [range(1)] if ideal else _shot_batches(shots, workers):
         block = np.broadcast_to(inputs, (len(configs) * len(indices),) + inputs.shape)
-        out = _run(program, block, sites.draws(standard, configs))
-        parts.append(scored(out.reshape((len(configs), len(indices)) + inputs.shape)))
-    return np.concatenate(parts, axis=-1)
-
-
-def _scale_records(protocol, n_qubits, program, beta, shots, configs, delta_t, workers):
-    """One record per noise config at one beta, from one run of each shot.
-
-    A shot's draws scale with the config, so no two configs share its
-    unitary, but they share its standard draws.
-    """
-    state = beta_state(n_qubits, beta)
-    reference = exact_qft(state).amplitudes
-    fidelities = _shot_fidelities(
-        program, state.amplitudes[None], configs, shots, workers,
-        lambda out: [[_fidelities(reference, rows[0])] for rows in out],
-    )
+        draws = None
+        if not ideal:
+            standard = np.array([make_sampler(_shot_rng(configs[0].seed, i))(sites) for i in indices])
+            draws = sites.draws(standard, configs)
+        out = _run(program, block, draws).reshape((len(configs), len(indices)) + inputs.shape)
+        parts.append([  # (S, X, b): each config's (R, b, 2^n) outputs scored at each beta
+            [
+                _fidelities(
+                    reference,
+                    rows[0] if len(betas) == 1 else math.sin(beta) * rows[0] + math.cos(beta) * rows[1],
+                )
+                for beta, reference in zip(betas, references)
+            ]
+            for rows in np.moveaxis(out, -1, 1)
+        ])
+    fidelities = np.concatenate(parts, axis=-1)
+    if ideal:
+        fidelities = np.repeat(fidelities, shots, axis=-1)
     return [
         _record(protocol, n_qubits, beta, shots, config, delta_t, values)
-        for config, (values,) in zip(configs, fidelities)
+        for config, per_beta in zip(configs, fidelities)
+        for beta, values in zip(betas, per_beta)
     ]
 
 
@@ -337,50 +339,28 @@ def monte_carlo(
     table.  The shots run as blocks with one register row per shot:
     ``workers`` is the number of blocks, run in turn, so a block holds at
     most ceil(shots / workers) rows of 2^n amplitudes.  No result depends
-    on it.  ``program`` is the compiled protocol program when
-    the caller reuses one across cells; by default it is compiled here.
-    ``sweep_beta`` and ``sweep_error_scale`` run grids through the same shot
-    runner, one run per shot for the whole grid.
+    on it.  ``program`` is the compiled protocol program when the caller
+    reuses one across cells; by default it is compiled here.  A program of
+    another register size, or one whose ``metadata["protocol"]`` names
+    another protocol, raises ValueError.  ``config`` None runs the program
+    once through ``execute_program``.  A sweep of one cell per (protocol, n)
+    comes here; larger grids run each shot once for all their cells.
     """
     _check_run(shots, workers)
     if program is None:
         program = build_protocol_program(protocol, n_qubits, delta_t)
+    if program.n_qubits != n_qubits:
+        raise ValueError(f"program has {program.n_qubits} qubits, expected {n_qubits}")
+    if program.metadata.get("protocol", protocol.lower()) != protocol.lower():
+        raise ValueError(f"program is a {program.metadata['protocol']} program, not {protocol}")
     if config is not None:
-        (record,) = _scale_records(
-            protocol, n_qubits, program, beta, shots, [config], delta_t, workers
-        )
-        return record
-    # An ideal cell stays one public execute_program run, which no other
-    # sweep path reaches; the runner's ideal case would give the same bits.
+        return _cell_records(protocol, n_qubits, program, [beta], shots, [config], delta_t, workers)[0]
+    # An ideal cell stays one public execute_program run, the only sweep path
+    # to execute_program and statevector.fidelity (perfbench traces both);
+    # _cell_records's ideal case would give the same bits.
     state = beta_state(n_qubits, beta)
     value = fidelity(exact_qft(state), execute_program(state, program, None))
     return _record(protocol, n_qubits, beta, shots, config, delta_t, np.full(shots, value))
-
-
-def _grid_records(protocol, n_qubits, program, betas, shots, config, delta_t, workers):
-    """One record per beta of a grid, from one run of each shot.
-
-    beta_state is sin(beta)|W> + cos(beta)|GHZ>, and shot i applies the same
-    unitary U_i at every beta.  So each shot runs two inputs, |W> and |GHZ>,
-    on one register row's draws and operands, and its output at beta is
-    sin(beta) U_i|W> + cos(beta) U_i|GHZ>.  Batches, draws and fidelities are
-    as in ``monte_carlo``, which this matches to rounding.
-    """
-    w_ghz = np.stack([w_state(n_qubits).amplitudes, ghz_state(n_qubits).amplitudes])
-    references = [exact_qft(beta_state(n_qubits, beta)).amplitudes for beta in betas]
-
-    def score(out):
-        ((w_rows, ghz_rows),) = out
-        return [[
-            _fidelities(reference, math.sin(beta) * w_rows + math.cos(beta) * ghz_rows)
-            for beta, reference in zip(betas, references)
-        ]]
-
-    (fidelities,) = _shot_fidelities(program, w_ghz, [config], shots, workers, score)
-    return [
-        _record(protocol, n_qubits, beta, shots, config, delta_t, values)
-        for beta, values in zip(betas, fidelities)
-    ]
 
 
 def default_beta_grid(points: int = 21) -> np.ndarray:
@@ -390,21 +370,31 @@ def default_beta_grid(points: int = 21) -> np.ndarray:
     return np.linspace(0.0, np.pi, points)
 
 
-def _sweep_cells(protocols, n_list, delta_t, run_cells, cells=None) -> list[ExperimentRecord]:
-    """Records of every (protocol, n), compiled once each and run by run_cells.
+def _sweep_cells(protocols, n_list, delta_t, betas, configs, shots, workers, cells=None):
+    """Records of every (protocol, n) over a (config, beta) grid, each program compiled once.
 
-    ``run_cells(protocol, n, program)`` returns that program's records.  They
-    are sorted by (protocol, n, beta, error scale); a sweep varies only one
-    of the last two.  A ``cells`` list receives one summary per (protocol, n):
-    its wall time and shots per second, compile included, and for a banged
-    program its count of negative-duration segments.
+    A (protocol, n) with one cell is one ``monte_carlo`` call on its
+    program; a larger grid runs each shot once for all its cells (see
+    ``_cell_records``).  Records are sorted by (protocol, n, beta, error
+    scale); a sweep varies only one of the last two.  A ``cells`` list
+    receives one summary per (protocol, n): its wall time and shots per
+    second, compile included, and for a banged program its count of
+    negative-duration segments.
     """
+    _check_run(shots, workers)
     records = []
     for protocol in protocols:
         for n in n_list:
             start = time.perf_counter()
             program = build_protocol_program(protocol, n, delta_t)
-            cell_records = run_cells(protocol, n, program)
+            if len(betas) * len(configs) == 1:
+                cell_records = [
+                    monte_carlo(protocol, n, betas[0], shots, configs[0], delta_t, workers, program)
+                ]
+            else:
+                cell_records = _cell_records(
+                    protocol, n, program, betas, shots, configs, delta_t, workers
+                )
             wall_s = time.perf_counter() - start
             records += cell_records
             if cells is not None:
@@ -434,8 +424,8 @@ def sweep_beta(
     """One record per (protocol, n, beta), sorted by that key.
 
     A grid of more than one beta runs each shot once per (protocol, n) for
-    all its cells (see ``_grid_records``), and its records agree with
-    per-cell ``monte_carlo`` runs to rounding; a one-point grid is one
+    all its betas, on |W> and |GHZ>, and its records agree with per-cell
+    ``monte_carlo`` runs to rounding; a one-point grid is one
     ``monte_carlo`` cell.  ``cells`` collects per-(protocol, n) timings (see
     ``_sweep_cells``).
     """
@@ -444,18 +434,8 @@ def sweep_beta(
         raise ValueError("empty beta grid")
     if beta_grid.min() < -1e-12 or beta_grid.max() > np.pi + 1e-12:
         raise ValueError("beta grid must lie within [0, pi]")
-    _check_run(shots, workers)
     betas = [float(beta) for beta in beta_grid]
-
-    def run_cells(protocol, n, program):
-        if len(betas) > 1:
-            return _grid_records(protocol, n, program, betas, shots, config, delta_t, workers)
-        return [
-            monte_carlo(protocol, n, beta, shots, config, delta_t, workers, program)
-            for beta in betas
-        ]
-
-    return _sweep_cells(protocols, n_list, delta_t, run_cells, cells)
+    return _sweep_cells(protocols, n_list, delta_t, betas, [config], shots, workers, cells)
 
 
 def sweep_error_scale(
@@ -466,15 +446,14 @@ def sweep_error_scale(
     config: NoiseConfig | None = None,
     delta_t: float = DEFAULT_DELTA_T,
     workers: int = 1,
-    beta: float = ERROR_SCALE_BETA,
     cells: list | None = None,
 ) -> list[ExperimentRecord]:
-    """Scale all noise widths by a common factor, at one beta (ERROR_SCALE_BETA by default).
+    """Scale all noise widths by a common factor, at beta = ERROR_SCALE_BETA.
 
-    Each shot runs once per (protocol, n) for the whole grid: the cells
-    share the shot's standard draws, which each scale maps to its own draws,
-    though not its unitary, and a block holds S*ceil(shots / workers) rows
-    for S scales.  The records equal per-scale ``monte_carlo`` cells exactly.
+    Each shot runs once per (protocol, n) for the whole grid: the scales
+    share the shot's standard draws, which each maps to its own draws, and a
+    block holds S*ceil(shots / workers) rows for S scales.  The records equal
+    per-scale ``monte_carlo`` cells exactly; a one-scale grid is one.
     ``cells`` collects per-(protocol, n) timings (see ``_sweep_cells``).
     """
     if config is None:
@@ -484,13 +463,10 @@ def sweep_error_scale(
         raise ValueError("empty error-scale grid")
     if any(scale < 0 for scale in scales):
         raise ValueError("error scales must be >= 0")
-    _check_run(shots, workers)
     configs = [replace(config, error_scale=scale) for scale in scales]
-
-    def run_cells(protocol, n, program):
-        return _scale_records(protocol, n, program, beta, shots, configs, delta_t, workers)
-
-    return _sweep_cells(protocols, n_list, delta_t, run_cells, cells)
+    return _sweep_cells(
+        protocols, n_list, delta_t, [ERROR_SCALE_BETA], configs, shots, workers, cells
+    )
 
 
 @dataclass(frozen=True)

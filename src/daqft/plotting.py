@@ -7,6 +7,7 @@ layer that draws with the standard library alone.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .noise import CSV_HEADER
@@ -43,7 +44,7 @@ def load_rows(path) -> list[dict]:
 
 
 def build_series(rows, x_field: str) -> list[Series]:
-    """Group rows by protocol; points sorted by the x value."""
+    """Group rows by protocol; points sorted by the x value, which like y must be finite."""
     if x_field not in X_FIELDS:
         raise ValueError(f"x field must be one of {X_FIELDS}, got {x_field!r}")
     groups: dict[str, list[tuple[float, float]]] = {}
@@ -53,11 +54,22 @@ def build_series(rows, x_field: str) -> list[Series]:
             y = float(row["mean_fidelity"])
         except (TypeError, KeyError, ValueError) as exc:
             raise ValueError(f"malformed CSV row: {row!r}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"malformed CSV row: {row!r}")
         groups.setdefault(row["protocol"], []).append((x, y))
     return [
         Series(label, tuple(sorted(points)))
         for label, points in sorted(groups.items())
     ]
+
+
+def _escape(text: str) -> str:
+    """Text as XML character data, as xml.sax.saxutils.escape gives it.
+
+    That module imports urllib.request, which raised a daqft run's peak
+    memory by ~3 MB; html.escape loads the html.entities table.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _ticks(low: float, high: float, count: int = 5) -> list[float]:
@@ -68,7 +80,7 @@ def _ticks(low: float, high: float, count: int = 5) -> list[float]:
 
 
 def render_svg(series_list: list[Series], x_label: str, y_label: str = "mean fidelity") -> str:
-    """A fixed-size line chart whose axes span the data ranges exactly."""
+    """A fixed-size line chart whose axes span the data ranges exactly; label text is escaped."""
     if not series_list:
         raise ValueError("nothing to plot")
     xs = [x for s in series_list for x, _ in s.points]
@@ -116,11 +128,11 @@ def render_svg(series_list: list[Series], x_label: str, y_label: str = "mean fid
         )
     parts.append(
         f'<text x="{WIDTH / 2:.2f}" y="{HEIGHT - 18}" font-size="14" '
-        f'text-anchor="middle">{x_label}</text>'
+        f'text-anchor="middle">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="20" y="{HEIGHT / 2:.2f}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 20 {HEIGHT / 2:.2f})">{y_label}</text>'
+        f'transform="rotate(-90 20 {HEIGHT / 2:.2f})">{_escape(y_label)}</text>'
     )
     for idx, series in enumerate(series_list):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]
@@ -135,7 +147,7 @@ def render_svg(series_list: list[Series], x_label: str, y_label: str = "mean fid
         )
         parts.append(
             f'<text x="{WIDTH - MARGIN - 80}" y="{legend_y + 4}" '
-            f'font-size="12">{series.label}</text>'
+            f'font-size="12">{_escape(series.label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -526,6 +527,37 @@ class TestPlot:
         rc = run(["plot", "--in", csv_path, "--x", "beta", "--out", tmp_path / "x.svg"])
         assert rc == 2
         assert "unexpected CSV header" in capsys.readouterr().err
+
+    def test_label_text_is_escaped(self, tmp_path):
+        """A protocol value with markup characters gives a well-formed SVG."""
+        csv_path = tmp_path / "odd.csv"
+        csv_path.write_text(
+            daqft.noise.CSV_HEADER + "\n"
+            "A&B<x>,3,0.0,1,0,0.5,0.0,0.0001,1.0\n"
+            "A&B<x>,3,1.0,1,0,0.6,0.0,0.0001,1.0\n"
+        )
+        svg_path = tmp_path / "odd.svg"
+        assert run(["plot", "--in", csv_path, "--x", "beta", "--out", svg_path]) == 0
+        document = minidom.parse(str(svg_path))
+        assert "A&B<x>" in [node.firstChild.data for node in document.getElementsByTagName("text")]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "DQC,3,nan,1,0,0.6,0.0,0.0001,1.0",
+            "DQC,3,1.0,1,0,nan,0.0,0.0001,1.0",
+            "DQC,3,inf,1,0,0.6,0.0,0.0001,1.0",
+        ],
+        ids=["nan-beta", "nan-mean_fidelity", "inf-beta"],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, capsys, row):
+        """A nan or inf coordinate exits 2 as a malformed row and writes no SVG."""
+        csv_path = tmp_path / "nan.csv"
+        csv_path.write_text(daqft.noise.CSV_HEADER + "\nDQC,3,0.0,1,0,0.5,0.0,0.0001,1.0\n" + row + "\n")
+        svg_path = tmp_path / "nan.svg"
+        assert run(["plot", "--in", csv_path, "--x", "beta", "--out", svg_path]) == 2
+        assert "malformed CSV row" in capsys.readouterr().err
+        assert not svg_path.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         """A nonexistent input exits 2."""

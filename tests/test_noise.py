@@ -55,6 +55,16 @@ CHANNEL_CONFIGS = pytest.mark.parametrize(
 )
 
 
+def counting(counts, name, fn):
+    """fn, counting each call in counts[name]."""
+
+    def wrapped(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
 def reference_sampler(config, rng):
     """Per-instruction draws written out with rng.uniform and rng.normal, in program order.
 
@@ -454,6 +464,20 @@ class TestMonteCarlo:
         direct = fidelity(exact_qft(state), execute_program(state, program, sampler))
         assert record.mean_fidelity == direct
 
+    @pytest.mark.parametrize("config", [NoiseConfig(), None], ids=["noisy", "ideal"])
+    def test_program_of_another_protocol_rejected(self, config):
+        """A program compiled for another protocol is not run under this one's label."""
+        program = build_protocol_program("bdaqc", 3)
+        with pytest.raises(ValueError, match="bdaqc program, not dqc"):
+            monte_carlo("dqc", 3, 0.3, 2, config, program=program)
+
+    @pytest.mark.parametrize("config", [NoiseConfig(), None], ids=["noisy", "ideal"])
+    def test_program_of_another_size_rejected(self, config):
+        """A program of another register size raises before any state is built."""
+        program = build_protocol_program("dqc", 3)
+        with pytest.raises(ValueError, match="program has 3 qubits, expected 5"):
+            monte_carlo("dqc", 5, 0.3, 2, config, program=program)
+
     def test_shot_validation(self):
         """Zero shots is rejected."""
         with pytest.raises(ValueError, match="shots"):
@@ -591,20 +615,14 @@ class TestSweeps:
         The counts do not depend on the size of the grid, error scales or beta points.
         """
         counts = {"rng": 0, "sampler": 0, "sample_noise": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
         make = noise.make_sampler
-        monkeypatch.setattr(noise, "_shot_rng", counting("rng", noise._shot_rng))
+        monkeypatch.setattr(noise, "_shot_rng", counting(counts, "rng", noise._shot_rng))
         monkeypatch.setattr(
-            noise, "make_sampler", lambda *args: counting("sampler", make(*args))
+            noise, "make_sampler", lambda *args: counting(counts, "sampler", make(*args))
         )
-        monkeypatch.setattr(noise, "sample_noise", counting("sample_noise", noise.sample_noise))
+        monkeypatch.setattr(
+            noise, "sample_noise", counting(counts, "sample_noise", noise.sample_noise)
+        )
         shots = 3
         cells = 2 * 2  # (protocol, n)
         if sweep is sweep_error_scale:
@@ -616,6 +634,35 @@ class TestSweeps:
             sweep(["dqc", "sdaqc"], [2, 3], grid, shots, NoiseConfig(seed=4))
             assert counts == {"rng": shots * cells, "sampler": shots * cells,
                               "sample_noise": shots * cells}, grid
+
+    def test_one_cell_per_program_is_monte_carlo(self, monkeypatch):
+        """A sweep with one cell per (protocol, n) makes one monte_carlo call each; a grid makes none.
+
+        The ideal one-cell run is the sweep path that reaches the public
+        execute_program and statevector.fidelity; larger grids run every
+        shot once through the private executor.
+        """
+        names = ("monte_carlo", "execute_program", "fidelity")
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(noise, name, counting(counts, name, getattr(noise, name)))
+        protocols, n_list = ["dqc", "sdaqc"], [2, 3]
+        cells = len(protocols) * len(n_list)
+        noisy = NoiseConfig(seed=4)
+        none = dict.fromkeys(names, 0)
+        runs = [
+            (sweep_beta, [0.4], None, dict.fromkeys(names, cells)),
+            (sweep_beta, [0.4], noisy, {**none, "monte_carlo": cells}),
+            (sweep_error_scale, [0.5], noisy, {**none, "monte_carlo": cells}),
+            (sweep_beta, [0.0, 0.8], None, none),
+            (sweep_beta, [0.0, 0.8], noisy, none),
+            (sweep_error_scale, [0.0, 1.0], noisy, none),
+        ]
+        for sweep, grid, config, expected in runs:
+            counts.update(none)
+            records = sweep(protocols, n_list, grid, 3, config)
+            assert counts == expected, (sweep.__name__, grid, config)
+            assert len(records) == cells * len(grid)
 
     def test_beta_grid_builds_one_operand_per_shot(self, monkeypatch):
         """A noisy beta grid builds each window's unitaries once per shot, not once per input.

@@ -1,7 +1,9 @@
 """Tests for circuit instructions and program execution."""
 
 import ast
+import importlib
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,21 @@ from daqft.program import (
 )
 from daqft.statevector import PAULI_X, Statevector, basis_state
 from oracles import expm_evolve, kron_lift, rotation_matrix
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def perfbench_constant(name):
+    """A literal module-level constant of perfbench/spans.py, which is parsed, not imported."""
+    tree = ast.parse((REPO_ROOT / "perfbench" / "spans.py").read_text())
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == [name]
+    ]
+    return ast.literal_eval(value)
 
 
 def random_state(n, rng):
@@ -144,15 +161,7 @@ class TestKernelEntryPoints:
         deleted here without a matching ``KERNELS`` entry would break it.
         The file is parsed, not imported.
         """
-        spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        tree = ast.parse(spans.read_text())
-        (kernels,) = [
-            node.value
-            for node in tree.body
-            if isinstance(node, ast.Assign)
-            and [getattr(target, "id", None) for target in node.targets] == ["KERNELS"]
-        ]
-        mapped = set(ast.literal_eval(kernels))
+        mapped = set(perfbench_constant("KERNELS"))
         defined = {
             name
             for name, cls in vars(program_module).items()
@@ -162,6 +171,36 @@ class TestKernelEntryPoints:
         }
         assert defined == {cls.__name__ for cls in INSTRUCTION_CLASSES}
         assert mapped == defined
+
+    def test_perfbench_function_spans_name_public_functions(self):
+        """Each <layer>.<function> span in BENCHMARK.json's per-layer metrics names a public function.
+
+        perfbench's tracer names a span after the public function of
+        ``daqft.<layer>`` that it wraps, so deleting or renaming one would
+        leave its metrics unmeasured.  Kernel spans are the values of
+        ``KERNELS``; ``noise.sampler`` is ``make_sampler``'s closure and
+        ``statevector.Statevector`` the class.  BENCHMARK.json is read, not
+        imported or edited.
+        """
+        benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        layers = perfbench_constant("LAYERS")
+        kernels = set(perfbench_constant("KERNELS").values())
+        aliases = {"noise.sampler": "noise.make_sampler"}
+        spans = {
+            ".".join(parts[:2])
+            for parts in (metric["name"].split(".") for metric in benchmark["per_layer"])
+            if len(parts) >= 3 and parts[0] in layers
+        }
+        assert {"noise.monte_carlo", "statevector.fidelity", "noise.sampler"} <= spans
+        for span in sorted(spans - kernels):
+            layer, name = aliases.get(span, span).split(".")
+            module = importlib.import_module(f"daqft.{layer}")
+            obj = getattr(module, name, None)
+            if span == "statevector.Statevector":
+                assert inspect.isclass(obj), span
+            else:
+                assert not name.startswith("_"), span
+                assert inspect.isfunction(obj) and obj.__module__ == module.__name__, span
 
     def test_kernel_signatures(self):
         """All eight take (amps, n, value, energy=None) and (amps, n, energy=None)."""
