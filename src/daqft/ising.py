@@ -84,7 +84,10 @@ def coupling_diagonal(spec: IsingSpec) -> np.ndarray:
     """Energies sum_{j<k} g_jk * z_j * z_k for every computational basis state.
 
     Basis index i encodes qubit 1 as the most significant bit; z = +1 for bit 0
-    and -1 for bit 1.
+    and -1 for bit 1.  The integer products z_j * z_k of the pairs that share
+    one coupling value are summed exactly and scaled once, so under a
+    homogeneous resource every basis state of one Hamming weight gets the
+    same energy, bit for bit, whatever g is.
     """
     n = spec.n_qubits
     dim = 1 << n
@@ -93,8 +96,11 @@ def coupling_diagonal(spec: IsingSpec) -> np.ndarray:
     for q in range(1, n + 1):
         bits = (indices >> (n - q)) & 1
         z[q] = 1.0 - 2.0 * bits
-    energies = np.zeros(dim, dtype=float)
+    products: dict[float, np.ndarray] = {}
     for (j, k), g in spec.couplings.items():
         if g != 0.0:
-            energies += g * z[j] * z[k]
+            products[g] = products.get(g, 0.0) + z[j] * z[k]
+    energies = np.zeros(dim, dtype=float)
+    for g, total in products.items():
+        energies += g * total
     return energies

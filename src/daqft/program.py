@@ -6,8 +6,9 @@ act on a (k, 2^n, r) block of amplitudes: k register rows, one per noise
 shot (and config) of a Monte-Carlo run, each holding r input states that
 share that row's draws, such as the basis states of a dense unitary.  A noisy
 application takes one draw per register row and builds its operand once for
-all r inputs.  A Program bundles instructions with the analog resource they
-evolve under.
+all r inputs; a banged window's operand, its class unitaries, is built by the
+executor, which solves the windows of a schedule together.  A Program bundles
+instructions with the analog resource they evolve under.
 """
 
 from __future__ import annotations
@@ -247,19 +248,13 @@ class BangedWindow:
         object.__setattr__(self, "qubits", qs)
 
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
-        u = _window_unitaries(n, energy, self.qubits, self.duration, value)
-        return _apply_window_unitaries(amps, n, self.qubits, u)
+        # ``value`` holds the class unitaries of this window's drive rows;
+        # _run solves a schedule's windows together (see _solved_windows).
+        return _apply_window_unitaries(amps, n, self.qubits, value)
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
-        # A program repeats each of its windows many times; the ideal
-        # unitaries are built on first use and kept with the program's energy.
-        key = (self.qubits, self.duration)
-        u = energy.windows.get(key)
-        if u is None:
-            drives = np.ones((1, len(self.qubits)))
-            u = energy.windows[key] = _constant(
-                _window_unitaries(n, energy, self.qubits, self.duration, drives)
-            )
+        energies = _class_energies(n, energy, self.qubits)
+        u = _ideal_window_unitaries(self.duration, len(self.qubits), energies.tobytes())
         return _apply_window_unitaries(amps, n, self.qubits, u)
 
 
@@ -312,35 +307,119 @@ def _window_structure(n: int, qubits: tuple[int, ...]):
     return _constant(index), _constant(weight), _constant(class_rows)
 
 
+def _class_energies(n: int, energy: ResourceEnergy, qubits: tuple[int, ...]) -> np.ndarray:
+    """The resource energies on each weight class's block, (C, 2^m) (see _window_structure)."""
+    return energy.values[_window_structure(n, qubits)[2]]
+
+
 @functools.lru_cache(maxsize=None)
-def _lifted_x(m: int) -> np.ndarray:
-    """X on each of m qubits (the first most significant), as m flattened 2^m x 2^m rows."""
-    flipped = np.arange(1 << m) ^ (1 << np.arange(m - 1, -1, -1))[:, None]
-    return _constant(np.eye(1 << m)[flipped].reshape(m, -1))
+def _x_eigenbasis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-qubit Hadamard basis, in which every sum of X drives is diagonal.
+
+    Returns Q = H^(x)m, symmetric and orthogonal, and the (m, 2^m) eigenvalues
+    of each X_q on its columns: +1 where bit q of the column is 0, -1 where
+    it is 1, the first qubit most significant.
+    """
+    bits = (np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1
+    q = (1.0 - 2.0 * ((bits.T @ bits) & 1)) / math.sqrt(1 << m)
+    return _constant(q), _constant(1.0 - 2.0 * bits)
 
 
-def _window_unitaries(
-    n: int,
-    energy: ResourceEnergy,
-    qubits: tuple[int, ...],
-    duration: float,
-    drive_values: np.ndarray,
-) -> np.ndarray:
+# Sweep cap of a Jacobi solve; window blocks converge in two to seven.
+_JACOBI_SWEEPS = 30
+
+
+def _jacobi(h: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (d, B) and eigenvector columns (d, d, B) of B real symmetric blocks h (d, d, B).
+
+    Cyclic Jacobi (Golub & Van Loan, Matrix Computations, sec. 8.5) with the
+    batch axis last: each sweep rotates, pair by pair, every block whose
+    (p, q) element exceeds eps * ||h||_F, and a block leaves the solve once
+    no element does.  The eigenvectors are accumulated from ``basis``.
+    Every step is elementwise, so no bit of a block depends on the others.
+    A solve that needs more than _JACOBI_SWEEPS sweeps raises RuntimeError.
+    """
+    dim, _, size = h.shape
+    pairs = list(itertools.combinations(range(dim), 2))
+    a = [[h[i, j] for j in range(dim)] for i in range(dim)]  # rebound, never written in place
+    for i, j in pairs:
+        a[j][i] = a[i][j]
+    v = np.repeat(basis[:, :, None], size, axis=2)
+    tol = np.finfo(float).eps * np.sqrt(sum(entry * entry for row in a for entry in row))
+    values, vectors = np.empty((dim, size)), np.empty((dim, dim, size))
+    live = np.arange(size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # t of a pair left unrotated
+        for _ in range(_JACOBI_SWEEPS + 1):
+            active = np.logical_or.reduce([np.abs(a[p][q]) > tol for p, q in pairs])
+            if not active.all():
+                done = ~active
+                for i in range(dim):
+                    values[i, live[done]] = a[i][i][done]
+                vectors[:, :, live[done]] = v[:, :, done]
+                if not active.any():
+                    return values, vectors
+                live, v, tol = live[active], v[:, :, active], tol[active]
+                for i in range(dim):
+                    for j in range(i, dim):
+                        a[i][j] = a[j][i] = a[i][j][active]
+            for p, q in pairs:
+                apq = a[p][q]
+                rotate = np.abs(apq) > tol
+                if not rotate.any():
+                    continue
+                # tan of the angle that zeroes a_pq, the smaller root (GVL alg. 8.5.1)
+                x, y = a[q][q] - a[p][p], apq + apq
+                t = np.where(rotate, y / (x + np.copysign(np.sqrt(x * x + y * y), x)), 0.0)
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                a[p][p], a[q][q] = a[p][p] - t * apq, a[q][q] + t * apq
+                a[p][q] = a[q][p] = np.where(rotate, 0.0, apq)
+                for r in range(dim):
+                    if r != p and r != q:
+                        arp, arq = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = c * arp - s * arq
+                        a[r][q] = a[q][r] = s * arp + c * arq
+                vp, vq = v[:, p], v[:, q]
+                v[:, p], v[:, q] = c * vp - s * vq, s * vp + c * vq
+    raise RuntimeError(f"Jacobi solve did not converge in {_JACOBI_SWEEPS} sweeps")
+
+
+def _window_unitaries(energies: np.ndarray, duration: float, drive_values: np.ndarray) -> np.ndarray:
     """The class blocks of exp(i*duration*(H_res + sum_q c_q X_q)), one set per drive row.
 
-    Row s of drive_values (shape (k, m)) holds the drive scales c_q.  The
-    driven qubits cut the register into 2^(n-m) blocks of dimension 2^m whose
-    Hamiltonians differ only by weight class (see _window_structure), so one
-    eigh over k x C class blocks, C = floor((n-m)/2)+1, gives the (k, C, 2^m,
-    2^m) unitaries that serve every register row.
+    ``energies`` (C, 2^m) holds the resource energies on each weight class's
+    block (see _class_energies) and row s of drive_values (k, m) the drive
+    scales c_q, so the rows may come from several windows of one duration
+    and class energies.  The k*C blocks are solved by _jacobi in the
+    Hadamard basis, where the drives are diagonal and the blocks start close
+    to diagonal, and returned as (k, C, 2^m, 2^m) unitaries.
     """
-    _, _, class_rows = _window_structure(n, qubits)
-    dim = 1 << len(qubits)
+    q, signs = _x_eigenbasis(drive_values.shape[1])
+    classes, dim = energies.shape
     coeffs = (np.pi / (2.0 * duration)) * drive_values
-    h = energy.values[class_rows][:, :, None] * _identity(dim)
-    h = h + (coeffs @ _lifted_x(len(qubits))).reshape(-1, 1, dim, dim)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * duration * w)[..., None, :]) @ v.swapaxes(-1, -2)
+    drives = sum(coeffs[:, i, None] * sign for i, sign in enumerate(signs))  # (k, 2^m)
+    h = np.empty((dim, dim, len(drive_values), classes))
+    h[...] = ((q * energies[:, None, :]) @ q).transpose(1, 2, 0)[:, :, None]  # Q diag(E) Q
+    diagonal = np.arange(dim)
+    h[diagonal, diagonal] += drives.T[:, :, None]
+    w, v = _jacobi(h.reshape(dim, dim, -1), q)
+    phases = np.exp(1j * duration * w).T
+    v = np.moveaxis(v, -1, 0)
+    u = v[:, :, None, 0] * v[:, None, :, 0] * phases[:, 0, None, None]
+    for j in range(1, dim):
+        u += v[:, :, None, j] * v[:, None, :, j] * phases[:, j, None, None]
+    return u.reshape(len(drive_values), classes, dim, dim)
+
+
+@functools.lru_cache(maxsize=256)
+def _ideal_window_unitaries(duration: float, m: int, energies: bytes) -> np.ndarray:
+    """A window's read-only ideal class unitaries (1, C, 2^m, 2^m), keyed by value.
+
+    Every program with the same width, driven-qubit count and class
+    energies (the bytes of _class_energies) shares them.
+    """
+    energies = np.frombuffer(energies).reshape(-1, 1 << m)
+    return _constant(_window_unitaries(energies, duration, np.ones((1, m))))
 
 
 def _apply_window_unitaries(
@@ -364,15 +443,12 @@ class ResourceEnergy(NamedTuple):
 
     ``values == levels[index]``, levels in order of first appearance.  The
     compiler's homogeneous resource has floor(n/2)+1 levels for its 2^n
-    basis states: 4 against 128 at n = 7.  ``windows`` holds the ideal class
-    unitaries of each banged window run so far, keyed by (qubits, duration);
-    it belongs to one Program and goes with it.
+    basis states: 4 against 128 at n = 7.
     """
 
     values: np.ndarray
     levels: np.ndarray
     index: np.ndarray
-    windows: dict
 
     @classmethod
     def of(cls, resource: IsingSpec) -> ResourceEnergy:
@@ -381,7 +457,7 @@ class ResourceEnergy(NamedTuple):
         # alone raises a run's peak memory by ~0.4 MB.
         first: dict[float, int] = {}
         index = np.array([first.setdefault(value, len(first)) for value in values.tolist()])
-        return cls(values, np.array(list(first)), index, {})
+        return cls(values, np.array(list(first)), index)
 
 
 @dataclass(frozen=True)
@@ -416,16 +492,59 @@ class Program:
         object.__setattr__(self, "energy", energy)
 
 
+# Class blocks one window solve takes at most, unless a single window has more.
+_WINDOW_BLOCKS = 2048
+
+
+def _solved_windows(program: Program, draws: list):
+    """Yield each instruction's draw, a noisy window's drive rows replaced by its class unitaries.
+
+    The noisy windows of one schedule (a maximal run of windows and analog
+    segments) are solved together: each _window_unitaries call takes
+    consecutive windows of one width and driven-qubit count, up to
+    _WINDOW_BLOCKS class blocks, and is made when the first of them is
+    reached.  Windows run on homogeneous resources only, where a block's
+    energies depend on its Hamming weight alone (see coupling_diagonal),
+    so such windows share their class energies.
+    """
+    instructions, n, energy = program.instructions, program.n_qubits, program.energy
+    solved: dict[int, np.ndarray] = {}
+    for first, (instr, value) in enumerate(zip(instructions, draws)):
+        if isinstance(instr, BangedWindow) and value is not None and first not in solved:
+            energies = _class_energies(n, energy, instr.qubits)
+            chunk, blocks = [], 0
+            for index in range(first, len(instructions)):
+                other, rows = instructions[index], draws[index]
+                if not isinstance(other, (BangedWindow, AnalogBlock)):
+                    break
+                if isinstance(other, AnalogBlock) or rows is None:
+                    continue
+                blocks += len(rows) * len(energies)
+                if chunk and (
+                    blocks > _WINDOW_BLOCKS
+                    or other.duration != instr.duration
+                    or len(other.qubits) != len(instr.qubits)
+                ):
+                    break
+                chunk.append(index)
+            stacked = np.concatenate([draws[index] for index in chunk])
+            u = _window_unitaries(energies, instr.duration, stacked)
+            solved = dict(zip(chunk, u.reshape((len(chunk), -1) + u.shape[1:])))
+        yield solved.pop(first, value)
+
+
 def _run(program: Program, block: np.ndarray, draws=None) -> np.ndarray:
     """Apply the program to a (k, 2^n, r) block: the one loop over instructions.
 
     ``draws`` holds one entry per instruction: None applies it ideally, an
     array holds the register rows' noise values, (k,) or (k, m) for an
-    m-qubit window, each shared by that row's r inputs.
+    m-qubit window, each shared by that row's r inputs.  A window's drive
+    rows reach its noisy_apply as class unitaries (see _solved_windows).
     """
     n = program.n_qubits
     energy = program.energy
-    for instr, value in zip(program.instructions, draws or itertools.repeat(None)):
+    values = itertools.repeat(None) if draws is None else _solved_windows(program, draws)
+    for instr, value in zip(program.instructions, values):
         if value is None:
             block = instr.ideal_apply(block, n, energy)
         else:

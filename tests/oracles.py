@@ -37,3 +37,22 @@ def expm_evolve(hamiltonian, time, amplitudes):
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(h)
     return v @ (np.exp(1j * time * w) * (v.conj().T @ amplitudes))
+
+
+def window_class_unitaries(energies, duration, drive_values):
+    """Class blocks exp(i*duration*(diag(E_c) + sum_q (pi/(2*duration)) c_q X_q)), via numpy's eigh.
+
+    ``energies`` (C, 2^m) holds each class block's diagonal and row s of
+    ``drive_values`` (k, m) the drive scales c_q, the first driven qubit the
+    most significant bit of a block index.  Returns (k, C, 2^m, 2^m).
+    """
+    classes, dim = energies.shape
+    m = drive_values.shape[1]
+    lifted = np.stack(
+        [np.kron(np.kron(np.eye(2 ** q), PAULIS["x"].real), np.eye(2 ** (m - q - 1))) for q in range(m)]
+    )
+    coeffs = (np.pi / (2.0 * duration)) * drive_values
+    drives = np.tensordot(coeffs, lifted, axes=1)  # (k, 2^m, 2^m)
+    h = drives[:, None] + energies[None, :, :, None] * np.eye(dim)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * duration * w)[..., None, :]) @ v.swapaxes(-1, -2)

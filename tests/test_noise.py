@@ -1,6 +1,7 @@
 """Tests for the coherent-noise model and Monte-Carlo experiment layer."""
 
 import copy
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -667,22 +668,29 @@ class TestSweeps:
     def test_beta_grid_builds_one_operand_per_shot(self, monkeypatch):
         """A noisy beta grid builds each window's unitaries once per shot, not once per input.
 
-        Its |W> and |GHZ> inputs share their shot's register row, so every
-        window of a batch of b shots gets b drive rows.
+        Its |W> and |GHZ> inputs share their shot's register row, so a batch
+        of b shots solves b drive rows per window, all the windows of one
+        schedule (a run of windows and analog segments) in one call.
         """
         sizes = []
         build = program_module._window_unitaries
 
-        def spy(n, energy, qubits, duration, drive_values):
+        def spy(energies, duration, drive_values):
             sizes.append(drive_values.shape[0])
-            return build(n, energy, qubits, duration, drive_values)
+            return build(energies, duration, drive_values)
 
         monkeypatch.setattr(program_module, "_window_unitaries", spy)
         sweep_beta(["bdaqc"], [3], [0.0, 0.8, 2.2], 5, NoiseConfig(seed=3), workers=2)
         program = build_protocol_program("bdaqc", 3)
-        windows = sum(isinstance(instr, BangedWindow) for instr in program.instructions)
-        assert windows > 0
-        assert sizes == [3] * windows + [2] * windows
+        schedules = [
+            sum(isinstance(instr, BangedWindow) for instr in run)
+            for analog, run in itertools.groupby(
+                program.instructions, lambda instr: isinstance(instr, (BangedWindow, AnalogBlock))
+            )
+            if analog
+        ]
+        assert len(schedules) == 2 and all(schedules)
+        assert sizes == [3 * windows for windows in schedules] + [2 * windows for windows in schedules]
 
     @pytest.mark.parametrize("sweep", [sweep_beta, sweep_error_scale], ids=["beta", "error-scale"])
     def test_empty_grid_rejected_before_compiling(self, sweep, monkeypatch):
@@ -727,6 +735,32 @@ class TestSerialization:
         one = records_to_csv(sweep_beta(["dqc"], [2], grid, 6, config, workers=1))
         three = records_to_csv(sweep_beta(["dqc"], [2], grid, 6, config, workers=3))
         assert one == three
+
+    def test_banged_csv_is_invariant_to_window_chunks(self, monkeypatch):
+        """bDAQC at n = 5 gives the same records and CSV bytes for 1, 2 and 7 shot batches.
+
+        With 60 shots in one batch a schedule's windows exceed one solve's
+        block budget and are solved in several chunks; smaller batches solve
+        each schedule at once.
+        """
+        calls = []
+        build = program_module._window_unitaries
+
+        def spy(energies, duration, drive_values):
+            calls.append(len(drive_values))
+            return build(energies, duration, drive_values)
+
+        monkeypatch.setattr(program_module, "_window_unitaries", spy)
+        config = NoiseConfig(seed=5)
+        schedules = 4  # one per controlled-rotation block of the n = 5 QFT
+        runs = {}
+        for workers in (1, 2, 7):
+            calls.clear()
+            runs[workers] = sweep_beta(["bdaqc"], [5], [0.3, 1.2, 2.9], 60, config, workers=workers)
+            if workers == 1:
+                assert len(calls) > schedules
+        assert runs[1] == runs[2] == runs[7]
+        assert records_to_csv(runs[1]) == records_to_csv(runs[2]) == records_to_csv(runs[7])
 
     def test_load_noise_config(self, tmp_path):
         """Round trip through the JSON file, including the delta_t rider."""

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import itertools
 import json
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from daqft.program import (
     program_unitary,
 )
 from daqft.statevector import PAULI_X, Statevector, basis_state
-from oracles import expm_evolve, kron_lift, rotation_matrix
+from oracles import expm_evolve, kron_lift, rotation_matrix, window_class_unitaries
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -212,9 +213,14 @@ class TestKernelEntryPoints:
 
 
 # One instance of each instruction class at n = 5, with its noise values for k
-# register rows (None: the class has no noise model).
+# register rows (None: the class has no noise model).  A window's value is the
+# class unitaries of its rows' drives, as the executor passes it.
 _K = 4
 _RNG = np.random.default_rng(59)
+_WINDOW = BangedWindow(0.01, (2, 4))
+_WINDOW_ENERGIES = program_module._class_energies(
+    5, Program(5, (), resource=IsingSpec.homogeneous(5)).energy, _WINDOW.qubits
+)
 BROADCAST_CASES = {
     "Rotation": (Rotation(2, "y", 0.4), _RNG.uniform(0.99, 1.01, _K)),
     "HadamardGate": (HadamardGate(1), _RNG.uniform(0.99, 1.01, _K)),
@@ -222,7 +228,12 @@ BROADCAST_CASES = {
     "Entangler": (Entangler(1, 4), _RNG.normal(0.0, 0.2, _K)),
     "ControlledPhase": (ControlledPhase(2, 3, 3), None),
     "AnalogBlock": (AnalogBlock(-0.37, "banged"), _RNG.normal(0.0, 0.01, _K)),
-    "BangedWindow": (BangedWindow(0.01, (2, 4)), _RNG.uniform(0.99, 1.01, (_K, 2))),
+    "BangedWindow": (
+        _WINDOW,
+        program_module._window_unitaries(
+            _WINDOW_ENERGIES, _WINDOW.duration, _RNG.uniform(0.99, 1.01, (_K, 2))
+        ),
+    ),
     "Permute": (Permute(tuple(_RNG.permutation(32).tolist())), None),
 }
 
@@ -358,12 +369,15 @@ class TestAnalogExecution:
     def test_level_indexed_phase_is_exact(self):
         """Phases gathered from the resource's distinct levels equal amps * exp(1j t E) bit for bit.
 
-        Homogeneous resources at n = 3, 5, 6, 7 have floor(n/2)+1 levels; the
-        inhomogeneous one has 2^(n-1), since flipping every qubit keeps each energy.
+        Homogeneous resources at n = 3, 5, 6, 7, and at n = 5, 10 with g = 0.3
+        and 0.8, have floor(n/2)+1 levels: one energy per Hamming weight up to
+        the flip of every qubit, whatever g.  The inhomogeneous one has
+        2^(n-1), since flipping every qubit keeps each energy.
         """
         rng = np.random.default_rng(47)
         couplings = {pair: float(rng.normal()) for pair in all_pairs(5)}
         resources = [IsingSpec.homogeneous(n) for n in (3, 5, 6, 7)] + [IsingSpec(5, couplings)]
+        resources += [IsingSpec.homogeneous(n, g) for g in (0.3, 0.8) for n in (5, 10)]
         for resource in resources:
             n = resource.n_qubits
             energy = Program(n, (), resource=resource).energy
@@ -437,9 +451,9 @@ class TestAnalogExecution:
     def test_window_memo_stays_with_its_program(self):
         """One window in n = 3 and n = 5 programs at g = 1 and 0.8, run interleaved, matches expm.
 
-        Each program keeps the ideal unitaries it builds; a memo shared by the
-        window instance, the register size or the pair would give a later
-        program an earlier one's unitaries.
+        The ideal unitaries are cached by width, driven-qubit count and class
+        energies; a cache keyed by the window instance, the register size or
+        the pair would give a later program an earlier one's unitaries.
         """
         rng = np.random.default_rng(53)
         dt = 0.21
@@ -491,6 +505,95 @@ class TestAnalogExecution:
         probs = np.abs(out.amplitudes) ** 2
         assert probs[1] == pytest.approx(0.5, abs=1e-3)
         assert probs[3] == pytest.approx(0.5, abs=1e-3)
+
+
+class TestWindowSolver:
+    """The Jacobi window solve against numpy's eigh."""
+
+    def test_matches_eigh_oracle(self):
+        """Class unitaries equal the eigh build within 1e-12 across sizes, widths and drive spreads.
+
+        Every block of the grid also solves to the same bits alone as in its
+        stack of drive rows.
+        """
+        rng = np.random.default_rng(67)
+        for n in (3, 8, 10, 14):
+            energy = Program(n, (), resource=IsingSpec.homogeneous(n)).energy
+            for m in (1, 2, 3):
+                energies = program_module._class_energies(n, energy, tuple(range(n - m + 1, n + 1)))
+                for dt in (1e-5, 1e-4, 0.21, 2.0):
+                    for spread in (0.0, 5e-4, 0.05, 1.0):
+                        drives = rng.uniform(1 - spread, 1 + spread, (4, m))
+                        u = program_module._window_unitaries(energies, dt, drives)
+                        error = np.max(np.abs(u - window_class_unitaries(energies, dt, drives)))
+                        assert error <= 1e-12, (n, m, dt, spread, error)
+                        for row in range(len(drives)):
+                            alone = program_module._window_unitaries(energies, dt, drives[row:row + 1])
+                            assert np.array_equal(alone[0], u[row]), (n, m, dt, spread, row)
+
+    def test_blocks_solve_alone_as_in_a_stack(self):
+        """Eigenvalues and vectors of each block equal, bit for bit, those of its stack."""
+        rng = np.random.default_rng(73)
+        for dim in (2, 4, 8):
+            h = rng.normal(size=(dim, dim, 9))
+            h = h + h.transpose(1, 0, 2)
+            basis = np.eye(dim)
+            values, vectors = program_module._jacobi(h, basis)
+            for block in range(h.shape[-1]):
+                alone = program_module._jacobi(h[..., block:block + 1], basis)
+                assert np.array_equal(alone[0][:, 0], values[:, block]), (dim, block)
+                assert np.array_equal(alone[1][..., 0], vectors[..., block]), (dim, block)
+            rebuilt = np.einsum("ikb,kb,jkb->ijb", vectors, values, vectors)
+            assert np.allclose(rebuilt, h, atol=1e-12)
+
+    def test_class_energies_depend_on_driven_count_only(self):
+        """Every window of m driven qubits sees the same class energies, bit for bit, at any g.
+
+        The executor stacks a schedule's windows of one width and
+        driven-qubit count into one solve on the first window's energies.
+        """
+        for n in (5, 7):
+            for g in (1.0, 0.3, 0.8):
+                energy = Program(n, (), resource=IsingSpec.homogeneous(n, g)).energy
+                for m in (1, 2, 3):
+                    tables = [
+                        program_module._class_energies(n, energy, qubits)
+                        for qubits in itertools.combinations(range(1, n + 1), m)
+                    ]
+                    assert all(np.array_equal(table, tables[0]) for table in tables), (n, g, m)
+
+    def test_mixed_windows_equal_one_instruction_programs(self):
+        """A run of windows of several widths and sizes equals running each instruction alone, bit for bit."""
+        resource = IsingSpec.homogeneous(5, 0.8)
+        instructions = (
+            BangedWindow(0.01, (1, 2)),
+            AnalogBlock(0.3, "banged"),
+            BangedWindow(0.01, (3, 5)),
+            BangedWindow(0.02, (2, 4)),
+            BangedWindow(0.02, (1, 3, 4)),
+            AnalogBlock(-0.1, "banged"),
+            BangedWindow(0.02, (5,)),
+            BangedWindow(0.02, (1, 4)),
+        )
+        rng = np.random.default_rng(79)
+        values = {
+            instr: rng.uniform(0.99, 1.01, len(instr.qubits))
+            for instr in instructions
+            if isinstance(instr, BangedWindow)
+        }
+        state = random_state(5, rng)
+        together = execute_program(state, Program(5, instructions, resource=resource), values.get)
+        alone = state
+        for instr in instructions:
+            alone = execute_program(alone, Program(5, (instr,), resource=resource), values.get)
+        assert np.array_equal(together.amplitudes, alone.amplitudes)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        """A solve that needs more sweeps than the cap raises instead of returning."""
+        monkeypatch.setattr(program_module, "_JACOBI_SWEEPS", 1)
+        h = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 3.0], [0.5, 3.0, 0.25]])[:, :, None]
+        with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
+            program_module._jacobi(h, np.eye(3))
 
 
 class TestProgramExecution:
