@@ -206,7 +206,8 @@ def compile_qft_daqc(n_qubits: int, mode: str, delta_t: float = DEFAULT_DELTA_T)
     Each controlled-rotation block m becomes the Hadamard on qubit m, the Z
     rotations that accompany its controlled phases, and the DAQC schedule of
     its coupling target; a final Hadamard and the readout bit reversal close
-    the program.
+    the program.  ``metadata["negative_segments"]`` counts its analog blocks
+    of negative duration, in either mode.
     """
     if mode not in ("stepwise", "banged"):
         raise ValueError(f"unknown compilation mode {mode!r}")
@@ -226,9 +227,7 @@ def compile_qft_daqc(n_qubits: int, mode: str, delta_t: float = DEFAULT_DELTA_T)
     instructions.append(HadamardGate(n_qubits))
     instructions.append(readout_instruction(n_qubits))
     negative_segments = sum(
-        1
-        for instr in instructions
-        if isinstance(instr, AnalogBlock) and instr.kind == "banged" and instr.duration < 0
+        1 for instr in instructions if isinstance(instr, AnalogBlock) and instr.duration < 0
     )
     return Program(
         n_qubits=n_qubits,

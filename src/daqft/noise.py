@@ -75,8 +75,6 @@ class NoiseConfig:
         return width * self.error_scale
 
 
-ZERO_NOISE = NoiseConfig(sqgn=0.0, tqgn=0.0, abn_s=0.0, abn_b=0.0)
-
 # Keys accepted in a noise-config JSON file.  delta_t rides along because a
 # run is not reproducible without it, but it is not a NoiseConfig field.
 CONFIG_FILE_KEYS = tuple(f.name for f in fields(NoiseConfig)) + ("delta_t",)
@@ -359,7 +357,7 @@ def monte_carlo(
     # to execute_program and statevector.fidelity (perfbench traces both);
     # _cell_records's ideal case would give the same bits.
     state = beta_state(n_qubits, beta)
-    value = fidelity(exact_qft(state), execute_program(state, program, None))
+    value = fidelity(exact_qft(state), execute_program(state, program))
     return _record(protocol, n_qubits, beta, shots, config, delta_t, np.full(shots, value))
 
 
@@ -378,8 +376,8 @@ def _sweep_cells(protocols, n_list, delta_t, betas, configs, shots, workers, cel
     ``_cell_records``).  Records are sorted by (protocol, n, beta, error
     scale); a sweep varies only one of the last two.  A ``cells`` list
     receives one summary per (protocol, n): its wall time and shots per
-    second, compile included, and for a banged program its count of
-    negative-duration segments.
+    second, compile included, and for a DAQC program its count of
+    negative-duration analog blocks.
     """
     _check_run(shots, workers)
     records = []
@@ -404,7 +402,7 @@ def _sweep_cells(protocols, n_list, delta_t, betas, configs, shots, workers, cel
                     "wall_s": wall_s,
                     "shots_per_s": sum(record.shots for record in cell_records) / wall_s,
                 }
-                if program.metadata.get("mode") == "banged":
+                if "negative_segments" in program.metadata:
                     summary["negative_segments"] = program.metadata["negative_segments"]
                 cells.append(summary)
     records.sort(key=lambda r: (r.protocol, r.n_qubits, r.beta, r.error_scale))

@@ -552,22 +552,11 @@ def _run(program: Program, block: np.ndarray, draws=None) -> np.ndarray:
     return block
 
 
-def _draws(program: Program, sampler) -> list:
-    """Per-instruction noise values of one shot; the sampler is called in program order."""
-    values = [sampler(instr) for instr in program.instructions]
-    return [None if value is None else np.array([value]) for value in values]
-
-
-def execute_program(state: Statevector, program: Program, sampler=None) -> Statevector:
-    """Run a program on a state.
-
-    ``sampler`` maps an instruction to its noise draw (or None for an ideal
-    application); omitting it runs the whole program ideally.
-    """
+def execute_program(state: Statevector, program: Program) -> Statevector:
+    """Run a program ideally on a state."""
     if state.n_qubits != program.n_qubits:
         raise ValueError("state and program disagree on the number of qubits")
-    draws = None if sampler is None else _draws(program, sampler)
-    amps = _run(program, state.amplitudes[None, :, None], draws)[0, :, 0]
+    amps = _run(program, state.amplitudes[None, :, None])[0, :, 0]
     return Statevector(program.n_qubits, amps)
 
 

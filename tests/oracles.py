@@ -1,10 +1,27 @@
-"""Dense oracles the tests compare the simulator's kernels against.
+"""Dense oracles the tests compare the simulator's kernels against, and noisy runs.
 
 They build closed-form 2x2 rotations, full 2^n x 2^n operators from Kronecker
 products, and matrix exponentials, sharing no code with the kernels under test.
+``reference_sampler`` writes one shot's noise draws out per instruction with
+rng.uniform and rng.normal, sharing no code with the noise-site table.
+``run_with_draws`` runs a program under per-instruction draws through
+``program._run``, the one path by which noise values reach the kernels
+(``execute_program`` runs ideally only).
 """
 
 import numpy as np
+
+from daqft.program import (
+    AnalogBlock,
+    BangedWindow,
+    Entangler,
+    HadamardGate,
+    Permute,
+    Rotation,
+    XGate,
+    _run,
+)
+from daqft.statevector import Statevector
 
 HERMITIAN_ATOL = 1e-10
 
@@ -56,3 +73,45 @@ def window_class_unitaries(energies, duration, drive_values):
     h = drives[:, None] + energies[None, :, :, None] * np.eye(dim)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * duration * w)[..., None, :]) @ v.swapaxes(-1, -2)
+
+
+def reference_sampler(config, rng):
+    """Per-instruction draws written out with rng.uniform and rng.normal, in program order.
+
+    It shares no code with the site table, so it is an independent oracle
+    for the table's draws.
+    """
+    half = config.sqgn * config.error_scale
+
+    def sampler(instr):
+        if isinstance(instr, (Rotation, XGate, HadamardGate)):
+            return rng.uniform(1.0 - half, 1.0 + half)
+        if isinstance(instr, BangedWindow):
+            return np.array([rng.uniform(1.0 - half, 1.0 + half) for _ in instr.qubits])
+        if isinstance(instr, Entangler):
+            return rng.normal(0.0, config.tqg_std)
+        if isinstance(instr, AnalogBlock):
+            width = config.abn_s if instr.kind == "stepwise" else config.abn_b
+            return rng.normal(0.0, width * config.error_scale)
+        assert isinstance(instr, Permute), instr
+        return None
+
+    return sampler
+
+
+def run_with_draws(state_or_block, program, draw):
+    """Run a program with one register row's draws, given per instruction by draw(instr).
+
+    ``draw`` is called once per instruction, in program order, and returns
+    None (an ideal application), a number, or an m-qubit window's m drive
+    scales; each draw becomes the (1,) or (1, m) array ``program._run``
+    takes.  A Statevector runs as a (1, 2^n, 1) block and returns a
+    Statevector; an array is a (1, 2^n, r) block whose r inputs share the
+    draws, and the output block is returned.
+    """
+    values = map(draw, program.instructions)  # called in program order
+    draws = [None if value is None else np.array([value]) for value in values]
+    if isinstance(state_or_block, Statevector):
+        amps = _run(program, state_or_block.amplitudes[None, :, None], draws)[0, :, 0]
+        return Statevector(program.n_qubits, amps)
+    return _run(program, state_or_block, draws)

@@ -75,28 +75,28 @@ class TestSweepBeta:
         assert manifest["shots_per_s"] == pytest.approx(4 / manifest["wall_s"])
 
     def test_manifest_cells(self, tmp_path):
-        """The manifest times each (protocol, n); banged cells carry their negative segments."""
+        """The manifest times each (protocol, n); DAQC cells carry their negative segments."""
         out = tmp_path / "run.csv"
-        args = ["sweep-beta", "--protocols", "dqc,bdaqc", "--qubits", "3,5", "--beta-points", "2",
-                "--shots", "3", "--seed", "0"]
+        args = ["sweep-beta", "--protocols", "dqc,sdaqc,bdaqc", "--qubits", "3,5",
+                "--beta-points", "2", "--shots", "3", "--seed", "0"]
         assert run(args + ["--out", out]) == 0
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         cells = manifest["cells"]
         assert [(c["protocol"], c["n_qubits"]) for c in cells] == [
-            ("dqc", 3), ("dqc", 5), ("bdaqc", 3), ("bdaqc", 5)
+            ("dqc", 3), ("dqc", 5), ("sdaqc", 3), ("sdaqc", 5), ("bdaqc", 3), ("bdaqc", 5)
         ]
+        negative = {("sdaqc", 3): 5, ("sdaqc", 5): 28, ("bdaqc", 3): 6, ("bdaqc", 5): 28}
         for cell in cells:
             assert cell["wall_s"] > 0
             # two beta points of three shots each
             assert cell["shots_per_s"] == pytest.approx(6 / cell["wall_s"])
-            if cell["protocol"] == "bdaqc":
-                program = daqft.compile_qft_daqc(cell["n_qubits"], "banged")
-                assert cell["negative_segments"] == program.metadata["negative_segments"]
-            else:
+            if cell["protocol"] == "dqc":
                 assert "negative_segments" not in cell
+            else:
+                assert cell["negative_segments"] == negative[(cell["protocol"], cell["n_qubits"])]
         assert sum(c["wall_s"] for c in cells) <= manifest["wall_s"]
         # Timing the cells leaves the CSV as the library writes it.
-        records = daqft.sweep_beta(["dqc", "bdaqc"], [3, 5], daqft.default_beta_grid(2), 3,
+        records = daqft.sweep_beta(["dqc", "sdaqc", "bdaqc"], [3, 5], daqft.default_beta_grid(2), 3,
                                    daqft.NoiseConfig())
         assert out.read_text() == daqft.records_to_csv(records)
 

@@ -247,15 +247,16 @@ class TestCompileQft:
                     compile_qft_daqc(n, "banged", delta_t)
 
     def test_negative_segment_count(self):
-        """negative_segments counts the banged analog blocks of negative duration."""
-        for n, count in ((3, 6), (5, 28), (6, 75), (7, 21)):
-            program = compile_qft_daqc(n, "banged")
-            durations = [
-                instr.duration for instr in program.instructions if isinstance(instr, AnalogBlock)
-            ]
-            assert program.metadata["negative_segments"] == count
-            assert sum(1 for d in durations if d < 0) == count
-        assert compile_qft_daqc(3, "stepwise").metadata["negative_segments"] == 0
+        """negative_segments counts the analog blocks of negative duration in either mode."""
+        counts = {"stepwise": (5, 28, 69, 4), "banged": (6, 28, 75, 21)}
+        for mode, mode_counts in counts.items():
+            for n, count in zip((3, 5, 6, 7), mode_counts):
+                program = compile_qft_daqc(n, mode)
+                durations = [
+                    instr.duration for instr in program.instructions if isinstance(instr, AnalogBlock)
+                ]
+                assert program.metadata["negative_segments"] == count, (mode, n)
+                assert sum(1 for d in durations if d < 0) == count, (mode, n)
 
     def test_metadata(self):
         """Compilation records mode, window width, and per-block durations."""

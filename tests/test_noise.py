@@ -16,7 +16,6 @@ from daqft.noise import (
     CONFIG_FILE_KEYS,
     CSV_HEADER,
     PROTOCOLS,
-    ZERO_NOISE,
     BetaSummary,
     ExperimentRecord,
     NoiseConfig,
@@ -48,12 +47,14 @@ from daqft.program import (
 )
 from daqft.qft import beta_state, exact_qft
 from daqft.statevector import Statevector, fidelity
+from oracles import reference_sampler, run_with_draws
 
 CHANNEL_CONFIGS = pytest.mark.parametrize(
     "config",
     [NoiseConfig(), NoiseConfig(error_scale=0.0), NoiseConfig(error_scale=1.7, tqgn_is_std=False)],
     ids=["default", "scale-0", "scale-1.7-variance"],
 )
+ZERO_WIDTHS = NoiseConfig(sqgn=0.0, tqgn=0.0, abn_s=0.0, abn_b=0.0)
 
 
 def counting(counts, name, fn):
@@ -64,38 +65,6 @@ def counting(counts, name, fn):
         return fn(*args, **kwargs)
 
     return wrapped
-
-
-def reference_sampler(config, rng):
-    """Per-instruction draws written out with rng.uniform and rng.normal, in program order.
-
-    It shares no code with the site table, so it is an independent oracle
-    for the table's draws.
-    """
-    half = config.sqgn * config.error_scale
-
-    def sampler(instr):
-        if isinstance(instr, (Rotation, XGate, HadamardGate)):
-            return rng.uniform(1.0 - half, 1.0 + half)
-        if isinstance(instr, BangedWindow):
-            return np.array([rng.uniform(1.0 - half, 1.0 + half) for _ in instr.qubits])
-        if isinstance(instr, Entangler):
-            return rng.normal(0.0, config.tqg_std)
-        if isinstance(instr, AnalogBlock):
-            width = config.abn_s if instr.kind == "stepwise" else config.abn_b
-            return rng.normal(0.0, width * config.error_scale)
-        assert isinstance(instr, Permute), instr
-        return None
-
-    return sampler
-
-
-def table_sampler(program, config, rng):
-    """An execute_program sampler that hands out one shot's site-table draws in program order."""
-    sites = NoiseSites.for_program(program)
-    values = sites.draws(make_sampler(rng)(sites)[None], [config])
-    shot = iter([None if value is None else value[0] for value in values])
-    return lambda instr: next(shot)
 
 
 def every_channel_program(n=3):
@@ -157,13 +126,6 @@ class TestNoiseConfig:
             value = getattr(NoiseConfig(**{name: -0.0}), name)
             assert value == 0.0 and math.copysign(1.0, value) == 1.0, name
 
-    def test_zero_noise_constant(self):
-        """The zero-noise config has every width at zero."""
-        assert ZERO_NOISE.sqgn == 0.0
-        assert ZERO_NOISE.tqgn == 0.0
-        assert ZERO_NOISE.abn_s == 0.0
-        assert ZERO_NOISE.abn_b == 0.0
-
 
 class TestSampling:
     """Site-table draws, each config's channel maps, and the sampler."""
@@ -183,7 +145,7 @@ class TestSampling:
         """Zero-width channels return the ideal values bit-exactly."""
         sites = NoiseSites.for_program(every_channel_program())
         standard = sample_noise(sites, np.random.default_rng(0))
-        values = sites.draws(standard[None], [ZERO_NOISE])
+        values = sites.draws(standard[None], [ZERO_WIDTHS])
         assert [value.tolist() for value in values[:6]] == [[1.0]] * 3 + [[0.0]] * 3
         assert values[6].tolist() == [[1.0, 1.0]]
         assert values[7] is None
@@ -346,7 +308,7 @@ class TestNoisyGates:
         plus_plus = Statevector(2, np.full(4, 0.5, dtype=complex))
         program = Program(2, (Entangler(1, 2),))
         ideal = execute_program(plus_plus, program)
-        noisy = execute_program(plus_plus, program, lambda instr: 0.2)
+        noisy = run_with_draws(plus_plus, program, lambda instr: 0.2)
         assert fidelity(ideal, noisy) == pytest.approx(np.cos(np.pi * 0.2 / 4) ** 2)
 
     def test_apply_noisy_gate_determinism(self):
@@ -355,7 +317,7 @@ class TestNoisyGates:
         program = Program(2, (Rotation(1, "z", 0.7),))
         config = NoiseConfig(sqgn=0.1)
         first, second = (
-            execute_program(state, program, table_sampler(program, config, rng))
+            run_with_draws(state, program, reference_sampler(config, rng))
             for rng in (np.random.default_rng(5), np.random.default_rng(5))
         )
         assert np.array_equal(first.amplitudes, second.amplitudes)
@@ -365,8 +327,8 @@ class TestNoisyGates:
         state = beta_state(2, 0.8)
         program = Program(2, (HadamardGate(2),))
         ideal = execute_program(state, program)
-        sampler = table_sampler(program, ZERO_NOISE, np.random.default_rng(0))
-        noisy = execute_program(state, program, sampler)
+        sampler = reference_sampler(ZERO_WIDTHS, np.random.default_rng(0))
+        noisy = run_with_draws(state, program, sampler)
         assert np.allclose(ideal.amplitudes, noisy.amplitudes, atol=1e-14)
 
 
@@ -441,14 +403,14 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_block_matches_serial_shots(self, protocol):
-        """A block of shots gives the statistics of serial execute_program runs."""
+        """A block of shots gives the statistics of serial one-shot runs."""
         config = NoiseConfig(seed=4)
         for n in (3, 5, 6, 7):
             program = build_protocol_program(protocol, n)
             state = beta_state(n, 0.9)
             reference = exact_qft(state)
             serial = [
-                fidelity(reference, execute_program(state, program, reference_sampler(config, rng)))
+                fidelity(reference, run_with_draws(state, program, reference_sampler(config, rng)))
                 for rng in (np.random.default_rng([4, i]) for i in range(5))
             ]
             record = monte_carlo(protocol, n, 0.9, 5, config, program=program)
@@ -462,7 +424,7 @@ class TestMonteCarlo:
         state = beta_state(3, 0.6)
         sampler = reference_sampler(config, np.random.default_rng([13, 0]))
         program = build_protocol_program("dqc", 3)
-        direct = fidelity(exact_qft(state), execute_program(state, program, sampler))
+        direct = fidelity(exact_qft(state), run_with_draws(state, program, sampler))
         assert record.mean_fidelity == direct
 
     @pytest.mark.parametrize("config", [NoiseConfig(), None], ids=["noisy", "ideal"])

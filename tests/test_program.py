@@ -5,6 +5,7 @@ import importlib
 import inspect
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from daqft.program import (
     program_unitary,
 )
 from daqft.statevector import PAULI_X, Statevector, basis_state
-from oracles import expm_evolve, kron_lift, rotation_matrix, window_class_unitaries
+from oracles import expm_evolve, kron_lift, rotation_matrix, run_with_draws, window_class_unitaries
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -52,13 +53,9 @@ def random_state(n, rng):
 
 
 def instruction_matrix(instr, n, value=None, resource=None):
-    """Dense matrix of one instruction: run on each basis state, every draw equal to ``value``."""
+    """Dense matrix of one instruction: one run over the 2^n basis states, its draw ``value``."""
     program = Program(n, (instr,), resource=resource)
-    columns = [
-        execute_program(basis_state(n, index), program, lambda _: value).amplitudes
-        for index in range(2 ** n)
-    ]
-    return np.stack(columns, axis=1)
+    return run_with_draws(np.eye(2 ** n, dtype=complex)[None], program, lambda _: value)[0]
 
 
 class TestValidation:
@@ -402,8 +399,7 @@ class TestAnalogExecution:
         resource = IsingSpec.homogeneous(2)
         state = basis_state(2, 1)
         program = Program(2, (AnalogBlock(0.5),), resource=resource)
-        sampler = lambda instr: 0.125
-        out = execute_program(state, program, sampler)
+        out = run_with_draws(state, program, lambda instr: 0.125)
         expected = state.amplitudes * np.exp(1j * 0.625 * coupling_diagonal(resource))
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
@@ -441,7 +437,7 @@ class TestAnalogExecution:
                         values = rng.uniform(0.99, 1.01, size=2)
                         state = random_state(n, rng)
                         program = Program(n, (BangedWindow(dt, pair),), resource=resource)
-                        fast = execute_program(state, program, lambda _: values)
+                        fast = run_with_draws(state, program, lambda _: values)
                         ham = diagonal.copy()
                         for q, value in zip(pair, values):
                             ham += (np.pi / (2 * dt)) * value * kron_lift(n, q, PAULI_X)
@@ -477,19 +473,16 @@ class TestAnalogExecution:
     def test_window_memo_equals_uncached_kernel(self):
         """The bDAQC n = 5 unitary equals, bit for bit, runs that build every window afresh.
 
-        A sampler returning unit drives for each window takes the noisy kernel
-        path, which builds the unitaries on every call.
+        Unit drive draws for each window take the noisy kernel path, which
+        builds the unitaries on every call; one run covers the 2^5 basis states.
         """
         program = compile_qft_daqc(5, "banged")
 
-        def sampler(instr):
+        def unit_drives(instr):
             return np.ones(len(instr.qubits)) if isinstance(instr, BangedWindow) else None
 
-        columns = [
-            execute_program(basis_state(5, index), program, sampler).amplitudes
-            for index in range(2 ** 5)
-        ]
-        assert np.array_equal(program_unitary(program), np.stack(columns, axis=1))
+        noisy = run_with_draws(np.eye(2 ** 5, dtype=complex)[None], program, unit_drives)[0]
+        assert np.array_equal(program_unitary(program), noisy)
 
     def test_banged_window_noise_scales_drives(self):
         """Per-qubit draws rescale each drive amplitude independently."""
@@ -499,8 +492,7 @@ class TestAnalogExecution:
         state = basis_state(2, 0)
         program = Program(2, (window,), resource=resource)
         # drive qubit 1 at half amplitude: a pi/2 pulse becomes pi/4
-        sampler = lambda instr: np.array([0.5, 1.0])
-        out = execute_program(state, program, sampler)
+        out = run_with_draws(state, program, lambda instr: np.array([0.5, 1.0]))
         # qubit 2 flips fully, qubit 1 splits between 0 and 1
         probs = np.abs(out.amplitudes) ** 2
         assert probs[1] == pytest.approx(0.5, abs=1e-3)
@@ -582,10 +574,10 @@ class TestWindowSolver:
             if isinstance(instr, BangedWindow)
         }
         state = random_state(5, rng)
-        together = execute_program(state, Program(5, instructions, resource=resource), values.get)
+        together = run_with_draws(state, Program(5, instructions, resource=resource), values.get)
         alone = state
         for instr in instructions:
-            alone = execute_program(alone, Program(5, (instr,), resource=resource), values.get)
+            alone = run_with_draws(alone, Program(5, (instr,), resource=resource), values.get)
         assert np.array_equal(together.amplitudes, alone.amplitudes)
 
     def test_sweep_cap_raises(self, monkeypatch):
@@ -621,9 +613,47 @@ class TestProgramExecution:
         with pytest.raises(ValueError, match="disagree"):
             execute_program(basis_state(2, 0), Program(3, (HadamardGate(1),)))
 
-    def test_sampler_none_draws_are_ideal(self):
-        """A sampler returning None for a gate applies it ideally."""
-        program = Program(1, (HadamardGate(1),))
-        noisy = execute_program(basis_state(1, 0), program, lambda instr: None)
-        ideal = execute_program(basis_state(1, 0), program)
-        assert np.allclose(noisy.amplitudes, ideal.amplitudes)
+    def test_execute_program_is_ideal_only(self):
+        """execute_program takes a state and a program and nothing else."""
+        assert list(inspect.signature(execute_program).parameters) == ["state", "program"]
+
+    def test_none_draws_are_ideal(self):
+        """A None entry in _run's draws applies its instruction ideally, bit for bit."""
+        program = Program(
+            3,
+            (
+                HadamardGate(1),
+                Rotation(2, "y", 0.3),
+                XGate(3),
+                Entangler(1, 3),
+                ControlledPhase(2, 1, 3),
+                AnalogBlock(0.4),
+                BangedWindow(0.01, (1, 2)),
+                Permute((7, 6, 5, 4, 3, 2, 1, 0)),
+            ),
+            resource=IsingSpec.homogeneous(3),
+        )
+        block = np.eye(8, dtype=complex)[None]
+        noisy = program_module._run(program, block, [None] * len(program.instructions))
+        assert np.array_equal(noisy, program_module._run(program, block))
+
+
+def test_numpy_floor_has_bitwise_count():
+    """pyproject.toml requires numpy >= 2.0, the first release with np.bitwise_count.
+
+    ``_window_structure`` counts set bits with it.  The file is parsed with
+    tomllib, or, on Python 3.10, which has none, its dependency list is read
+    as a literal.
+    """
+    text = (REPO_ROOT / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ImportError:  # Python 3.10
+        listed = re.search(r"^dependencies = (\[.*?\])", text, re.MULTILINE | re.DOTALL)
+        dependencies = ast.literal_eval(listed.group(1))
+    else:
+        dependencies = tomllib.loads(text)["project"]["dependencies"]
+    (numpy,) = [dependency for dependency in dependencies if re.match(r"numpy\b", dependency)]
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", numpy.replace(" ", ""))
+    assert floor and tuple(map(int, floor.groups())) >= (2, 0), numpy
+    assert hasattr(np, "bitwise_count")

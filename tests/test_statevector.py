@@ -21,7 +21,7 @@ from daqft.statevector import (
     fidelity,
     phase_insensitive_distance,
 )
-from oracles import expm_evolve, kron_lift, rotation_matrix
+from oracles import expm_evolve, kron_lift, rotation_matrix, run_with_draws
 
 
 def random_state(n, rng):
@@ -80,7 +80,7 @@ class TestGateKernels:
         phases = np.exp(1j * phi * np.array([1, -1, -1, 1]))
         rng = np.random.default_rng(8)
         state = random_state(3, rng)
-        out = execute_program(state, Program(3, (Entangler(1, 3),)), lambda instr: eps)
+        out = run_with_draws(state, Program(3, (Entangler(1, 3),)), lambda instr: eps)
         for index in range(8):
             b1 = (index >> 2) & 1
             b3 = index & 1
