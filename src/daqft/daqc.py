@@ -75,6 +75,8 @@ def solve_residual(target: IsingSpec, times: np.ndarray) -> float:
 
 
 def _residual(m: np.ndarray, target: IsingSpec, times) -> float:
+    if target.target_time == 0:
+        raise ValueError("target_time must be nonzero: no durations give a coupling in zero time")
     lhs = m @ np.asarray(times) * (target.resource_coupling / target.target_time)
     return float(np.max(np.abs(lhs - coupling_vector(target))))
 
@@ -193,8 +195,9 @@ def schedule_program(schedule: DaqcSchedule) -> Program:
 def schedule_dump(schedule: DaqcSchedule) -> str:
     """One line per block: `alpha j k duration` (fixed format for golden files)."""
     pairs = all_pairs(schedule.n_qubits)
+    # + 0.0 turns -0.0 (a zero duration under a negative target time) into 0.0
     lines = [
-        f"{alpha} {j} {k} {duration:.12e}"
+        f"{alpha} {j} {k} {duration + 0.0:.12e}"
         for alpha, ((j, k), duration) in enumerate(zip(pairs, schedule.times), start=1)
     ]
     return "\n".join(lines) + "\n"

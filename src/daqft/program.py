@@ -5,10 +5,10 @@ perturbed version of themselves given noise draws (see noise module).  Both
 act on a (k, 2^n, r) block of amplitudes: k register rows, one per noise
 shot (and config) of a Monte-Carlo run, each holding r input states that
 share that row's draws, such as the basis states of a dense unitary.  A noisy
-application takes one draw per register row and builds its operand once for
-all r inputs; a banged window's operand, its class unitaries, is built by the
-executor, which solves the windows of a schedule together.  A Program bundles
-instructions with the analog resource they evolve under.
+application applies one operand per register row to all r inputs; the
+executor builds the operands from the rows' draws, those of one instruction
+class together (see _operands).  A Program bundles instructions with the
+analog resource they evolve under.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def _check_qubit(q: int, name: str = "qubit") -> None:
 
 
 def _rotations(theta: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """cos(t)*1 + i*sin(t)*P for each angle t of a (k,) array: a (k, 2, 2) stack."""
-    theta = theta[:, None, None]
+    """cos(t)*1 + i*sin(t)*P for each angle t of an array: a (..., 2, 2) stack."""
+    theta = theta[..., None, None]
     return np.cos(theta) * _identity(2) + 1j * np.sin(theta) * axis
 
 
@@ -61,11 +61,11 @@ def _identity(dim: int) -> np.ndarray:
 
 # The kernel entry points that Rotation, HadamardGate and XGate share; each
 # binds them in its own class body, where perfbench's tracer looks up an
-# instruction's kernels.
+# instruction's kernels.  ``value`` holds the register rows' (k, 2, 2) matrices.
 def _single_qubit_noisy(
     self, amps: np.ndarray, n: int, value: np.ndarray, energy=None
 ) -> np.ndarray:
-    return _apply_matrix_1q(amps, self.qubit, self._matrices(value))
+    return _apply_matrix_1q(amps, self.qubit, value)
 
 
 def _single_qubit_ideal(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
@@ -89,12 +89,13 @@ class Rotation:
     noisy_apply = _single_qubit_noisy
     ideal_apply = _single_qubit_ideal
 
-    def _matrices(self, values: np.ndarray) -> np.ndarray:
-        return _rotations(self.angle * values, pauli(self.axis))
+    @staticmethod
+    def _operands(values: np.ndarray, angles, axes) -> np.ndarray:
+        return _rotations(angles * values, axes)
 
     @functools.cached_property
     def _ideal(self) -> np.ndarray:
-        return self._matrices(np.ones(1))
+        return self._operands(np.ones(1), self.angle, pauli(self.axis))
 
 
 _Z_PLUS_X = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -113,14 +114,14 @@ class HadamardGate:
     ideal_apply = _single_qubit_ideal
 
     @staticmethod
-    def _matrices(values: np.ndarray) -> np.ndarray:
+    def _operands(values: np.ndarray) -> np.ndarray:
         # exp(i*v*H_H) with H_H = (pi/2)(1 - (Z+X)/sqrt2); H_H has eigenvalues {0, pi}
-        half = (np.pi * values / 2.0)[:, None, None]
+        half = (np.pi * values / 2.0)[..., None, None]
         return np.exp(1j * half) * (
             np.cos(half) * _identity(2) - 1j * np.sin(half) * (_Z_PLUS_X / SQRT2)
         )
 
-    _ideal = _constant(_matrices(np.ones(1)))
+    _ideal = _constant(_operands(np.ones(1)))
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,10 @@ class XGate:
     ideal_apply = _single_qubit_ideal
 
     @staticmethod
-    def _matrices(values: np.ndarray) -> np.ndarray:
+    def _operands(values: np.ndarray) -> np.ndarray:
         return _rotations(np.pi * values / 2.0, PAULI_X)
 
-    _ideal = _constant(_matrices(np.ones(1)))
+    _ideal = _constant(_operands(np.ones(1)))
 
 
 @dataclass(frozen=True)
@@ -156,18 +157,19 @@ class Entangler:
             raise ValueError("entangler qubits must differ")
 
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
-        return _apply_diag_2q(amps, n, self.qubit_a, self.qubit_b, self._phases(value))
+        # ``value`` holds the register rows' (k, 4) branch phases.
+        return _apply_diag_2q(amps, n, self.qubit_a, self.qubit_b, value)
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
         return _apply_diag_2q(amps, n, self.qubit_a, self.qubit_b, self._ideal)
 
     @staticmethod
-    def _phases(values: np.ndarray) -> np.ndarray:
+    def _operands(values: np.ndarray) -> np.ndarray:
         phi = (np.pi / 4.0) * (1.0 + values)
         up, down = np.exp(1j * phi), np.exp(-1j * phi)
         return np.stack([up, down, down, up], axis=-1)
 
-    _ideal = _constant(_phases(np.zeros(1)))
+    _ideal = _constant(_operands(np.zeros(1)))
 
 
 @dataclass(frozen=True)
@@ -213,13 +215,18 @@ class AnalogBlock:
             raise ValueError(f"unknown analog block kind {self.kind!r}")
 
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
-        # exp at each row's few distinct levels, gathered onto the basis: every
-        # amplitude's exponent is the same product as with its own energy.
-        phases = np.exp(1j * (self.duration + value)[:, None] * energy.levels)
-        return amps * phases[:, energy.index, None]
+        # ``value`` holds the register rows' (k, L) phases at the L distinct
+        # levels, gathered onto the basis: every amplitude's exponent is the
+        # same product as with its own energy.
+        return amps * value[:, energy.index, None]
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
-        return self.noisy_apply(amps, n, np.zeros(1), energy)
+        phases = self._operands(np.zeros(1), self.duration, energy.levels)
+        return self.noisy_apply(amps, n, phases, energy)
+
+    @staticmethod
+    def _operands(values: np.ndarray, durations, levels: np.ndarray) -> np.ndarray:
+        return np.exp(1j * (durations + values)[..., None] * levels)
 
 
 @dataclass(frozen=True)
@@ -248,8 +255,7 @@ class BangedWindow:
         object.__setattr__(self, "qubits", qs)
 
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
-        # ``value`` holds the class unitaries of this window's drive rows;
-        # _run solves a schedule's windows together (see _solved_windows).
+        # ``value`` holds the class unitaries of this window's drive rows.
         return _apply_window_unitaries(amps, n, self.qubits, value)
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
@@ -403,12 +409,17 @@ def _window_unitaries(energies: np.ndarray, duration: float, drive_values: np.nd
     diagonal = np.arange(dim)
     h[diagonal, diagonal] += drives.T[:, :, None]
     w, v = _jacobi(h.reshape(dim, dim, -1), q)
-    phases = np.exp(1j * duration * w).T
-    v = np.moveaxis(v, -1, 0)
-    u = v[:, :, None, 0] * v[:, None, :, 0] * phases[:, 0, None, None]
+    del h  # the Hamiltonians' memory serves the U below
+    phases = np.exp(1j * duration * w)
+    # U is symmetric, as (v_a v_b) e^{i dt w} equals (v_b v_a) e^{i dt w}: sum
+    # the upper entries over j in order, then read each entry from its pair.
+    rows, cols = np.triu_indices(dim)
+    mirror = np.empty((dim, dim), dtype=np.intp)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(len(rows))
+    upper = v[rows, 0] * v[cols, 0] * phases[0]
     for j in range(1, dim):
-        u += v[:, :, None, j] * v[:, None, :, j] * phases[:, j, None, None]
-    return u.reshape(len(drive_values), classes, dim, dim)
+        upper += v[rows, j] * v[cols, j] * phases[j]
+    return np.moveaxis(upper[mirror], -1, 0).reshape(len(drive_values), classes, dim, dim)
 
 
 @functools.lru_cache(maxsize=256)
@@ -429,10 +440,14 @@ def _apply_window_unitaries(
 
     ``u`` is (k, C, 2^m, 2^m), one set per register row, or (1, C, 2^m, 2^m),
     one for every row.  Each (register row, input) pair is one matvec; a
-    gemm over the r inputs would round differently from a single input.
+    gemm over the r inputs would round differently from a single input,
+    and so would a matmul that broadcasts one set over k rows, so a shared
+    set is gathered once per row.
     """
     index, weight, _ = _window_structure(n, qubits)
     inputs = amps[:, index].swapaxes(-1, -2)[..., None]
+    if len(u) != len(amps):
+        u = np.broadcast_to(u, (len(amps),) + u.shape[1:])
     out = np.empty(amps.shape, dtype=complex)
     out[:, index] = (u[:, weight][:, :, None] @ inputs)[..., 0].swapaxes(-1, -2)
     return out
@@ -491,46 +506,119 @@ class Program:
         energy = ResourceEnergy.of(self.resource) if self.resource is not None else None
         object.__setattr__(self, "energy", energy)
 
+    @functools.cached_property
+    def _operand_layout(self):
+        """Its operand groups (see _operands), and each instruction's (group, position) or None.
 
-# Class blocks one window solve takes at most, unless a single window has more.
+        Built on the first noisy run and kept on the program, so it dies with
+        it.  Instructions of one class form a group, in program order;
+        windows of one width and driven-qubit count form one per DAQC
+        schedule (a maximal run of windows and analog segments).  Windows run
+        on homogeneous resources only, where a block's energies depend on its
+        Hamming weight alone (see coupling_diagonal), so such windows share
+        their class energies.
+        """
+        members: dict[object, list[int]] = {}
+        schedule = 0
+        for index, instr in enumerate(self.instructions):
+            key = type(instr)
+            if key is BangedWindow:
+                key = (key, instr.duration, len(instr.qubits), schedule)
+            elif key is not AnalogBlock:
+                schedule += 1
+            if isinstance(instr, (XGate, HadamardGate, Rotation, Entangler, AnalogBlock, BangedWindow)):
+                members.setdefault(key, []).append(index)
+        groups, places = [], [None] * len(self.instructions)
+        for key, indices in members.items():
+            instrs = [self.instructions[index] for index in indices]
+            if key is Rotation:
+                angles = np.array([instr.angle for instr in instrs], dtype=float)[:, None]
+                axes = np.stack([pauli(instr.axis) for instr in instrs])[:, None]
+                group = (Rotation._operands, (angles, axes), _OPERAND_ENTRIES // 4)
+            elif key is AnalogBlock:
+                levels = self.energy.levels
+                durations = np.array([instr.duration for instr in instrs], dtype=float)[:, None]
+                build = functools.partial(AnalogBlock._operands, levels=levels)
+                group = (build, (durations,), _OPERAND_ENTRIES // len(levels))
+            elif isinstance(key, tuple):
+                energies = _class_energies(self.n_qubits, self.energy, instrs[0].qubits)
+                build = functools.partial(_window_operands, energies, instrs[0].duration)
+                group = (build, (), _WINDOW_BLOCKS // len(energies))
+            else:
+                group = (key._operands, (), _OPERAND_ENTRIES // 4)
+            for position, index in enumerate(indices):
+                places[index] = (len(groups), position)
+            groups.append(_OperandGroup(tuple(indices), *group))
+        return tuple(groups), tuple(places)
+
+
+# Operand entries one build call makes at most (256 KB of complex values),
+# and class blocks one window solve takes at most, unless a single
+# instruction needs more.  A solve costs many more numpy calls than a gate
+# build; smaller gate builds stay in cache.
+_OPERAND_ENTRIES = 1 << 14
 _WINDOW_BLOCKS = 2048
 
 
-def _solved_windows(program: Program, draws: list):
-    """Yield each instruction's draw, a noisy window's drive rows replaced by its class unitaries.
+class _OperandGroup(NamedTuple):
+    """Noisy instructions whose operands one call builds, and how (see _operands).
 
-    The noisy windows of one schedule (a maximal run of windows and analog
-    segments) are solved together: each _window_unitaries call takes
-    consecutive windows of one width and driven-qubit count, up to
-    _WINDOW_BLOCKS class blocks, and is made when the first of them is
-    reached.  Windows run on homogeneous resources only, where a block's
-    energies depend on its Hamming weight alone (see coupling_diagonal),
-    so such windows share their class energies.
+    ``build(values, *rows)`` takes the stacked draws of J of the group's
+    instructions, (J, k) or (J, k, m), with the matching rows of each array
+    in ``params``, and returns their (J, k, ...) operands.  One call covers
+    at most ``capacity`` register rows, J*k, unless J is 1.
     """
-    instructions, n, energy = program.instructions, program.n_qubits, program.energy
-    solved: dict[int, np.ndarray] = {}
-    for first, (instr, value) in enumerate(zip(instructions, draws)):
-        if isinstance(instr, BangedWindow) and value is not None and first not in solved:
-            energies = _class_energies(n, energy, instr.qubits)
-            chunk, blocks = [], 0
-            for index in range(first, len(instructions)):
-                other, rows = instructions[index], draws[index]
-                if not isinstance(other, (BangedWindow, AnalogBlock)):
-                    break
-                if isinstance(other, AnalogBlock) or rows is None:
-                    continue
-                blocks += len(rows) * len(energies)
-                if chunk and (
-                    blocks > _WINDOW_BLOCKS
-                    or other.duration != instr.duration
-                    or len(other.qubits) != len(instr.qubits)
-                ):
-                    break
-                chunk.append(index)
-            stacked = np.concatenate([draws[index] for index in chunk])
-            u = _window_unitaries(energies, instr.duration, stacked)
-            solved = dict(zip(chunk, u.reshape((len(chunk), -1) + u.shape[1:])))
-        yield solved.pop(first, value)
+
+    indices: tuple[int, ...]
+    build: object
+    params: tuple[np.ndarray, ...]
+    capacity: int
+
+
+def _window_operands(energies, duration, values):
+    """The class unitaries (J, k, C, 2^m, 2^m) of J windows' (J, k, m) drive rows."""
+    u = _window_unitaries(energies, duration, values.reshape(-1, values.shape[-1]))
+    return u.reshape(values.shape[:2] + u.shape[1:])
+
+
+def _operand_chunk(group: _OperandGroup, start: int, draws) -> dict[int, np.ndarray]:
+    """Operands of the group's instructions from position ``start`` on, by instruction index.
+
+    The chunk spans as many positions as keep it within the group's
+    capacity (at least one) and builds those not drawn None.
+    """
+    stop = start + max(1, group.capacity // len(draws[group.indices[start]]))
+    positions = [
+        position
+        for position in range(start, min(stop, len(group.indices)))
+        if draws[group.indices[position]] is not None
+    ]
+    indices = [group.indices[position] for position in positions]
+    operands = group.build(
+        np.stack([draws[index] for index in indices]), *(param[positions] for param in group.params)
+    )
+    return dict(zip(indices, operands))
+
+
+def _operands(program: Program, draws):
+    """Yield each instruction's operand, built from its draw, or its draw where it has none.
+
+    A drawn instruction's operand is built, when it is reached, in one call
+    with those of the next drawn instructions of its group (see
+    Program._operand_layout and _operand_chunk); the elementwise steps of each
+    build give every operand the bits it has when built alone.
+    """
+    groups, places = program._operand_layout
+    built: dict[int, np.ndarray] = {}
+    for index, (value, place) in enumerate(zip(draws, places)):
+        if index not in built and value is not None and place is not None:
+            # ``chunk`` holds the last build until the next one: freed as soon
+            # as its last operand is applied, a window chunk's memory went back
+            # to the system and was faulted in again by the next solve (twice
+            # the page faults of an mc-paper pass).
+            chunk = _operand_chunk(groups[place[0]], place[1], draws)
+            built.update(chunk)
+        yield built.pop(index, value)
 
 
 def _run(program: Program, block: np.ndarray, draws=None) -> np.ndarray:
@@ -538,12 +626,13 @@ def _run(program: Program, block: np.ndarray, draws=None) -> np.ndarray:
 
     ``draws`` holds one entry per instruction: None applies it ideally, an
     array holds the register rows' noise values, (k,) or (k, m) for an
-    m-qubit window, each shared by that row's r inputs.  A window's drive
-    rows reach its noisy_apply as class unitaries (see _solved_windows).
+    m-qubit window, each shared by that row's r inputs.  They reach each
+    noisy_apply as its operand: matrices, phases or class unitaries, one
+    per register row (see _operands).
     """
     n = program.n_qubits
     energy = program.energy
-    values = itertools.repeat(None) if draws is None else _solved_windows(program, draws)
+    values = itertools.repeat(None) if draws is None else _operands(program, draws)
     for instr, value in zip(program.instructions, values):
         if value is None:
             block = instr.ideal_apply(block, n, energy)

@@ -380,6 +380,25 @@ class TestCompile:
         spec = IsingSpec(3, {(1, 2): 0.5, (1, 3): -0.25, (2, 3): 0.125}, target_time=2.0)
         assert dumped == pytest.approx(list(solve_times(spec)))
 
+    def test_zero_target_time_rejected(self, tmp_path, capsys):
+        """--target-time 0 exits 2 with a message instead of a ZeroDivisionError traceback."""
+        target = tmp_path / "target.txt"
+        target.write_text("1 2 0.5\n1 3 -0.25\n2 3 0.125\n")
+        rc = run(["compile", "--qubits", "3", "--target", target, "--target-time", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "target_time must be nonzero" in captured.err
+        assert captured.out == ""
+
+    def test_zero_duration_under_negative_target_time(self, tmp_path, capsys):
+        """A zero duration prints as 0, not -0, when the target time is negative."""
+        target = tmp_path / "zero.txt"
+        target.write_text("# no couplings\n")
+        rc = run(["compile", "--qubits", "3", "--target", target, "--target-time", "-1.5"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split()[3] for line in lines[:3]] == ["0.000000000000e+00"] * 3
+
     def test_zero_target(self, tmp_path, capsys):
         """An empty coupling target compiles to all-zero durations."""
         target = tmp_path / "zero.txt"

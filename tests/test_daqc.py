@@ -76,6 +76,14 @@ class TestSignMatrix:
 class TestSolveTimes:
     """Duration solving against hand-checked cases."""
 
+    def test_zero_target_time_rejected(self):
+        """No durations realize a coupling in zero time: solving and checking raise ValueError."""
+        target = IsingSpec(3, {(1, 2): 0.5}, target_time=0.0)
+        with pytest.raises(ValueError, match="target_time must be nonzero"):
+            solve_times(target)
+        with pytest.raises(ValueError, match="target_time must be nonzero"):
+            solve_residual(target, np.zeros(3))
+
     def test_qft_block_example(self):
         """First block of the 3-qubit transform gives the known durations."""
         times = solve_times(qft_block_target(3, 1))

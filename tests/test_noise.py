@@ -364,11 +364,23 @@ class TestRunProtocol:
         assert first.mean_fidelity != other.mean_fidelity
 
     def test_zero_scale_equals_ideal(self):
-        """error_scale=0 reproduces the ideal run bit-for-bit."""
+        """error_scale=0 reproduces the ideal run bit-for-bit: output amplitudes and mean fidelity.
+
+        The zero-width draws go through the executor's operand builds, the
+        ideal run (draws None) through each instruction's ideal operand.
+        """
         for protocol in PROTOCOLS:
             ideal = monte_carlo(protocol, 3, 0.4, 1, None)
             silenced = monte_carlo(protocol, 3, 0.4, 1, NoiseConfig(error_scale=0.0))
             assert silenced.mean_fidelity == ideal.mean_fidelity
+            program = build_protocol_program(protocol, 3)
+            sites = NoiseSites.for_program(program)
+            standard = np.array([sample_noise(sites, np.random.default_rng([0, shot])) for shot in range(4)])
+            draws = sites.draws(standard, [NoiseConfig(error_scale=0.0)])
+            block = np.broadcast_to(beta_state(3, 0.4).amplitudes[:, None], (4, 8, 1))
+            silenced_amps = program_module._run(program, block, draws)
+            ideal_amps = program_module._run(program, block)
+            assert np.array_equal(silenced_amps, ideal_amps), protocol
 
     def test_unknown_protocol(self):
         """Protocol names outside the supported trio raise."""

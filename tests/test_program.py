@@ -1,11 +1,13 @@
 """Tests for circuit instructions and program execution."""
 
 import ast
+import gc
 import importlib
 import inspect
 import itertools
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 import daqft.program as program_module
 from daqft.daqc import compile_qft_daqc
 from daqft.ising import MAX_QUBITS, IsingSpec, all_pairs, coupling_diagonal
+from daqft.noise import PROTOCOLS, NoiseConfig, NoiseSites, build_protocol_program, sample_noise
 from daqft.program import (
     AnalogBlock,
     BangedWindow,
@@ -28,7 +31,7 @@ from daqft.program import (
     execute_program,
     program_unitary,
 )
-from daqft.statevector import PAULI_X, Statevector, basis_state
+from daqft.statevector import PAULI_X, PAULI_Y, Statevector, basis_state
 from oracles import expm_evolve, kron_lift, rotation_matrix, run_with_draws, window_class_unitaries
 
 
@@ -209,22 +212,27 @@ class TestKernelEntryPoints:
             assert ideal == ["self", "amps", "n", "energy"], cls.__name__
 
 
-# One instance of each instruction class at n = 5, with its noise values for k
-# register rows (None: the class has no noise model).  A window's value is the
-# class unitaries of its rows' drives, as the executor passes it.
+# One instance of each instruction class at n = 5, with its noisy operand for k
+# register rows (None: the class has no noise model), built from random draws
+# as the executor builds it: matrices, phases, or a window's class unitaries.
 _K = 4
 _RNG = np.random.default_rng(59)
 _WINDOW = BangedWindow(0.01, (2, 4))
-_WINDOW_ENERGIES = program_module._class_energies(
-    5, Program(5, (), resource=IsingSpec.homogeneous(5)).energy, _WINDOW.qubits
-)
+_ENERGY = Program(5, (), resource=IsingSpec.homogeneous(5)).energy
+_WINDOW_ENERGIES = program_module._class_energies(5, _ENERGY, _WINDOW.qubits)
 BROADCAST_CASES = {
-    "Rotation": (Rotation(2, "y", 0.4), _RNG.uniform(0.99, 1.01, _K)),
-    "HadamardGate": (HadamardGate(1), _RNG.uniform(0.99, 1.01, _K)),
-    "XGate": (XGate(5), _RNG.uniform(0.99, 1.01, _K)),
-    "Entangler": (Entangler(1, 4), _RNG.normal(0.0, 0.2, _K)),
+    "Rotation": (
+        Rotation(2, "y", 0.4),
+        Rotation._operands(_RNG.uniform(0.99, 1.01, _K), 0.4, PAULI_Y),
+    ),
+    "HadamardGate": (HadamardGate(1), HadamardGate._operands(_RNG.uniform(0.99, 1.01, _K))),
+    "XGate": (XGate(5), XGate._operands(_RNG.uniform(0.99, 1.01, _K))),
+    "Entangler": (Entangler(1, 4), Entangler._operands(_RNG.normal(0.0, 0.2, _K))),
     "ControlledPhase": (ControlledPhase(2, 3, 3), None),
-    "AnalogBlock": (AnalogBlock(-0.37, "banged"), _RNG.normal(0.0, 0.01, _K)),
+    "AnalogBlock": (
+        AnalogBlock(-0.37, "banged"),
+        AnalogBlock._operands(_RNG.normal(0.0, 0.01, _K), -0.37, _ENERGY.levels),
+    ),
     "BangedWindow": (
         _WINDOW,
         program_module._window_unitaries(
@@ -271,9 +279,9 @@ class TestIdealSemantics:
     def test_shared_constant_operands(self):
         """Shared operands (X, H, entangler, identities) are read-only and equal a fresh build."""
         constants = [
-            (XGate._ideal, XGate._matrices(np.ones(1))),
-            (HadamardGate._ideal, HadamardGate._matrices(np.ones(1))),
-            (Entangler._ideal, Entangler._phases(np.zeros(1))),
+            (XGate._ideal, XGate._operands(np.ones(1))),
+            (HadamardGate._ideal, HadamardGate._operands(np.ones(1))),
+            (Entangler._ideal, Entangler._operands(np.zeros(1))),
             (program_module._identity(2), np.eye(2)),
             (program_module._identity(8), np.eye(8)),
         ]
@@ -387,7 +395,8 @@ class TestAnalogExecution:
             amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             values = rng.normal(scale=0.02, size=4)
             for block in (AnalogBlock(-0.62), AnalogBlock(1.37, "banged")):
-                noisy = block.noisy_apply(amps, n, values, energy)
+                program = Program(n, (block,), resource=resource)
+                noisy = program_module._run(program, amps, [values])
                 phases = np.exp(1j * (block.duration + values)[:, None] * diagonal)
                 assert np.array_equal(noisy, amps * phases[:, :, None]), (n, block)
                 ideal = block.ideal_apply(amps, n, energy)
@@ -580,12 +589,128 @@ class TestWindowSolver:
             alone = run_with_draws(alone, Program(5, (instr,), resource=resource), values.get)
         assert np.array_equal(together.amplitudes, alone.amplitudes)
 
+    def test_unitaries_are_symmetric(self):
+        """Each class unitary equals its transpose bit for bit, as the solve forms only its upper entries.
+
+        exp(i dt H) of a real symmetric H is symmetric; the build sums
+        (v_a v_b) e^{i dt w} over the eigenvectors and reads entry (b, a)
+        from entry (a, b).  672 drive rows at n = 7 are one mc-paper chunk.
+        """
+        rng = np.random.default_rng(83)
+        for n, rows in ((3, 40), (7, 672)):
+            energy = Program(n, (), resource=IsingSpec.homogeneous(n)).energy
+            for m in (1, 2, 3):
+                energies = program_module._class_energies(n, energy, tuple(range(1, m + 1)))
+                for dt in (1e-4, 0.21):
+                    u = program_module._window_unitaries(energies, dt, rng.uniform(0.99, 1.01, (rows, m)))
+                    assert np.array_equal(u, u.swapaxes(-1, -2)), (n, m, dt)
+
     def test_sweep_cap_raises(self, monkeypatch):
         """A solve that needs more sweeps than the cap raises instead of returning."""
         monkeypatch.setattr(program_module, "_JACOBI_SWEEPS", 1)
         h = np.array([[1.0, 2.0, 0.5], [2.0, -1.0, 3.0], [0.5, 3.0, 0.25]])[:, :, None]
         with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
             program_module._jacobi(h, np.eye(3))
+
+
+def random_draws(program, rows, rng, none_share=0.0):
+    """Per-instruction draws for ``rows`` register rows, each None with probability ``none_share``.
+
+    Gates draw amplitude factors near 1, entanglers and analog blocks
+    offsets near 0, a window one factor per driven qubit; instructions
+    with no noise model draw None.
+    """
+    draws = []
+    for instr in program.instructions:
+        if isinstance(instr, (Permute, ControlledPhase)) or rng.random() < none_share:
+            draws.append(None)
+        elif isinstance(instr, BangedWindow):
+            draws.append(rng.uniform(0.98, 1.02, (rows, len(instr.qubits))))
+        elif isinstance(instr, (Entangler, AnalogBlock)):
+            draws.append(rng.normal(0.0, 0.05, rows))
+        else:
+            draws.append(rng.uniform(0.98, 1.02, rows))
+    return draws
+
+
+class TestOperandPass:
+    """The executor builds the noisy operands of each instruction class together, in bounded chunks."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_equals_each_instruction_alone(self, protocol):
+        """Random draws, some None, give the bits of running each instruction alone.
+
+        Alone, an instruction is a one-instruction program whose operand is
+        built for it only; together, its class's operands are built in one
+        call.  Three register rows of two inputs each, at n = 3 and 5.
+        """
+        rng = np.random.default_rng(89)
+        for n in (3, 5):
+            program = build_protocol_program(protocol, n)
+            draws = random_draws(program, 3, rng, none_share=0.2)
+            assert any(draw is None for draw in draws) and any(draw is not None for draw in draws)
+            block = rng.normal(size=(3, 2 ** n, 2)) + 1j * rng.normal(size=(3, 2 ** n, 2))
+            together = program_module._run(program, block, draws)
+            alone = block
+            for instr, draw in zip(program.instructions, draws):
+                single = Program(n, (instr,), resource=program.resource)
+                alone = program_module._run(single, alone, [draw])
+            assert np.array_equal(together, alone), (protocol, n)
+
+    def test_chunks_stay_within_cap(self, monkeypatch):
+        """No chunk passes its cap unless it is one instruction, and the bits do not move.
+
+        With the caps cut to 96 operand entries and 40 window blocks, 8
+        register rows of a one-qubit gate (32 entries each) go three to a
+        chunk, and n = 5 windows (8 rows of 2 class blocks each) two.
+        """
+        rng = np.random.default_rng(97)
+        build = program_module._operand_chunk
+        chunks = []
+
+        def spy(group, start, draws):
+            chunk = build(group, start, draws)
+            chunks.append(list(chunk.values()))
+            return chunk
+
+        for protocol in PROTOCOLS:
+            program = build_protocol_program(protocol, 5)
+            draws = random_draws(program, 8, rng)
+            block = np.broadcast_to(np.eye(2 ** 5, dtype=complex)[:, :2], (8, 2 ** 5, 2))
+            expected = program_module._run(program, block, draws)
+            monkeypatch.setattr(program_module, "_OPERAND_ENTRIES", 96)
+            monkeypatch.setattr(program_module, "_WINDOW_BLOCKS", 40)
+            monkeypatch.setattr(program_module, "_operand_chunk", spy)
+            chunks.clear()
+            fresh = build_protocol_program(protocol, 5)  # its layout takes the cut caps
+            assert np.array_equal(program_module._run(fresh, block, draws), expected), protocol
+            monkeypatch.undo()
+            assert any(len(operands) > 1 for operands in chunks), protocol
+            for operands in chunks:
+                if operands[0].ndim == 4:  # window class unitaries (k, C, 4, 4)
+                    size, cap = sum(u.shape[0] * u.shape[1] for u in operands), 40
+                else:
+                    size, cap = sum(operand.size for operand in operands), 96
+                assert len(operands) == 1 or size <= cap, (protocol, len(operands), size)
+            if protocol == "bdaqc":
+                assert any(operands[0].ndim == 4 and len(operands) == 2 for operands in chunks)
+
+    def test_layout_dies_with_its_program(self):
+        """A program's operand layout is kept on it, and the program is freed after a noisy run.
+
+        A module-level table keyed by the program would keep every compiled
+        program's layout, and a Monte-Carlo sweep compiles one per cell.
+        """
+        program = build_protocol_program("bdaqc", 3)
+        sites = NoiseSites.for_program(program)
+        standard = sample_noise(sites, np.random.default_rng(101))[None]
+        draws = sites.draws(standard, [NoiseConfig()])
+        program_module._run(program, np.eye(8, dtype=complex)[None], draws)
+        assert "_operand_layout" in vars(program)
+        ref = weakref.ref(program)
+        del program
+        gc.collect()
+        assert ref() is None
 
 
 class TestProgramExecution:
