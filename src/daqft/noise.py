@@ -18,19 +18,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .daqc import DEFAULT_DELTA_T, compile_qft_daqc
-from .program import (
-    AnalogBlock,
-    BangedWindow,
-    Entangler,
-    HadamardGate,
-    Permute,
-    Program,
-    Rotation,
-    UnsupportedGateError,
-    XGate,
-    _run,
-    execute_program,
-)
+from .program import Program, _run, execute_program
 from .qft import beta_state, build_dqc_circuit, exact_qft, ghz_state, readout_instruction, w_state
 from .statevector import fidelity
 
@@ -91,62 +79,32 @@ def _channel_maps(config: NoiseConfig) -> tuple[tuple[float, ...], tuple[float, 
     return (low, 0.0, 0.0, 0.0), (high - low, config.tqg_std, config.abn_s * scale, config.abn_b * scale)
 
 
-# The channel each instruction type draws from; analog blocks pick theirs by
-# schedule kind, and a window draws one sqg value per driven qubit.
-_NOISE_KINDS = {
-    Rotation: "sqg",
-    XGate: "sqg",
-    HadamardGate: "sqg",
-    Entangler: "tqg",
-    AnalogBlock: "abn",
-    BangedWindow: "window",
-    Permute: None,
-}
-
-
 @dataclass(frozen=True, eq=False)
 class NoiseSites:
     """Where one shot's noise draws land in a program.
 
     ``channels`` holds the channel of each draw site in program order (an
-    index into _CHANNELS), ``runs`` cuts the sites into maximal runs of one
-    distribution, (uniform, sites) each, and ``columns`` holds each
-    instruction's site index, slice of sites (a window's driven qubits) or
-    None (no draw).
+    index into _CHANNELS), as ``Program._operand_layout`` places them, and
+    ``runs`` cuts the sites into maximal runs of one distribution,
+    (uniform, sites) each.
     """
 
     channels: np.ndarray
     runs: tuple[tuple[bool, slice], ...]
-    columns: tuple
 
     @classmethod
     def for_program(cls, program: Program) -> NoiseSites:
         """The program's table; an instruction with no noise model raises UnsupportedGateError."""
-        channels, columns = [], []
-        for instr in program.instructions:
-            try:
-                kind = _NOISE_KINDS[type(instr)]
-            except KeyError:
-                raise UnsupportedGateError(f"no noise model for {type(instr).__name__}") from None
-            if kind == "abn":
-                kind = "abn_s" if instr.kind == "stepwise" else "abn_b"
-            if kind is None:
-                columns.append(None)
-            elif kind == "window":
-                columns.append(slice(len(channels), len(channels) + len(instr.qubits)))
-                channels += [0] * len(instr.qubits)
-            else:
-                columns.append(len(channels))
-                channels.append(_CHANNELS.index(kind))
+        channels = [_CHANNELS.index(name) for name in program._operand_layout[0]]
         runs, start = [], 0
         for uniform, group in itertools.groupby(channel == 0 for channel in channels):
             stop = start + len(list(group))
             runs.append((uniform, slice(start, stop)))
             start = stop
-        return cls(np.array(channels, dtype=np.intp), tuple(runs), tuple(columns))
+        return cls(np.array(channels, dtype=np.intp), tuple(runs))
 
-    def draws(self, standard: np.ndarray, configs) -> list:
-        """Per-instruction noise values, as ``program._run`` takes them.
+    def draws(self, standard: np.ndarray, configs) -> np.ndarray:
+        """The (rows, sites) noise values that ``program._run`` takes.
 
         ``standard`` holds k shots' standard draws, one row per shot (see
         ``sample_noise``).  Each config maps them through its channel maps,
@@ -160,8 +118,7 @@ class NoiseSites:
             np.array(maps)[:, None, None, self.channels]
             for maps in zip(*(_channel_maps(config) for config in configs))
         )
-        values = (offsets + scales * standard).reshape(-1, standard.shape[1])
-        return [None if column is None else values[:, column] for column in self.columns]
+        return (offsets + scales * standard).reshape(-1, standard.shape[1])
 
 
 def sample_noise(sites: NoiseSites, rng: np.random.Generator) -> np.ndarray:
@@ -377,7 +334,7 @@ def _sweep_cells(protocols, n_list, delta_t, betas, configs, shots, workers, cel
     scale); a sweep varies only one of the last two.  A ``cells`` list
     receives one summary per (protocol, n): its wall time and shots per
     second, compile included, and for a DAQC program its count of
-    negative-duration analog blocks.
+    negative-duration analog blocks and its per-block analog durations.
     """
     _check_run(shots, workers)
     records = []
@@ -402,8 +359,9 @@ def _sweep_cells(protocols, n_list, delta_t, betas, configs, shots, workers, cel
                     "wall_s": wall_s,
                     "shots_per_s": sum(record.shots for record in cell_records) / wall_s,
                 }
-                if "negative_segments" in program.metadata:
-                    summary["negative_segments"] = program.metadata["negative_segments"]
+                for key in ("negative_segments", "block_times"):
+                    if key in program.metadata:
+                        summary[key] = program.metadata[key]
                 cells.append(summary)
     records.sort(key=lambda r: (r.protocol, r.n_qubits, r.beta, r.error_scale))
     return records
@@ -430,7 +388,7 @@ def sweep_beta(
     beta_grid = np.asarray(beta_grid, dtype=float)
     if not beta_grid.size:
         raise ValueError("empty beta grid")
-    if beta_grid.min() < -1e-12 or beta_grid.max() > np.pi + 1e-12:
+    if not np.all((beta_grid >= -1e-12) & (beta_grid <= np.pi + 1e-12)):  # NaN fails too
         raise ValueError("beta grid must lie within [0, pi]")
     betas = [float(beta) for beta in beta_grid]
     return _sweep_cells(protocols, n_list, delta_t, betas, [config], shots, workers, cells)

@@ -1,14 +1,14 @@
 """Executable circuit programs: a small instruction set over statevectors.
 
 Instructions know how to apply themselves ideally, and how to apply a
-perturbed version of themselves given noise draws (see noise module).  Both
-act on a (k, 2^n, r) block of amplitudes: k register rows, one per noise
-shot (and config) of a Monte-Carlo run, each holding r input states that
-share that row's draws, such as the basis states of a dense unitary.  A noisy
-application applies one operand per register row to all r inputs; the
-executor builds the operands from the rows' draws, those of one instruction
-class together (see _operands).  A Program bundles instructions with the
-analog resource they evolve under.
+perturbed version of themselves given draws from the noise channel each
+names (see noise module).  Both act on a (k, 2^n, r) block of amplitudes:
+k register rows, one per noise shot (and config) of a Monte-Carlo run, each
+holding r input states that share that row's draws, such as the basis
+states of a dense unitary.  A noisy application applies one operand per
+register row to all r inputs; the executor builds the operands from the
+rows' draws, those of one instruction class together (see _operands).  A
+Program bundles instructions with the analog resource they evolve under.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ class Rotation:
         if not math.isfinite(self.angle):
             raise ValueError("angle must be finite")
 
+    channel = "sqg"
     noisy_apply = _single_qubit_noisy
     ideal_apply = _single_qubit_ideal
 
@@ -110,6 +111,7 @@ class HadamardGate:
     def __post_init__(self) -> None:
         _check_qubit(self.qubit)
 
+    channel = "sqg"
     noisy_apply = _single_qubit_noisy
     ideal_apply = _single_qubit_ideal
 
@@ -133,6 +135,7 @@ class XGate:
     def __post_init__(self) -> None:
         _check_qubit(self.qubit)
 
+    channel = "sqg"
     noisy_apply = _single_qubit_noisy
     ideal_apply = _single_qubit_ideal
 
@@ -155,6 +158,8 @@ class Entangler:
         _check_qubit(self.qubit_b, "qubit_b")
         if self.qubit_a == self.qubit_b:
             raise ValueError("entangler qubits must differ")
+
+    channel = "tqg"
 
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
         # ``value`` holds the register rows' (k, 4) branch phases.
@@ -214,6 +219,10 @@ class AnalogBlock:
         if self.kind not in ("stepwise", "banged"):
             raise ValueError(f"unknown analog block kind {self.kind!r}")
 
+    @property
+    def channel(self) -> str:
+        return "abn_s" if self.kind == "stepwise" else "abn_b"
+
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
         # ``value`` holds the register rows' (k, L) phases at the L distinct
         # levels, gathered onto the basis: every amplitude's exponent is the
@@ -235,10 +244,11 @@ class BangedWindow:
 
     Each driven qubit completes a pi/2 X rotation (i.e. iX) over the window
     while the resource keeps evolving.  Noise values scale the per-qubit drive
-    amplitudes independently.  Windows run on homogeneous resources only
-    (Program refuses others): there a block's Hamiltonian depends only on how
-    many undriven qubits are set, so the kernel diagonalizes one block per
-    weight class instead of one per register row.
+    amplitudes independently, one sqg draw per driven qubit.  Windows run on
+    homogeneous resources only (Program refuses others): there a block's
+    Hamiltonian depends only on how many undriven qubits are set, so the
+    kernel diagonalizes one block per weight class instead of one per
+    register row.
     """
 
     duration: float
@@ -253,6 +263,8 @@ class BangedWindow:
         for q in qs:
             _check_qubit(q)
         object.__setattr__(self, "qubits", qs)
+
+    channel = "sqg"
 
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
         # ``value`` holds the class unitaries of this window's drive rows.
@@ -275,6 +287,8 @@ class Permute:
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("index_map is not a permutation")
         object.__setattr__(self, "index_map", perm)
+
+    channel = None  # draws nothing
 
     def noisy_apply(self, amps: np.ndarray, n: int, value, energy=None) -> np.ndarray:
         return self.ideal_apply(amps, n)
@@ -508,28 +522,37 @@ class Program:
 
     @functools.cached_property
     def _operand_layout(self):
-        """Its operand groups (see _operands), and each instruction's (group, position) or None.
+        """The channel of each draw site, in program order, and the operand groups (see _operands).
 
-        Built on the first noisy run and kept on the program, so it dies with
-        it.  Instructions of one class form a group, in program order;
-        windows of one width and driven-qubit count form one per DAQC
-        schedule (a maximal run of windows and analog segments).  Windows run
-        on homogeneous resources only, where a block's energies depend on its
-        Hamming weight alone (see coupling_diagonal), so such windows share
-        their class energies.
+        The one walk that places draws: an instruction draws at one site of
+        its ``channel`` (a window at one per driven qubit, None at none), and
+        one with no channel raises UnsupportedGateError.  Built on the first
+        noisy run and kept on the program, so it dies with it.  Instructions
+        of one class form a group, in program order; windows of one width and
+        driven-qubit count form one per DAQC schedule (a maximal run of
+        windows and analog segments).  Windows run on homogeneous resources
+        only, where a block's energies depend on its Hamming weight alone
+        (see coupling_diagonal), so such windows share their class energies.
         """
-        members: dict[object, list[int]] = {}
+        channels, members = [], {}
         schedule = 0
         for index, instr in enumerate(self.instructions):
-            key = type(instr)
+            try:
+                channel = instr.channel
+            except AttributeError:
+                raise UnsupportedGateError(f"no noise model for {type(instr).__name__}") from None
+            key, sites = type(instr), 1
             if key is BangedWindow:
-                key = (key, instr.duration, len(instr.qubits), schedule)
+                sites = len(instr.qubits)
+                key = (key, instr.duration, sites, schedule)
             elif key is not AnalogBlock:
                 schedule += 1
-            if isinstance(instr, (XGate, HadamardGate, Rotation, Entangler, AnalogBlock, BangedWindow)):
-                members.setdefault(key, []).append(index)
-        groups, places = [], [None] * len(self.instructions)
-        for key, indices in members.items():
+            if channel is not None:
+                members.setdefault(key, []).append((index, range(len(channels), len(channels) + sites)))
+                channels += [channel] * sites
+        groups = []
+        for key, placed in members.items():
+            indices, columns = zip(*placed)
             instrs = [self.instructions[index] for index in indices]
             if key is Rotation:
                 angles = np.array([instr.angle for instr in instrs], dtype=float)[:, None]
@@ -546,10 +569,10 @@ class Program:
                 group = (build, (), _WINDOW_BLOCKS // len(energies))
             else:
                 group = (key._operands, (), _OPERAND_ENTRIES // 4)
-            for position, index in enumerate(indices):
-                places[index] = (len(groups), position)
-            groups.append(_OperandGroup(tuple(indices), *group))
-        return tuple(groups), tuple(places)
+            columns = np.array(columns)
+            columns = columns if isinstance(key, tuple) else columns[:, 0]  # (J, m) only for windows
+            groups.append(_OperandGroup(indices, columns, *group))
+        return tuple(channels), tuple(groups)
 
 
 # Operand entries one build call makes at most (256 KB of complex values),
@@ -563,13 +586,15 @@ _WINDOW_BLOCKS = 2048
 class _OperandGroup(NamedTuple):
     """Noisy instructions whose operands one call builds, and how (see _operands).
 
-    ``build(values, *rows)`` takes the stacked draws of J of the group's
-    instructions, (J, k) or (J, k, m), with the matching rows of each array
-    in ``params``, and returns their (J, k, ...) operands.  One call covers
-    at most ``capacity`` register rows, J*k, unless J is 1.
+    ``columns`` holds their draw sites, (J,) or a window's (J, m).
+    ``build(values, *rows)`` takes the draws of J of them, (J, k) or
+    (J, k, m), with the matching rows of each array in ``params``, and
+    returns their (J, k, ...) operands.  One call covers at most
+    ``capacity`` register rows, J*k, unless J is 1.
     """
 
     indices: tuple[int, ...]
+    columns: np.ndarray
     build: object
     params: tuple[np.ndarray, ...]
     capacity: int
@@ -581,58 +606,58 @@ def _window_operands(energies, duration, values):
     return u.reshape(values.shape[:2] + u.shape[1:])
 
 
-def _operand_chunk(group: _OperandGroup, start: int, draws) -> dict[int, np.ndarray]:
-    """Operands of the group's instructions from position ``start`` on, by instruction index.
+def _operand_chunk(group: _OperandGroup, positions: slice, values: np.ndarray) -> dict:
+    """Operands of the group's instructions at ``positions``, by instruction index.
 
-    The chunk spans as many positions as keep it within the group's
-    capacity (at least one) and builds those not drawn None.
+    Their draws are gathered from the (k, sites) ``values``, (J, k, ...)
+    in C order, as a stack of per-instruction draws would be.
     """
-    stop = start + max(1, group.capacity // len(draws[group.indices[start]]))
-    positions = [
-        position
-        for position in range(start, min(stop, len(group.indices)))
-        if draws[group.indices[position]] is not None
-    ]
-    indices = [group.indices[position] for position in positions]
-    operands = group.build(
-        np.stack([draws[index] for index in indices]), *(param[positions] for param in group.params)
-    )
-    return dict(zip(indices, operands))
+    draws = np.ascontiguousarray(values[:, group.columns[positions]].swapaxes(0, 1))
+    operands = group.build(draws, *(param[positions] for param in group.params))
+    return dict(zip(group.indices[positions], operands))
 
 
-def _operands(program: Program, draws):
-    """Yield each instruction's operand, built from its draw, or its draw where it has none.
+def _operands(program: Program, values: np.ndarray, rows: int):
+    """Yield each instruction's operand, built from the site values, or None where it draws nothing.
 
-    A drawn instruction's operand is built, when it is reached, in one call
-    with those of the next drawn instructions of its group (see
-    Program._operand_layout and _operand_chunk); the elementwise steps of each
-    build give every operand the bits it has when built alone.
+    An instruction's operand is built, when it is reached, in one call with
+    those of the next instructions of its group, as many as keep the chunk
+    within the group's capacity, at least one (see Program._operand_layout
+    and _operand_chunk); the elementwise steps of each build give every
+    operand the bits it has when built alone.
     """
-    groups, places = program._operand_layout
+    channels, groups = program._operand_layout
+    if values.shape != (rows, len(channels)):
+        raise ValueError(f"expected draws of shape {(rows, len(channels))}, got {values.shape}")
+    chunks = {}  # each chunk's positions in its group, by its first instruction
+    for group in groups:
+        size = max(1, group.capacity // rows)
+        for start in range(0, len(group.indices), size):
+            chunks[group.indices[start]] = (group, slice(start, start + size))
     built: dict[int, np.ndarray] = {}
-    for index, (value, place) in enumerate(zip(draws, places)):
-        if index not in built and value is not None and place is not None:
+    for index in range(len(program.instructions)):
+        if index in chunks:
             # ``chunk`` holds the last build until the next one: freed as soon
             # as its last operand is applied, a window chunk's memory went back
             # to the system and was faulted in again by the next solve (twice
             # the page faults of an mc-paper pass).
-            chunk = _operand_chunk(groups[place[0]], place[1], draws)
+            chunk = _operand_chunk(*chunks[index], values)
             built.update(chunk)
-        yield built.pop(index, value)
+        yield built.pop(index, None)
 
 
-def _run(program: Program, block: np.ndarray, draws=None) -> np.ndarray:
+def _run(program: Program, block: np.ndarray, draws: np.ndarray | None = None) -> np.ndarray:
     """Apply the program to a (k, 2^n, r) block: the one loop over instructions.
 
-    ``draws`` holds one entry per instruction: None applies it ideally, an
-    array holds the register rows' noise values, (k,) or (k, m) for an
-    m-qubit window, each shared by that row's r inputs.  They reach each
-    noisy_apply as its operand: matrices, phases or class unitaries, one
-    per register row (see _operands).
+    ``draws`` is None, an ideal run, or the (k, sites) noise values at the
+    program's draw sites (see Program._operand_layout), one row per
+    register row, shared by its r inputs.  They reach each noisy_apply as
+    its operand: matrices, phases or class unitaries, one per register row
+    (see _operands); an instruction that draws nothing runs ideally.
     """
     n = program.n_qubits
     energy = program.energy
-    values = itertools.repeat(None) if draws is None else _operands(program, draws)
+    values = itertools.repeat(None) if draws is None else _operands(program, draws, len(block))
     for instr, value in zip(program.instructions, values):
         if value is None:
             block = instr.ideal_apply(block, n, energy)

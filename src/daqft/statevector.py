@@ -48,7 +48,7 @@ class Statevector:
                 f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"state is not normalized: |amps|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
 

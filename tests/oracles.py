@@ -4,9 +4,10 @@ They build closed-form 2x2 rotations, full 2^n x 2^n operators from Kronecker
 products, and matrix exponentials, sharing no code with the kernels under test.
 ``reference_sampler`` writes one shot's noise draws out per instruction with
 rng.uniform and rng.normal, sharing no code with the noise-site table.
-``run_with_draws`` runs a program under per-instruction draws through
-``program._run``, the one path by which noise values reach the kernels
-(``execute_program`` runs ideally only).
+``site_values`` lays per-instruction draws out as the (rows, sites) value
+matrix that ``program._run`` takes, the one path by which noise values reach
+the kernels (``execute_program`` runs ideally only), and ``run_with_draws``
+runs a program under them.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from daqft.program import (
     AnalogBlock,
     BangedWindow,
+    ControlledPhase,
     Entangler,
     HadamardGate,
     Permute,
@@ -99,19 +101,38 @@ def reference_sampler(config, rng):
     return sampler
 
 
+def site_values(program, draws, rows=1):
+    """Per-instruction draws as one (rows, sites) value matrix, the sites in program order.
+
+    An entry of ``draws`` is a number or (rows,) array, or a window's m
+    drive scales, (m,) or (rows, m).  None stands for the instruction's
+    ideal value at each of its sites: 1 for a single-qubit gate or a
+    window (an sqg amplitude factor), 0 otherwise (an offset).  Readout
+    permutations and controlled phases have no sites.
+    """
+    columns = [np.empty((rows, 0))]
+    for instr, value in zip(program.instructions, draws):
+        if isinstance(instr, (Permute, ControlledPhase)):
+            continue
+        width = len(instr.qubits) if isinstance(instr, BangedWindow) else 1
+        if value is None:
+            sqg = isinstance(instr, (Rotation, XGate, HadamardGate, BangedWindow))
+            value = np.full(width, 1.0 if sqg else 0.0)
+        columns.append(np.broadcast_to(np.reshape(value, (-1, width)), (rows, width)))
+    return np.hstack(columns)
+
+
 def run_with_draws(state_or_block, program, draw):
     """Run a program with one register row's draws, given per instruction by draw(instr).
 
     ``draw`` is called once per instruction, in program order, and returns
-    None (an ideal application), a number, or an m-qubit window's m drive
-    scales; each draw becomes the (1,) or (1, m) array ``program._run``
-    takes.  A Statevector runs as a (1, 2^n, 1) block and returns a
-    Statevector; an array is a (1, 2^n, r) block whose r inputs share the
-    draws, and the output block is returned.
+    None (the instruction's ideal value, see ``site_values``), a number, or
+    an m-qubit window's m drive scales.  A Statevector runs as a
+    (1, 2^n, 1) block and returns a Statevector; an array is a (1, 2^n, r)
+    block whose r inputs share the draws, and the output block is returned.
     """
-    values = map(draw, program.instructions)  # called in program order
-    draws = [None if value is None else np.array([value]) for value in values]
+    values = site_values(program, [draw(instr) for instr in program.instructions])
     if isinstance(state_or_block, Statevector):
-        amps = _run(program, state_or_block.amplitudes[None, :, None], draws)[0, :, 0]
+        amps = _run(program, state_or_block.amplitudes[None, :, None], values)[0, :, 0]
         return Statevector(program.n_qubits, amps)
-    return _run(program, state_or_block, draws)
+    return _run(program, state_or_block, values)

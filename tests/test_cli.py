@@ -15,7 +15,7 @@ import pytest
 import daqft
 from daqft import cli
 from daqft.cli import main
-from daqft.daqc import solve_times
+from daqft.daqc import compile_qft_daqc, solve_times
 from daqft.ising import IsingSpec
 
 
@@ -75,7 +75,7 @@ class TestSweepBeta:
         assert manifest["shots_per_s"] == pytest.approx(4 / manifest["wall_s"])
 
     def test_manifest_cells(self, tmp_path):
-        """The manifest times each (protocol, n); DAQC cells carry their negative segments."""
+        """The manifest times each (protocol, n); DAQC cells carry negative segments and block times."""
         out = tmp_path / "run.csv"
         args = ["sweep-beta", "--protocols", "dqc,sdaqc,bdaqc", "--qubits", "3,5",
                 "--beta-points", "2", "--shots", "3", "--seed", "0"]
@@ -91,9 +91,12 @@ class TestSweepBeta:
             # two beta points of three shots each
             assert cell["shots_per_s"] == pytest.approx(6 / cell["wall_s"])
             if cell["protocol"] == "dqc":
-                assert "negative_segments" not in cell
+                assert "negative_segments" not in cell and "block_times" not in cell
             else:
                 assert cell["negative_segments"] == negative[(cell["protocol"], cell["n_qubits"])]
+                mode = {"sdaqc": "stepwise", "bdaqc": "banged"}[cell["protocol"]]
+                block_times = compile_qft_daqc(cell["n_qubits"], mode).metadata["block_times"]
+                assert cell["block_times"] == [list(times) for times in block_times]
         assert sum(c["wall_s"] for c in cells) <= manifest["wall_s"]
         # Timing the cells leaves the CSV as the library writes it.
         records = daqft.sweep_beta(["dqc", "sdaqc", "bdaqc"], [3, 5], daqft.default_beta_grid(2), 3,

@@ -47,7 +47,7 @@ from daqft.program import (
 )
 from daqft.qft import beta_state, exact_qft
 from daqft.statevector import Statevector, fidelity
-from oracles import reference_sampler, run_with_draws
+from oracles import reference_sampler, run_with_draws, site_values
 
 CHANNEL_CONFIGS = pytest.mark.parametrize(
     "config",
@@ -80,6 +80,13 @@ def every_channel_program(n=3):
         Permute(tuple(range(2 ** n))),
     )
     return Program(n, instructions, resource=IsingSpec.homogeneous(n))
+
+
+def reference_values(program, samplers):
+    """The (rows, sites) values of one reference sampler per register row, called in program order."""
+    serial = [[sampler(instr) for sampler in samplers] for instr in program.instructions]
+    draws = [None if column[0] is None else np.array(column) for column in serial]
+    return site_values(program, draws, rows=len(samplers))
 
 
 class TestNoiseConfig:
@@ -146,9 +153,7 @@ class TestSampling:
         sites = NoiseSites.for_program(every_channel_program())
         standard = sample_noise(sites, np.random.default_rng(0))
         values = sites.draws(standard[None], [ZERO_WIDTHS])
-        assert [value.tolist() for value in values[:6]] == [[1.0]] * 3 + [[0.0]] * 3
-        assert values[6].tolist() == [[1.0, 1.0]]
-        assert values[7] is None
+        assert values.tolist() == [[1.0] * 3 + [0.0] * 3 + [1.0, 1.0]]  # the readout draws nothing
 
     @CHANNEL_CONFIGS
     def test_draws_equal_numpy_samplers(self, config):
@@ -159,13 +164,8 @@ class TestSampling:
         for _ in range(25):
             clone = copy.deepcopy(rng)
             values = sites.draws(make_sampler(rng)(sites)[None], [config])
-            reference = reference_sampler(config, clone)
-            for instr, value in zip(program.instructions, values):
-                expected = reference(instr)
-                if expected is None:
-                    assert value is None
-                else:
-                    assert np.array_equal(value[0], expected), (instr, value, expected)
+            expected = reference_values(program, [reference_sampler(config, clone)])
+            assert np.array_equal(values, expected), (values, expected)
             assert rng.bit_generator.state == clone.bit_generator.state
 
     @CHANNEL_CONFIGS
@@ -183,19 +183,13 @@ class TestSampling:
                 standard = np.array([make_sampler(rng)(sites) for rng in rngs])
                 batch = sites.draws(standard, [config])
                 samplers = [reference_sampler(config, rng) for rng in clones]
-                serial = [[sampler(instr) for sampler in samplers] for instr in program.instructions]
-                assert len(batch) == len(serial)
-                for values, column in zip(batch, serial):
-                    if column[0] is None:
-                        assert values is None
-                    else:
-                        assert np.array_equal(values, np.array(column)), (protocol, n)
-                        assert values.shape == np.shape(column)
+                assert batch.shape == (4, len(sites.channels))
+                assert np.array_equal(batch, reference_values(program, samplers)), (protocol, n)
                 for rng, clone in zip(rngs, clones):
                     assert rng.bit_generator.state == clone.bit_generator.state
 
     def test_site_table_maps_each_config(self):
-        """One shot's standard draws map to each config's per-instruction draws, in block order.
+        """One shot's standard draws map to each config's reference draws, in block order.
 
         The block's rows run (config, shot), so the rows of config c are rows
         c * k ... (c + 1) * k - 1.
@@ -206,18 +200,13 @@ class TestSampling:
         k = 3
         standard = np.array([make_sampler(np.random.default_rng([5, i]))(sites) for i in range(k)])
         batch = sites.draws(standard, configs)
+        assert batch.shape == (len(configs) * k, len(sites.channels))
         for c, config in enumerate(configs):
             samplers = [reference_sampler(config, np.random.default_rng([5, i])) for i in range(k)]
-            serial = [[sampler(instr) for sampler in samplers] for instr in program.instructions]
-            for values, column in zip(batch, serial):
-                if column[0] is None:
-                    assert values is None
-                else:
-                    assert len(values) == len(configs) * k
-                    assert np.array_equal(values[c * k:(c + 1) * k], np.array(column)), c
+            assert np.array_equal(batch[c * k:(c + 1) * k], reference_values(program, samplers)), c
 
     def test_site_table_layout(self):
-        """Sites follow program order in runs of one distribution; windows take a slice."""
+        """Sites follow program order in runs of one distribution; a window has one per driven qubit."""
         program = Program(
             2,
             (
@@ -233,13 +222,17 @@ class TestSampling:
         sites = NoiseSites.for_program(program)
         assert sites.channels.tolist() == [0, 0, 1, 3, 0, 0]
         assert sites.runs == ((True, slice(0, 2)), (False, slice(2, 4)), (True, slice(4, 6)))
-        assert sites.columns == (0, 1, 2, 3, slice(4, 6), None)
+        channels, groups = program._operand_layout
+        assert channels == ("sqg", "sqg", "tqg", "abn_b", "sqg", "sqg")
+        columns = {
+            index: column.tolist()
+            for group in groups
+            for index, column in zip(group.indices, group.columns)
+        }
+        assert columns == {0: 0, 1: 1, 2: 2, 3: 3, 4: [4, 5]}  # the readout has none
         standard = make_sampler(np.random.default_rng(3))(sites)
         assert standard.shape == (6,)
-        values = sites.draws(standard[None], [NoiseConfig()])
-        assert [None if value is None else value.shape for value in values] == (
-            [(1,)] * 4 + [(1, 2), None]
-        )
+        assert sites.draws(standard[None], [NoiseConfig()]).shape == (1, 6)
 
     def test_site_table_unsupported_gate(self):
         """A table over a raw controlled phase raises: it has no noise channel."""
@@ -282,16 +275,16 @@ class TestSampling:
         config = NoiseConfig(sqgn=0.1, abn_s=0.0, abn_b=10.0)
         sites = NoiseSites.for_program(every_channel_program())
         sampler = make_sampler(np.random.default_rng(7))
-        rotation, x, hadamard, entangler, stepwise, banged, window, readout = (
-            sites.draws(sampler(sites)[None], [config])
+        # one site each, two for the window's driven qubits, none for the readout
+        rotation, x, hadamard, entangler, stepwise, banged, *window = (
+            sites.draws(sampler(sites)[None], [config])[0]
         )
-        for value in (rotation, x, hadamard):
-            assert value.shape == (1,) and 0.9 <= value[0] <= 1.1
-        assert entangler.shape == (1,) and entangler[0] != 0.0
-        assert stepwise.tolist() == [0.0]
-        assert banged.shape == (1,) and banged[0] != 0.0
-        assert window.shape == (1, 2) and np.all((0.9 <= window) & (window <= 1.1))
-        assert readout is None
+        for value in (rotation, x, hadamard, *window):
+            assert 0.9 <= value <= 1.1
+        assert len(window) == 2
+        assert entangler != 0.0
+        assert stepwise == 0.0
+        assert banged != 0.0
 
     def test_controlled_phase_unsupported(self):
         """Raw controlled-phase gates have no noise channel: a noisy run of one raises."""
@@ -519,10 +512,16 @@ class TestSweeps:
         with pytest.raises(ValueError, match="workers"):
             sweep_beta(["dqc"], [2], grid, 1, None, workers=0)
 
-    def test_beta_grid_bounds(self):
-        """Angles outside [0, pi] are rejected."""
-        with pytest.raises(ValueError, match="beta grid"):
-            sweep_beta(["dqc"], [2], [0.0, 3.5], 1, None)
+    def test_beta_grid_bounds(self, monkeypatch):
+        """Angles outside [0, pi], and NaN, are rejected before anything compiles."""
+
+        def no_compile(*args):
+            raise AssertionError("a program was compiled")
+
+        monkeypatch.setattr(noise, "build_protocol_program", no_compile)
+        for grid in ([0.0, 3.5], [0.1, math.nan], [math.nan]):
+            with pytest.raises(ValueError, match=r"beta grid must lie within \[0, pi\]"):
+                sweep_beta(["dqc"], [2], grid, 2, NoiseConfig())
 
     def test_beta_reflection_symmetry(self):
         """Ideal fidelity is symmetric under beta -> pi - beta.

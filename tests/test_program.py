@@ -32,7 +32,15 @@ from daqft.program import (
     program_unitary,
 )
 from daqft.statevector import PAULI_X, PAULI_Y, Statevector, basis_state
-from oracles import expm_evolve, kron_lift, rotation_matrix, run_with_draws, window_class_unitaries
+from oracles import (
+    expm_evolve,
+    kron_lift,
+    reference_sampler,
+    rotation_matrix,
+    run_with_draws,
+    site_values,
+    window_class_unitaries,
+)
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -56,8 +64,13 @@ def random_state(n, rng):
 
 
 def instruction_matrix(instr, n, value=None, resource=None):
-    """Dense matrix of one instruction: one run over the 2^n basis states, its draw ``value``."""
+    """Dense matrix of one instruction: one run over the 2^n basis states, its draw ``value``.
+
+    ``value`` None runs the instruction ideally.
+    """
     program = Program(n, (instr,), resource=resource)
+    if value is None:
+        return program_unitary(program)
     return run_with_draws(np.eye(2 ** n, dtype=complex)[None], program, lambda _: value)[0]
 
 
@@ -273,6 +286,47 @@ class TestBlockLayout:
                 assert np.array_equal(together[:, :, j:j + 1], alone), (name, j)
 
 
+# Each channel's width in a NoiseConfig.
+_CHANNEL_WIDTHS = {"sqg": "sqgn", "tqg": "tqgn", "abn_s": "abn_s", "abn_b": "abn_b"}
+
+
+class TestNoiseChannels:
+    """Each instruction class names the noise channel it draws from, or a noisy run of it raises."""
+
+    @pytest.mark.parametrize("name", sorted(BROADCAST_CASES))
+    def test_channel_matches_reference_sampler(self, name):
+        """A declared channel and site count match the reference sampler; no channel raises.
+
+        The reference knows the classes by isinstance: an instruction's
+        channel is the one whose width alone moves its draw, and its sites
+        are the draw's size.  A class that declared no channel and did not
+        raise, or declared None, would run noiseless.
+        """
+        instances = [BROADCAST_CASES[name][0]]
+        if name == "AnalogBlock":
+            instances.append(AnalogBlock(0.3, "stepwise"))
+        zero = dict.fromkeys(_CHANNEL_WIDTHS.values(), 0.0)
+
+        def draw(instr, **widths):
+            return reference_sampler(NoiseConfig(**{**zero, **widths}), np.random.default_rng(0))(instr)
+
+        for instr in instances:
+            program = Program(5, (instr,), resource=IsingSpec.homogeneous(5))
+            if not hasattr(instr, "channel"):
+                with pytest.raises(UnsupportedGateError, match=f"no noise model for {name}"):
+                    program_module._run(program, np.eye(32, dtype=complex)[None], np.ones((1, 0)))
+                continue
+            ideal = draw(instr)
+            moved = [
+                channel
+                for channel, width in _CHANNEL_WIDTHS.items()
+                if not np.array_equal(draw(instr, **{width: 0.1}), ideal)
+            ]
+            sites = 0 if ideal is None else np.size(ideal)
+            assert moved == ([] if instr.channel is None else [instr.channel]), instr
+            assert program._operand_layout[0] == (instr.channel,) * sites, instr
+
+
 class TestIdealSemantics:
     """Ideal instruction matrices against closed forms."""
 
@@ -396,7 +450,7 @@ class TestAnalogExecution:
             values = rng.normal(scale=0.02, size=4)
             for block in (AnalogBlock(-0.62), AnalogBlock(1.37, "banged")):
                 program = Program(n, (block,), resource=resource)
-                noisy = program_module._run(program, amps, [values])
+                noisy = program_module._run(program, amps, values[:, None])
                 phases = np.exp(1j * (block.duration + values)[:, None] * diagonal)
                 assert np.array_equal(noisy, amps * phases[:, :, None]), (n, block)
                 ideal = block.ideal_apply(amps, n, energy)
@@ -618,7 +672,8 @@ def random_draws(program, rows, rng, none_share=0.0):
 
     Gates draw amplitude factors near 1, entanglers and analog blocks
     offsets near 0, a window one factor per driven qubit; instructions
-    with no noise model draw None.
+    with no noise model draw None.  ``site_values`` lays them out as the
+    (rows, sites) matrix that ``_run`` takes, a None as ideal values.
     """
     draws = []
     for instr in program.instructions:
@@ -638,7 +693,7 @@ class TestOperandPass:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_equals_each_instruction_alone(self, protocol):
-        """Random draws, some None, give the bits of running each instruction alone.
+        """Random draws, some ideal values, give the bits of running each instruction alone.
 
         Alone, an instruction is a one-instruction program whose operand is
         built for it only; together, its class's operands are built in one
@@ -650,11 +705,11 @@ class TestOperandPass:
             draws = random_draws(program, 3, rng, none_share=0.2)
             assert any(draw is None for draw in draws) and any(draw is not None for draw in draws)
             block = rng.normal(size=(3, 2 ** n, 2)) + 1j * rng.normal(size=(3, 2 ** n, 2))
-            together = program_module._run(program, block, draws)
+            together = program_module._run(program, block, site_values(program, draws, 3))
             alone = block
             for instr, draw in zip(program.instructions, draws):
                 single = Program(n, (instr,), resource=program.resource)
-                alone = program_module._run(single, alone, [draw])
+                alone = program_module._run(single, alone, site_values(single, [draw], 3))
             assert np.array_equal(together, alone), (protocol, n)
 
     def test_chunks_stay_within_cap(self, monkeypatch):
@@ -668,14 +723,14 @@ class TestOperandPass:
         build = program_module._operand_chunk
         chunks = []
 
-        def spy(group, start, draws):
-            chunk = build(group, start, draws)
+        def spy(group, positions, values):
+            chunk = build(group, positions, values)
             chunks.append(list(chunk.values()))
             return chunk
 
         for protocol in PROTOCOLS:
             program = build_protocol_program(protocol, 5)
-            draws = random_draws(program, 8, rng)
+            draws = site_values(program, random_draws(program, 8, rng), 8)
             block = np.broadcast_to(np.eye(2 ** 5, dtype=complex)[:, :2], (8, 2 ** 5, 2))
             expected = program_module._run(program, block, draws)
             monkeypatch.setattr(program_module, "_OPERAND_ENTRIES", 96)
@@ -743,24 +798,37 @@ class TestProgramExecution:
         assert list(inspect.signature(execute_program).parameters) == ["state", "program"]
 
     def test_none_draws_are_ideal(self):
-        """A None entry in _run's draws applies its instruction ideally, bit for bit."""
-        program = Program(
-            3,
-            (
-                HadamardGate(1),
-                Rotation(2, "y", 0.3),
-                XGate(3),
-                Entangler(1, 3),
-                ControlledPhase(2, 1, 3),
-                AnalogBlock(0.4),
-                BangedWindow(0.01, (1, 2)),
-                Permute((7, 6, 5, 4, 3, 2, 1, 0)),
-            ),
-            resource=IsingSpec.homogeneous(3),
+        """Ideal site values, the oracle's None draws, give the ideal run bit for bit.
+
+        A controlled phase has no noise model: a noisy run of a program
+        holding one raises, whatever its draws.
+        """
+        instructions = (
+            HadamardGate(1),
+            Rotation(2, "y", 0.3),
+            XGate(3),
+            Entangler(1, 3),
+            AnalogBlock(0.4),
+            BangedWindow(0.01, (1, 2)),
+            Permute((7, 6, 5, 4, 3, 2, 1, 0)),
         )
+        program = Program(3, instructions, resource=IsingSpec.homogeneous(3))
         block = np.eye(8, dtype=complex)[None]
-        noisy = program_module._run(program, block, [None] * len(program.instructions))
+        noisy = run_with_draws(block, program, lambda instr: None)
         assert np.array_equal(noisy, program_module._run(program, block))
+        with_phase = Program(3, instructions + (ControlledPhase(2, 1, 3),), resource=program.resource)
+        with pytest.raises(UnsupportedGateError, match="no noise model for ControlledPhase"):
+            run_with_draws(block, with_phase, lambda instr: None)
+
+    def test_draws_must_match_rows_and_sites(self):
+        """A value matrix without one row per register row and one column per site raises."""
+        instructions = (HadamardGate(1), BangedWindow(0.01, (1, 2)))
+        program = Program(2, instructions, resource=IsingSpec.homogeneous(2))
+        block = np.eye(4, dtype=complex)[None]
+        for draws in (np.ones((1, 2)), np.ones((1, 4)), np.ones(3), np.ones((2, 3))):
+            with pytest.raises(ValueError, match=r"expected draws of shape \(1, 3\)"):
+                program_module._run(program, block, draws)
+        assert program_module._run(program, block, np.ones((1, 3))).shape == block.shape
 
 
 def test_numpy_floor_has_bitwise_count():

@@ -33,9 +33,11 @@ class TestStatevector:
     """Construction and invariants."""
 
     def test_norm_validated(self):
-        """Unnormalized amplitudes are rejected."""
+        """Unnormalized amplitudes are rejected, NaN ones too."""
         with pytest.raises(ValueError, match="normalized"):
             Statevector(1, np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="normalized"):
+            Statevector(1, np.array([np.nan, 0.0]))
 
     def test_shape_validated(self):
         """The amplitude vector must have length 2^n."""
