@@ -8,6 +8,7 @@ configuration, so a run can be reproduced bit-exactly (modulo timestamp).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -196,7 +197,7 @@ def _cmd_compile(args) -> int:
             raise ValueError(
                 f"--target qft-block:<m> needs an integer block index m, got {args.target!r}"
             ) from None
-        target = qft_block_target(n, m)
+        target = replace(qft_block_target(n, m), target_time=args.target_time)
     else:
         target = _load_coupling_file(args.target, n, args.target_time)
     times = solve_times(target)
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_cmd.add_argument("--mode", choices=("stepwise", "banged"), default="stepwise")
     compile_cmd.add_argument("--delta-t", type=float, default=DEFAULT_DELTA_T)
-    compile_cmd.add_argument("--target-time", type=float, default=1.0)
+    compile_cmd.add_argument("--target-time", type=float, default=1.0, help="time the target acts for")
     compile_cmd.add_argument("--out", default=None, help="write the dump here instead of stdout")
     compile_cmd.set_defaults(func=_cmd_compile)
 
@@ -293,9 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process: parsing leaves it as it was.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, NotImplementedError, OSError) as exc:

@@ -163,16 +163,9 @@ def schedule_instructions(schedule: DaqcSchedule) -> tuple:
     instructions: list = []
     pairs = all_pairs(schedule.n_qubits)
     if schedule.mode == "stepwise":
+        x = {q: XGate(q) for q in range(1, schedule.n_qubits + 1)}  # one per qubit, shared
         for (j, k), duration in zip(pairs, schedule.times):
-            instructions.extend(
-                (
-                    XGate(j),
-                    XGate(k),
-                    AnalogBlock(duration, "stepwise"),
-                    XGate(j),
-                    XGate(k),
-                )
-            )
+            instructions.extend((x[j], x[k], AnalogBlock(duration, "stepwise"), x[j], x[k]))
     else:
         delta_t = schedule.delta_t
         segments = banged_segment_durations(schedule.times, delta_t)

@@ -189,8 +189,10 @@ class ExperimentRecord:
             raise ValueError("shots must be >= 1")
         if not -1e-9 <= self.mean_fidelity <= 1.0 + 1e-9:
             raise ValueError(f"mean fidelity {self.mean_fidelity} outside [0, 1]")
-        if self.std_fidelity < 0:
-            raise ValueError("std fidelity must be >= 0")
+        if not self.std_fidelity >= 0:  # NaN fails too
+            raise ValueError(f"std fidelity {self.std_fidelity} is not >= 0")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta {self.beta} is not finite")
 
 
 def _check_run(shots: int, workers: int) -> None:

@@ -94,9 +94,14 @@ class Rotation:
     def _operands(values: np.ndarray, angles, axes) -> np.ndarray:
         return _rotations(angles * values, axes)
 
-    @functools.cached_property
+    @property
     def _ideal(self) -> np.ndarray:
-        return self._operands(np.ones(1), self.angle, pauli(self.axis))
+        return self._ideal_of(self.angle, self.axis)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=1024)
+    def _ideal_of(angle: float, axis: str) -> np.ndarray:
+        return _constant(Rotation._operands(np.ones(1), angle, pauli(axis)))
 
 
 _Z_PLUS_X = np.array([[1, 1], [1, -1]], dtype=complex)
@@ -199,11 +204,12 @@ class ControlledPhase:
         )
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
-        return _apply_diag_2q(amps, n, self.control, self.target, self._ideal)
+        return _apply_diag_2q(amps, n, self.control, self.target, self._ideal_of(self.k))
 
-    @functools.cached_property
-    def _ideal(self) -> np.ndarray:
-        return np.array([[1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** self.k)]])
+    @staticmethod
+    @functools.lru_cache(maxsize=256)
+    def _ideal_of(k: int) -> np.ndarray:
+        return _constant(np.array([[1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** k)]]))
 
 
 @dataclass(frozen=True)
@@ -230,12 +236,17 @@ class AnalogBlock:
         return amps * value[:, energy.index, None]
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
-        phases = self._operands(np.zeros(1), self.duration, energy.levels)
+        phases = self._ideal_of(self.duration, energy.levels.tobytes())
         return self.noisy_apply(amps, n, phases, energy)
 
     @staticmethod
     def _operands(values: np.ndarray, durations, levels: np.ndarray) -> np.ndarray:
         return np.exp(1j * (durations + values)[..., None] * levels)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=256)
+    def _ideal_of(duration: float, levels: bytes) -> np.ndarray:
+        return _constant(AnalogBlock._operands(np.zeros(1), duration, np.frombuffer(levels)))
 
 
 @dataclass(frozen=True)
@@ -489,6 +500,22 @@ class ResourceEnergy(NamedTuple):
         return cls(values, np.array(list(first)), index)
 
 
+# The highest qubit an instruction of each class names, 0 for none; other classes are probed.
+_HIGHEST_QUBIT = {
+    **dict.fromkeys((Rotation, HadamardGate, XGate), lambda instr: instr.qubit),
+    **dict.fromkeys((AnalogBlock, Permute), lambda instr: 0),
+    Entangler: lambda instr: max(instr.qubit_a, instr.qubit_b),
+    ControlledPhase: lambda instr: max(instr.control, instr.target),
+    BangedWindow: lambda instr: instr.qubits[-1],  # ascending
+}
+
+
+def _probed_qubit(instr) -> int:
+    """The highest qubit an instruction of another class names, probed field by field."""
+    fields = ("qubit", "qubit_a", "qubit_b", "control", "target")
+    return max([getattr(instr, name, 0) for name in fields] + list(getattr(instr, "qubits", ())))
+
+
 @dataclass(frozen=True)
 class Program:
     """An instruction sequence over a fixed register, with its analog resource."""
@@ -506,10 +533,8 @@ class Program:
         if self.resource is not None and self.resource.n_qubits != self.n_qubits:
             raise ValueError("resource register size does not match the program")
         homogeneous = self.resource is not None and self.resource.is_homogeneous()
-        qubit_fields = ("qubit", "qubit_a", "qubit_b", "control", "target")
         for instr in self.instructions:
-            qubits = [getattr(instr, attr, 0) for attr in qubit_fields]
-            if max(qubits + list(getattr(instr, "qubits", ()))) > self.n_qubits:
+            if _HIGHEST_QUBIT.get(type(instr), _probed_qubit)(instr) > self.n_qubits:
                 raise ValueError(f"instruction {instr!r} exceeds {self.n_qubits} qubits")
             if isinstance(instr, (AnalogBlock, BangedWindow)) and self.resource is None:
                 raise ValueError("analog instructions require a resource")

@@ -17,6 +17,7 @@ from daqft import cli
 from daqft.cli import main
 from daqft.daqc import compile_qft_daqc, solve_times
 from daqft.ising import IsingSpec
+from daqft.qft import qft_block_target
 
 
 def run(args):
@@ -427,6 +428,36 @@ class TestCompile:
         assert rc == 0
         assert len(out.read_text().strip().splitlines()) == 3
 
+    def test_qft_block_target_time(self, capsys):
+        """A qft-block target honours --target-time: its durations are the solve at that time."""
+        rc = run(["compile", "--qubits", "5", "--target", "qft-block:2", "--target-time", "2.5"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        dumped = [float(line.split()[3]) for line in lines[:-1]]
+        spec = qft_block_target(5, 2)
+        expected = solve_times(IsingSpec(5, spec.couplings, target_time=2.5))
+        assert dumped == pytest.approx(list(expected), rel=1e-12)
+        unit = solve_times(spec)
+        assert dumped == pytest.approx(list(2.5 * unit), rel=1e-12)
+        assert float(lines[-1].split()[1]) < 1e-10
+
+    @pytest.mark.parametrize(
+        "target_time, message",
+        [
+            ("0", "target_time must be nonzero"),
+            ("nan", "target_time must be finite"),
+            ("inf", "target_time must be finite"),
+            ("-inf", "target_time must be finite"),
+        ],
+    )
+    def test_qft_block_bad_target_time_rejected(self, capsys, target_time, message):
+        """A zero or non-finite --target-time exits 2 for a qft-block target, printing no durations."""
+        args = ["compile", "--qubits", "3", "--target", "qft-block:1"]
+        assert run(args + [f"--target-time={target_time}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("delta_t", ["nan", "inf"])
     def test_non_finite_delta_t_rejected(self, capsys, delta_t):
         """A banged window width that is not a finite positive number exits 2."""
@@ -610,3 +641,74 @@ class TestParser:
         )
         assert result.returncode == 0, result.stderr
         assert "sweep-beta" in result.stdout
+
+
+def call_outputs(args, capsys, out=None):
+    """Exit code, stdout and stderr of one main call, and the CSV bytes and settings it wrote.
+
+    A manifest's timings and timestamp differ from run to run, so only its
+    command, seed and resolved configuration are kept.
+    """
+    try:
+        code = run(args)
+    except SystemExit as exc:  # argparse rejected the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    written = None
+    if out is not None and out.exists():
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        written = (out.read_bytes(), manifest["command"], manifest["seed"], manifest["config"])
+    return code, captured.out, captured.err, written
+
+
+def _sweep(*extra):
+    return ["sweep-beta", "--protocols", "dqc", "--qubits", "3", "--beta-points", "2", *extra]
+
+
+def _compile(*extra):
+    return ["compile", "--qubits", "3", "--target", "qft-block:1", *extra]
+
+
+# Consecutive calls in one process, each with its exit code; a sweep writes to its own --out.
+REUSE_SEQUENCES = {
+    "ideal-then-noisy-sweep": [(_sweep("--ideal"), 0), (_sweep("--shots", "4", "--seed", "3"), 0)],
+    "banged-then-default-compile": [
+        (_compile("--mode", "banged", "--delta-t", "0.001", "--target-time", "2"), 0),
+        (_compile(), 0),
+    ],
+    "exit-2-then-good": [
+        (_compile("--mode", "sideways"), 2),  # argparse exits
+        (["compile", "--qubits", "4", "--target", "qft-block:1"], 2),  # main returns
+        (_compile(), 0),
+    ],
+}
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and consecutive calls share it."""
+
+    @pytest.mark.parametrize("name", sorted(REUSE_SEQUENCES))
+    def test_consecutive_calls_equal_calls_alone(self, tmp_path, capsys, name):
+        """Each call of a sequence gives the bytes it gives through a parser built for it alone."""
+        calls = []
+        for index, (args, _) in enumerate(REUSE_SEQUENCES[name]):
+            out = tmp_path / f"call{index}.csv" if args[0] == "sweep-beta" else None
+            calls.append((args + ["--out", out] if out else args, out))
+        cli._parser.cache_clear()
+        together = [call_outputs(args, capsys, out) for args, out in calls]
+        assert cli._parser.cache_info().misses == 1  # one parser served every call
+        assert [code for code, *_ in together] == [code for _, code in REUSE_SEQUENCES[name]]
+        for (args, out), outputs in zip(calls, together):
+            cli._parser.cache_clear()
+            assert call_outputs(args, capsys, out) == outputs, args
+
+    def test_defaults_do_not_leak(self):
+        """A flag given to one call is back at its default in the next."""
+        cli._parser.cache_clear()
+        parse = cli._parser().parse_args
+        parse(_sweep("--ideal", "--out", "a.csv"))
+        assert parse(_sweep("--out", "a.csv")).ideal is False
+        parse(_compile("--mode", "banged", "--target-time", "2"))
+        args = parse(_compile())
+        assert (args.mode, args.target_time, args.delta_t) == ("stepwise", 1.0, cli.DEFAULT_DELTA_T)
+        assert cli._parser() is cli._parser()

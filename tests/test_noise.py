@@ -453,6 +453,25 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="shots"):
             ExperimentRecord("DQC", 2, 0.0, 0, 0, 1.0, 0.0, 0.01, 1.0)
 
+    @pytest.mark.parametrize("std", [float("nan"), -1e-12, -np.inf])
+    def test_std_not_at_least_zero_rejected(self, std):
+        """NaN fails the std check as a negative spread does; no record writes nan to a CSV."""
+        with pytest.raises(ValueError, match="std fidelity"):
+            ExperimentRecord("DQC", 2, 0.0, 4, 0, 0.5, std, 0.01, 1.0)
+
+    @pytest.mark.parametrize("beta", [float("nan"), np.inf, -np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        """A record's beta is finite."""
+        with pytest.raises(ValueError, match="beta"):
+            ExperimentRecord("DQC", 2, beta, 4, 0, 0.5, 0.1, 0.01, 1.0)
+
+    def test_finite_record_accepted(self):
+        """Zero spread and any finite beta pass, and the CSV row shows them."""
+        record = ExperimentRecord("DQC", 2, -0.25, 4, 0, 0.5, 0.0, 0.01, 1.0)
+        assert records_to_csv([record]).splitlines()[1] == (
+            "DQC,2,-0.250000000,4,0,0.500000000,0.000000000,0.010000000,1.000000000"
+        )
+
 
 class TestSweeps:
     """Grid sweeps and their ordering guarantees."""

@@ -8,6 +8,7 @@ import itertools
 import json
 import re
 import weakref
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ from daqft.program import (
     execute_program,
     program_unitary,
 )
-from daqft.statevector import PAULI_X, PAULI_Y, Statevector, basis_state
+from daqft.qft import build_dqc_circuit, readout_instruction
+from daqft.statevector import PAULI_X, PAULI_Y, Statevector, basis_state, pauli
 from oracles import (
     expm_evolve,
     kron_lift,
@@ -72,6 +74,27 @@ def instruction_matrix(instr, n, value=None, resource=None):
     if value is None:
         return program_unitary(program)
     return run_with_draws(np.eye(2 ** n, dtype=complex)[None], program, lambda _: value)[0]
+
+
+# Instructions of each class that reach past a two-qubit register, each with the
+# resource its program gets (None: the homogeneous two-qubit one) and the error.
+# An analog block names no qubit; it reaches past the register with its resource.
+OVER_REGISTER = {
+    "Rotation": [(Rotation(3, "z", 0.1), None, "exceeds")],
+    "HadamardGate": [(HadamardGate(3), None, "exceeds")],
+    "XGate": [(XGate(3), None, "exceeds")],
+    "Entangler": [(Entangler(1, 3), None, "exceeds"), (Entangler(3, 1), None, "exceeds")],
+    "ControlledPhase": [
+        (ControlledPhase(3, 1, 2), None, "exceeds"),
+        (ControlledPhase(1, 3, 2), None, "exceeds"),
+    ],
+    "AnalogBlock": [(AnalogBlock(0.5), IsingSpec.homogeneous(3), "resource register size")],
+    "BangedWindow": [
+        (BangedWindow(0.1, (3,)), None, "exceeds"),
+        (BangedWindow(0.1, (1, 3)), None, "exceeds"),
+    ],
+    "Permute": [(Permute(tuple(range(8))), None, "permutation size")],
+}
 
 
 class TestValidation:
@@ -140,6 +163,38 @@ class TestValidation:
         with pytest.raises(ValueError, match="homogeneous resource"):
             Program(3, (BangedWindow(0.1, (1, 2)),), resource=resource)
         Program(3, (AnalogBlock(0.1),), resource=resource)
+
+    def test_over_register_cases_cover_every_class(self):
+        """The over-register cases name every instruction class once."""
+        assert set(OVER_REGISTER) == {cls.__name__ for cls in INSTRUCTION_CLASSES}
+
+    @pytest.mark.parametrize("name", sorted(OVER_REGISTER))
+    def test_over_register_instruction_rejected(self, name):
+        """An instruction of each class that reaches past a two-qubit register is rejected.
+
+        Every qubit field is checked, not only the first one.  The same
+        instructions fit a three-qubit register.
+        """
+        for instr, resource, message in OVER_REGISTER[name]:
+            with pytest.raises(ValueError, match=message):
+                Program(2, (XGate(1), instr), resource=resource or IsingSpec.homogeneous(2))
+            Program(3, (XGate(1), instr), resource=IsingSpec.homogeneous(3))
+
+    def test_other_class_fields_probed(self):
+        """An instruction class outside the instruction set still has its qubit fields checked."""
+
+        @dataclass(frozen=True)
+        class Dephasing:
+            qubit: int
+
+        @dataclass(frozen=True)
+        class Spread:
+            qubits: tuple
+
+        Program(2, (Dephasing(2), Spread((1, 2))))
+        for instr in (Dephasing(3), Spread((3, 1))):
+            with pytest.raises(ValueError, match="exceeds 2 qubits"):
+                Program(2, (instr,))
 
 
 INSTRUCTION_CLASSES = (
@@ -379,6 +434,123 @@ class TestIdealSemantics:
         program = Program(2, (Permute((3, 2, 1, 0)),))
         out = execute_program(state, program)
         assert out.amplitudes[2] == 1.0
+
+
+def per_instance_unitary(program):
+    """The program's dense matrix with each ideal operand built for its instruction alone.
+
+    Each operand comes from its class's formula (``_operands``, or the
+    controlled phase's closed form, or a fresh window solve), never from a
+    shared one, and goes through the kernel that the ideal run uses.
+    """
+    n, energy = program.n_qubits, program.energy
+    block = np.eye(2 ** n, dtype=complex)[None]
+    for instr in program.instructions:
+        if isinstance(instr, Rotation):
+            operand = Rotation._operands(np.ones(1), instr.angle, pauli(instr.axis))
+            block = instr.noisy_apply(block, n, operand)
+        elif isinstance(instr, (HadamardGate, XGate)):
+            block = instr.noisy_apply(block, n, type(instr)._operands(np.ones(1)))
+        elif isinstance(instr, Entangler):
+            block = instr.noisy_apply(block, n, Entangler._operands(np.zeros(1)))
+        elif isinstance(instr, ControlledPhase):
+            phase = np.array([[1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** instr.k)]])
+            block = program_module._apply_diag_2q(block, n, instr.control, instr.target, phase)
+        elif isinstance(instr, AnalogBlock):
+            phases = AnalogBlock._operands(np.zeros(1), instr.duration, energy.levels)
+            block = instr.noisy_apply(block, n, phases, energy)
+        elif isinstance(instr, BangedWindow):
+            energies = program_module._class_energies(n, energy, instr.qubits)
+            drives = np.ones((1, len(instr.qubits)))
+            unitaries = program_module._window_unitaries(energies, instr.duration, drives)
+            block = instr.noisy_apply(block, n, unitaries)
+        else:
+            block = instr.ideal_apply(block, n, energy)
+    return block[0]
+
+
+def clear_ideal_caches():
+    """Empty every value-keyed ideal operand cache, so the next run builds its operands."""
+    for cache in (Rotation._ideal_of, ControlledPhase._ideal_of, AnalogBlock._ideal_of,
+                  program_module._ideal_window_unitaries):
+        cache.cache_clear()
+
+
+class TestSharedIdealOperands:
+    """Ideal operands come from read-only caches keyed by value, with the bits of per-instance builds."""
+
+    @staticmethod
+    def captured(monkeypatch, kernel, position):
+        """Operands handed to a module-level kernel of program.py, in call order."""
+        seen = []
+        original = getattr(program_module, kernel)
+
+        def spy(*args):
+            seen.append(args[position])
+            return original(*args)
+
+        monkeypatch.setattr(program_module, kernel, spy)
+        return seen
+
+    def test_equal_rotations_share_one_operand(self, monkeypatch):
+        """Rotations of one angle and axis share one read-only operand; -0.0 shares with 0.0."""
+        seen = self.captured(monkeypatch, "_apply_matrix_1q", 2)
+        angles = [
+            (1, "y", 0.4), (3, "y", 0.4), (2, "x", 0.4), (2, "y", 0.5), (1, "z", 0.0), (2, "z", -0.0)
+        ]
+        program_unitary(Program(3, tuple(Rotation(*args) for args in angles)))
+        assert seen[0] is seen[1]
+        assert len({id(operand) for operand in seen[1:4]}) == 3
+        assert seen[4] is seen[5]
+        for operand, (_, axis, angle) in zip(seen, angles):
+            fresh = Rotation._operands(np.ones(1), angle, pauli(axis))
+            assert operand.tobytes() == fresh.tobytes() and operand.shape == fresh.shape
+            with pytest.raises(ValueError, match="read-only"):
+                operand[0, 0, 0] = 0.0
+
+    def test_equal_k_controlled_phases_share_one_operand(self, monkeypatch):
+        """Controlled phases of one k share one read-only operand, whatever their qubits."""
+        seen = self.captured(monkeypatch, "_apply_diag_2q", 4)
+        gates = (ControlledPhase(1, 2, 3), ControlledPhase(3, 1, 3), ControlledPhase(2, 3, 2))
+        program_unitary(Program(3, gates))
+        assert seen[0] is seen[1] and seen[2] is not seen[0]
+        for operand, gate in zip(seen, gates):
+            fresh = np.array([[1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** gate.k)]])
+            assert operand.tobytes() == fresh.tobytes() and operand.shape == fresh.shape
+            with pytest.raises(ValueError, match="read-only"):
+                operand[0, 0] = 0.0
+
+    def test_equal_analog_phases_shared_across_programs(self, monkeypatch):
+        """Analog blocks of one duration on resources with the same levels share their ideal phases."""
+        seen = []
+        original = AnalogBlock.noisy_apply
+
+        def spy(self, amps, n, value, energy=None):
+            seen.append(value)
+            return original(self, amps, n, value, energy)
+
+        monkeypatch.setattr(AnalogBlock, "noisy_apply", spy)
+        blocks = (AnalogBlock(0.3), AnalogBlock(0.3, "banged"), AnalogBlock(-0.2))
+        for g in (1.0, 1.0, 0.5):  # a second resource of the same levels, then other levels
+            resource = IsingSpec.homogeneous(3, g)
+            program_unitary(Program(3, blocks, resource=resource))
+        assert all(operand is seen[0] for operand in (seen[1], seen[3], seen[4]))
+        assert len({id(operand) for operand in (seen[0], seen[2], seen[6], seen[8])}) == 4
+        with pytest.raises(ValueError, match="read-only"):
+            seen[0][0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("protocol", ["dqc", "sdaqc", "bdaqc", "controlled-phase"])
+    def test_program_unitary_equals_per_instance_operands(self, protocol, n):
+        """Cold caches and warm ones give the bits of operands built per instance."""
+        if protocol == "controlled-phase":
+            program = Program(n, build_dqc_circuit(n) + (readout_instruction(n),))
+        else:
+            program = build_protocol_program(protocol, n)
+        expected = per_instance_unitary(program).tobytes()
+        clear_ideal_caches()
+        assert program_unitary(program).tobytes() == expected
+        assert program_unitary(program).tobytes() == expected
 
 
 class TestNoisySemantics:
