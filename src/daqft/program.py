@@ -204,12 +204,11 @@ class ControlledPhase:
         )
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
-        return _apply_diag_2q(amps, n, self.control, self.target, self._ideal_of(self.k))
+        return _apply_diag_2q(amps, n, self.control, self.target, self._ideal)
 
-    @staticmethod
-    @functools.lru_cache(maxsize=256)
-    def _ideal_of(k: int) -> np.ndarray:
-        return _constant(np.array([[1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** k)]]))
+    @functools.cached_property
+    def _ideal(self) -> np.ndarray:
+        return np.array([[1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** self.k)]])
 
 
 @dataclass(frozen=True)
@@ -236,17 +235,12 @@ class AnalogBlock:
         return amps * value[:, energy.index, None]
 
     def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
-        phases = self._ideal_of(self.duration, energy.levels.tobytes())
+        phases = self._operands(np.zeros(1), self.duration, energy.levels)
         return self.noisy_apply(amps, n, phases, energy)
 
     @staticmethod
     def _operands(values: np.ndarray, durations, levels: np.ndarray) -> np.ndarray:
         return np.exp(1j * (durations + values)[..., None] * levels)
-
-    @staticmethod
-    @functools.lru_cache(maxsize=256)
-    def _ideal_of(duration: float, levels: bytes) -> np.ndarray:
-        return _constant(AnalogBlock._operands(np.zeros(1), duration, np.frombuffer(levels)))
 
 
 @dataclass(frozen=True)
@@ -500,7 +494,7 @@ class ResourceEnergy(NamedTuple):
         return cls(values, np.array(list(first)), index)
 
 
-# The highest qubit an instruction of each class names, 0 for none; other classes are probed.
+# The highest qubit an instruction of each class names, 0 for none.
 _HIGHEST_QUBIT = {
     **dict.fromkeys((Rotation, HadamardGate, XGate), lambda instr: instr.qubit),
     **dict.fromkeys((AnalogBlock, Permute), lambda instr: 0),
@@ -508,12 +502,11 @@ _HIGHEST_QUBIT = {
     ControlledPhase: lambda instr: max(instr.control, instr.target),
     BangedWindow: lambda instr: instr.qubits[-1],  # ascending
 }
+_QUBIT_FIELDS = ("qubit", "qubit_a", "qubit_b", "control", "target")
 
 
-def _probed_qubit(instr) -> int:
-    """The highest qubit an instruction of another class names, probed field by field."""
-    fields = ("qubit", "qubit_a", "qubit_b", "control", "target")
-    return max([getattr(instr, name, 0) for name in fields] + list(getattr(instr, "qubits", ())))
+def _probed_qubit(instr) -> int:  # a class outside the instruction set: every qubit field it has
+    return max([getattr(instr, name, 0) for name in _QUBIT_FIELDS] + [*getattr(instr, "qubits", ())])
 
 
 @dataclass(frozen=True)
