@@ -168,7 +168,8 @@ def _write_or_print(text: str, out) -> None:
 
 
 def _load_coupling_file(path, n_qubits: int, target_time: float) -> IsingSpec:
-    """Coupling file: one `j k g_jk` line per pair (1-based, j < k)."""
+    """Coupling file: one `j k g_jk` line per pair (1-based, j < k), each checked as it is read."""
+    register = IsingSpec(n_qubits, target_time=target_time)
     couplings: dict[tuple[int, int], float] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -184,8 +185,12 @@ def _load_coupling_file(path, n_qubits: int, target_time: float) -> IsingSpec:
                 raise ValueError(f"{path}:{line_no}: malformed values in {line!r}") from exc
             if (j, k) in couplings:
                 raise ValueError(f"{path}:{line_no}: duplicate pair ({j}, {k})")
+            try:
+                replace(register, couplings={(j, k): g})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             couplings[(j, k)] = g
-    return IsingSpec(n_qubits, couplings, target_time=target_time)
+    return replace(register, couplings=couplings)
 
 
 def _cmd_compile(args) -> int:

@@ -8,13 +8,14 @@ pulses and compensates with the caption timing rule (see build_bdaqc_schedule).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ising import IsingSpec, all_pairs
-from .program import AnalogBlock, BangedWindow, HadamardGate, Program, Rotation, XGate
+from .program import AnalogBlock, BangedWindow, HadamardGate, Program, Rotation, XGate, _constant
 from .qft import qft_block_target, readout_instruction
 
 # Default drive-window width for banged schedules.  The window error grows
@@ -39,14 +40,19 @@ def sign_matrix(n_qubits: int) -> np.ndarray:
     """
     if n_qubits < 2:
         raise ValueError(f"n_qubits must be >= 2, got {n_qubits}")
+    return _sign_matrix(n_qubits)
+
+
+@functools.lru_cache(maxsize=None)
+def _sign_matrix(n_qubits: int) -> np.ndarray:  # read-only, built once per register size
     pairs = np.array(all_pairs(n_qubits))
     overlap = (pairs[:, None, :, None] == pairs[None, :, None, :]).sum(axis=(2, 3))
-    return np.where(overlap % 2, -1, 1)
+    return _constant(np.where(overlap % 2, -1, 1))
 
 
 def coupling_vector(target: IsingSpec) -> np.ndarray:
     """Couplings g_jk flattened in alpha order."""
-    return np.array([target.coupling(j, k) for j, k in all_pairs(target.n_qubits)])
+    return np.array([target.couplings.get(pair, 0.0) for pair in all_pairs(target.n_qubits)])
 
 
 def solve_times(target: IsingSpec) -> np.ndarray:
@@ -63,7 +69,7 @@ def solve_times(target: IsingSpec) -> np.ndarray:
     m = sign_matrix(n)
     g_vec = coupling_vector(target)
     times = np.linalg.solve(m, g_vec) * (target.target_time / target.resource_coupling)
-    residual = _residual(m, target, times)
+    residual = _residual(m, target, times, g_vec)
     if residual > RESIDUAL_TOL:
         raise RuntimeError(f"time solver residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     return times
@@ -71,14 +77,14 @@ def solve_times(target: IsingSpec) -> np.ndarray:
 
 def solve_residual(target: IsingSpec, times: np.ndarray) -> float:
     """Max-norm residual of the duration solution against the target couplings."""
-    return _residual(sign_matrix(target.n_qubits), target, times)
+    return _residual(sign_matrix(target.n_qubits), target, times, coupling_vector(target))
 
 
-def _residual(m: np.ndarray, target: IsingSpec, times) -> float:
+def _residual(m: np.ndarray, target: IsingSpec, times, g_vec: np.ndarray) -> float:
     if target.target_time == 0:
         raise ValueError("target_time must be nonzero: no durations give a coupling in zero time")
     lhs = m @ np.asarray(times) * (target.resource_coupling / target.target_time)
-    return float(np.max(np.abs(lhs - coupling_vector(target))))
+    return float(np.max(np.abs(lhs - g_vec)))
 
 
 def _check_window(mode: str, delta_t: float | None) -> None:
@@ -146,33 +152,37 @@ def banged_segment_durations(times, delta_t: float) -> list[float]:
     result may be negative; it is executed as-is.
     """
     count = len(times)
-    segments = []
-    for i, t in enumerate(times):
-        if count == 1:
-            charge = 2.0 * delta_t
-        elif i in (0, count - 1):
-            charge = 1.5 * delta_t
-        else:
-            charge = delta_t
-        segments.append(float(t) - charge)
-    return segments
+    charges = [2.0 * delta_t] if count == 1 else [delta_t] * count
+    if count > 1:
+        charges[0] = charges[-1] = 1.5 * delta_t
+    return [float(t) - charge for t, charge in zip(times, charges)]
 
 
 def schedule_instructions(schedule: DaqcSchedule) -> tuple:
     """Lower a schedule to executable instructions."""
-    instructions: list = []
-    pairs = all_pairs(schedule.n_qubits)
-    if schedule.mode == "stepwise":
-        x = {q: XGate(q) for q in range(1, schedule.n_qubits + 1)}  # one per qubit, shared
-        for (j, k), duration in zip(pairs, schedule.times):
-            instructions.extend((x[j], x[k], AnalogBlock(duration, "stepwise"), x[j], x[k]))
+    return tuple(_lowering(schedule.mode, schedule.n_qubits, schedule.delta_t)(schedule.times)[0])
+
+
+def _lowering(mode: str, n_qubits: int, delta_t: float | None):
+    """A function lowering checked schedules of float durations to (instructions, negative blocks).
+
+    Its schedules share one X gate per qubit (stepwise) or one drive window per pair (banged).
+    """
+    pairs = all_pairs(n_qubits)
+    if mode == "stepwise":
+        x = {q: XGate(q) for q in range(1, n_qubits + 1)}
+        pulses = [(x[j], x[k]) for j, k in pairs]
     else:
-        delta_t = schedule.delta_t
-        segments = banged_segment_durations(schedule.times, delta_t)
-        for pair, segment in zip(pairs, segments):
-            window = BangedWindow(delta_t, pair)
-            instructions.extend((window, AnalogBlock(segment, "banged"), window))
-    return tuple(instructions)
+        pulses = [(BangedWindow(delta_t, pair),) for pair in pairs]
+
+    def lower(times) -> tuple[list, int]:
+        segments = times if mode == "stepwise" else banged_segment_durations(times, delta_t)
+        instructions: list = []
+        for pulse, segment in zip(pulses, segments):
+            instructions.extend((*pulse, AnalogBlock(segment, mode), *pulse))
+        return instructions, sum(1 for segment in segments if segment < 0)
+
+    return lower
 
 
 def schedule_program(schedule: DaqcSchedule) -> Program:
@@ -212,19 +222,19 @@ def compile_qft_daqc(n_qubits: int, mode: str, delta_t: float = DEFAULT_DELTA_T)
     resource = IsingSpec.homogeneous(n_qubits)
     instructions: list = []
     block_times = []
+    negative_segments = 0
+    lower = _lowering(mode, n_qubits, window)
     for m in range(1, n_qubits):
         target = qft_block_target(n_qubits, m)
         instructions.append(HadamardGate(m))
         for (_, q), angle in target.couplings.items():  # ascending q
             instructions.extend((Rotation(m, "z", -angle), Rotation(q, "z", -angle)))
-        schedule = DaqcSchedule(mode, solve_times(target), resource, window)
-        block_times.append(schedule.times)
-        instructions.extend(schedule_instructions(schedule))
-    instructions.append(HadamardGate(n_qubits))
-    instructions.append(readout_instruction(n_qubits))
-    negative_segments = sum(
-        1 for instr in instructions if isinstance(instr, AnalogBlock) and instr.duration < 0
-    )
+        times = tuple(solve_times(target).tolist())
+        block, negative = lower(times)
+        block_times.append(times)
+        instructions.extend(block)
+        negative_segments += negative
+    instructions += (HadamardGate(n_qubits), readout_instruction(n_qubits))
     return Program(
         n_qubits=n_qubits,
         instructions=tuple(instructions),

@@ -465,7 +465,10 @@ def records_to_csv(records) -> str:
 def load_noise_config(path) -> tuple[NoiseConfig, float | None]:
     """Read a noise-config JSON file; returns the config and optional delta_t."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("noise config must be a JSON object")
     unknown = sorted(set(data) - set(CONFIG_FILE_KEYS))

@@ -288,7 +288,7 @@ class Permute:
     index_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        perm = tuple(int(i) for i in self.index_map)
+        perm = tuple(map(int, self.index_map))
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("index_map is not a permutation")
         object.__setattr__(self, "index_map", perm)
@@ -487,20 +487,22 @@ class ResourceEnergy(NamedTuple):
     @classmethod
     def of(cls, resource: IsingSpec) -> ResourceEnergy:
         values = coupling_diagonal(resource)
-        # A dict rather than np.unique: the first call of np.unique's argsort
-        # alone raises a run's peak memory by ~0.4 MB.
-        first: dict[float, int] = {}
-        index = np.array([first.setdefault(value, len(first)) for value in values.tolist()])
-        return cls(values, np.array(list(first)), index)
+        # A dict and a Python sort rather than np.unique: the first call of
+        # np.unique's argsort alone raises a run's peak memory by ~0.4 MB.
+        first = list(dict.fromkeys(values.tolist()))  # the levels in order of first appearance
+        order = np.array(sorted(range(len(first)), key=first.__getitem__))
+        return cls(values, np.array(first), order[np.searchsorted(first, values, sorter=order)])
 
 
-# The highest qubit an instruction of each class names, 0 for none.
-_HIGHEST_QUBIT = {
-    **dict.fromkeys((Rotation, HadamardGate, XGate), lambda instr: instr.qubit),
-    **dict.fromkeys((AnalogBlock, Permute), lambda instr: 0),
-    Entangler: lambda instr: max(instr.qubit_a, instr.qubit_b),
-    ControlledPhase: lambda instr: max(instr.control, instr.target),
-    BangedWindow: lambda instr: instr.qubits[-1],  # ascending
+# Per class: the highest qubit an instruction names (0 for none), and what else it needs:
+# "resource" (an analog resource), "window" (a homogeneous one) or "size" (2^n indices).
+_RULES = {
+    **dict.fromkeys((Rotation, HadamardGate, XGate), (lambda instr: instr.qubit, None)),
+    Entangler: (lambda instr: max(instr.qubit_a, instr.qubit_b), None),
+    ControlledPhase: (lambda instr: max(instr.control, instr.target), None),
+    AnalogBlock: (lambda instr: 0, "resource"),
+    BangedWindow: (lambda instr: instr.qubits[-1], "window"),  # ascending
+    Permute: (lambda instr: 0, "size"),
 }
 _QUBIT_FIELDS = ("qubit", "qubit_a", "qubit_b", "control", "target")
 
@@ -525,15 +527,20 @@ class Program:
         object.__setattr__(self, "instructions", tuple(self.instructions))
         if self.resource is not None and self.resource.n_qubits != self.n_qubits:
             raise ValueError("resource register size does not match the program")
+        n = self.n_qubits
         homogeneous = self.resource is not None and self.resource.is_homogeneous()
         for instr in self.instructions:
-            if _HIGHEST_QUBIT.get(type(instr), _probed_qubit)(instr) > self.n_qubits:
-                raise ValueError(f"instruction {instr!r} exceeds {self.n_qubits} qubits")
-            if isinstance(instr, (AnalogBlock, BangedWindow)) and self.resource is None:
+            highest, needs = _RULES.get(type(instr)) or (_probed_qubit, None)
+            if highest(instr) > n:
+                raise ValueError(f"instruction {instr!r} exceeds {n} qubits")
+            if needs is None:
+                continue
+            if needs == "size":
+                if len(instr.index_map) != 1 << n:
+                    raise ValueError("permutation size does not match the register")
+            elif self.resource is None:
                 raise ValueError("analog instructions require a resource")
-            if isinstance(instr, Permute) and len(instr.index_map) != 1 << self.n_qubits:
-                raise ValueError("permutation size does not match the register")
-            if isinstance(instr, BangedWindow) and not homogeneous:
+            elif needs == "window" and not homogeneous:
                 raise ValueError("banged windows require a homogeneous resource")
         energy = ResourceEnergy.of(self.resource) if self.resource is not None else None
         object.__setattr__(self, "energy", energy)

@@ -55,14 +55,9 @@ def qft_block_target(n_qubits: int, m: int) -> IsingSpec:
 
 def bit_reversal_permutation(n_qubits: int) -> tuple[int, ...]:
     """index -> index with its n-bit binary representation reversed."""
-    dim = 1 << n_qubits
-    perm = []
-    for i in range(dim):
-        rev = 0
-        for b in range(n_qubits):
-            rev |= ((i >> b) & 1) << (n_qubits - 1 - b)
-        perm.append(rev)
-    return tuple(perm)
+    shifts = np.arange(n_qubits)
+    bits = (np.arange(1 << n_qubits)[:, None] >> shifts) & 1  # bit b of i in column b
+    return tuple((bits @ (1 << shifts[::-1])).tolist())
 
 
 def zz_gate_sequence(alpha_angle: float, c: int, k: int) -> tuple:

@@ -149,6 +149,16 @@ class TestSweepBeta:
         assert rc == 2
         assert "unknown noise config keys: typo_key" in capsys.readouterr().err
 
+    def test_malformed_config_names_file(self, tmp_path, capsys):
+        """A config file that is not JSON exits 2 with its path ahead of json's message."""
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"sqgn": 0.1\n"tqgn": 0.2}\n')
+        out = tmp_path / "x.csv"
+        rc = run(["sweep-beta", "--qubits", "2", "--shots", "1", "--noise-config", noise, "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"{noise}: Expecting ',' delimiter: line 2")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "payload, key",
         [
@@ -474,6 +484,25 @@ class TestCompile:
         rc = run(["compile", "--qubits", "3", "--target", target])
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("2 1 0.5", "coupling pair (2, 1) is not ordered within 1..3"),
+            ("1 3 nan", "coupling for pair (1, 3) is not finite"),
+            ("1 4 0.5", "coupling pair (1, 4) is not ordered within 1..3"),
+        ],
+        ids=["unordered", "nan", "past-register"],
+    )
+    def test_rejected_pair_names_file_and_line(self, tmp_path, capsys, line, message):
+        """A pair the coupling pattern rejects exits 2 with the file and line ahead of the reason."""
+        target = tmp_path / "bad.txt"
+        target.write_text(f"1 2 0.5\n{line}\n")
+        rc = run(["compile", "--qubits", "3", "--target", target])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{target}:2: {message}\n"
 
     def test_duplicate_pair(self, tmp_path, capsys):
         """Repeated pairs in a coupling file exit 2."""

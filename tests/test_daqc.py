@@ -5,6 +5,7 @@ import pytest
 
 from daqft import daqc
 from daqft.daqc import (
+    DEFAULT_DELTA_T,
     DaqcSchedule,
     SingularSignMatrixError,
     banged_segment_durations,
@@ -19,8 +20,17 @@ from daqft.daqc import (
     solve_times,
 )
 from daqft.ising import IsingSpec, all_pairs, coupling_diagonal
-from daqft.program import AnalogBlock, BangedWindow, XGate, execute_program, program_unitary
-from daqft.qft import exact_qft, qft_block_target
+from daqft.program import (
+    AnalogBlock,
+    BangedWindow,
+    HadamardGate,
+    Program,
+    Rotation,
+    XGate,
+    execute_program,
+    program_unitary,
+)
+from daqft.qft import exact_qft, qft_block_target, readout_instruction
 from daqft.statevector import Statevector, fidelity, phase_insensitive_distance
 
 
@@ -32,6 +42,69 @@ def random_state(n, rng):
 def random_target(n, rng):
     couplings = {pair: float(rng.normal()) for pair in all_pairs(n)}
     return IsingSpec(n, couplings, target_time=float(rng.uniform(0.2, 2.0)))
+
+
+def per_block_segments(times, delta_t):
+    """Banged segment durations charged block by block, the loop banged_segment_durations replaced."""
+    count = len(times)
+    segments = []
+    for i, t in enumerate(times):
+        if count == 1:
+            charge = 2.0 * delta_t
+        elif i in (0, count - 1):
+            charge = 1.5 * delta_t
+        else:
+            charge = delta_t
+        segments.append(float(t) - charge)
+    return segments
+
+
+def per_pair_instructions(schedule):
+    """A schedule lowered pair by pair, the loop schedule_instructions replaced."""
+    instructions = []
+    pairs = all_pairs(schedule.n_qubits)
+    if schedule.mode == "stepwise":
+        x = {q: XGate(q) for q in range(1, schedule.n_qubits + 1)}
+        for (j, k), duration in zip(pairs, schedule.times):
+            instructions.extend((x[j], x[k], AnalogBlock(duration, "stepwise"), x[j], x[k]))
+    else:
+        segments = per_block_segments(schedule.times, schedule.delta_t)
+        for pair, segment in zip(pairs, segments):
+            window = BangedWindow(schedule.delta_t, pair)
+            instructions.extend((window, AnalogBlock(segment, "banged"), window))
+    return tuple(instructions)
+
+
+def schedule_built_qft(n, mode, delta_t=DEFAULT_DELTA_T):
+    """The QFT program built from solve_times, DaqcSchedule and schedule_instructions.
+
+    The construction compile_qft_daqc replaced: one checked schedule per
+    block, lowered on its own, and the negative analog blocks counted over
+    the finished instruction list.  Each block's lowering is also checked
+    against the pair-by-pair loop.
+    """
+    window = delta_t if mode == "banged" else None
+    resource = IsingSpec.homogeneous(n)
+    instructions, block_times = [], []
+    for m in range(1, n):
+        target = qft_block_target(n, m)
+        instructions.append(HadamardGate(m))
+        for (_, q), angle in target.couplings.items():
+            instructions.extend((Rotation(m, "z", -angle), Rotation(q, "z", -angle)))
+        schedule = DaqcSchedule(mode, solve_times(target), resource, window)
+        block_times.append(schedule.times)
+        lowered = schedule_instructions(schedule)
+        assert repr(lowered) == repr(per_pair_instructions(schedule))
+        instructions.extend(lowered)
+    instructions += [HadamardGate(n), readout_instruction(n)]
+    negative = sum(1 for i in instructions if isinstance(i, AnalogBlock) and i.duration < 0)
+    metadata = {
+        "mode": mode,
+        "delta_t": window,
+        "block_times": tuple(block_times),
+        "negative_segments": negative,
+    }
+    return Program(n, tuple(instructions), resource, metadata)
 
 
 class TestVectorization:
@@ -65,6 +138,18 @@ class TestSignMatrix:
                 shared = len(set(pa) & set(pb))
                 expected = -1 if shared == 1 else 1
                 assert m[a, b] == expected
+
+    def test_built_once_per_register_size(self):
+        """Each size's matrix is read-only, follows the pair-overlap rule, and is built once."""
+        for n in range(2, 11):
+            m = sign_matrix(n)
+            assert sign_matrix(n) is m
+            assert not m.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0
+            pairs = all_pairs(n)
+            expected = [[-1 if len(set(a) & set(b)) == 1 else 1 for b in pairs] for a in pairs]
+            assert m.dtype == np.array(expected).dtype and np.array_equal(m, expected)
 
     def test_singular_only_at_four(self):
         """det vanishes at N=4 and nowhere else in 2..10."""
@@ -162,6 +247,16 @@ class TestScheduleConstruction:
             pytest.approx(2.85),
         ]
 
+    def test_segment_charges_match_per_block_loop(self):
+        """Segments of 0..12 blocks, from arrays, tuples and lists, equal the per-block loop's bits."""
+        rng = np.random.default_rng(61)
+        for count in range(13):
+            for delta_t in (1e-4, 0.01, 0.3):
+                times = rng.normal(size=count)
+                for given in (times, tuple(times.tolist()), list(times)):
+                    segments = banged_segment_durations(given, delta_t)
+                    assert repr(segments) == repr(per_block_segments(given, delta_t))
+
     def test_negative_durations_survive(self):
         """Negative analog times are kept, not clipped."""
         segments = banged_segment_durations([0.05], 0.1)
@@ -253,6 +348,20 @@ class TestCompileQft:
             for delta_t in (float("nan"), float("inf"), 0.0, -1e-4):
                 with pytest.raises(ValueError, match="finite delta_t > 0"):
                     compile_qft_daqc(n, "banged", delta_t)
+
+    @pytest.mark.parametrize("mode", ["stepwise", "banged"])
+    @pytest.mark.parametrize("n", [3, 5, 6, 7])
+    def test_matches_schedule_built_program(self, n, mode):
+        """Instructions, metadata and resource equal the schedule-built program's, bit for bit."""
+        program = compile_qft_daqc(n, mode)
+        expected = schedule_built_qft(n, mode)
+        assert len(program.instructions) == len(expected.instructions)
+        for got, want in zip(program.instructions, expected.instructions):
+            assert type(got) is type(want) and repr(got) == repr(want)
+        assert repr(program.metadata) == repr(expected.metadata)
+        assert program.resource == expected.resource
+        for got, want in zip(program.energy, expected.energy):
+            assert got.tobytes() == want.tobytes()
 
     def test_negative_segment_count(self):
         """negative_segments counts the analog blocks of negative duration in either mode."""

@@ -25,6 +25,7 @@ from daqft.program import (
     HadamardGate,
     Permute,
     Program,
+    ResourceEnergy,
     Rotation,
     UnsupportedGateError,
     XGate,
@@ -62,6 +63,17 @@ def perfbench_constant(name):
 def random_state(n, rng):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return Statevector(n, amps / np.linalg.norm(amps))
+
+
+def setdefault_energy(resource):
+    """Energies, levels and index built by one dict setdefault per basis state.
+
+    The construction ResourceEnergy.of replaced.
+    """
+    values = coupling_diagonal(resource)
+    first = {}
+    index = np.array([first.setdefault(value, len(first)) for value in values.tolist()])
+    return values, np.array(list(first)), index
 
 
 def instruction_matrix(instr, n, value=None, resource=None):
@@ -541,6 +553,22 @@ class TestAnalogExecution:
         out = execute_program(state, program)
         expected = state.amplitudes * np.exp(-0.62j * coupling_diagonal(resource))
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
+
+    def test_resource_energy_matches_setdefault_construction(self):
+        """Values, levels in order of first appearance, and index equal the setdefault build's bits.
+
+        Homogeneous resources with g = 1 and 0.5 at n = 3..7, an
+        inhomogeneous one at n = 5, and one whose couplings are all zero.
+        """
+        rng = np.random.default_rng(53)
+        resources = [IsingSpec.homogeneous(n, g) for g in (1.0, 0.5) for n in range(3, 8)]
+        resources.append(IsingSpec(5, {pair: float(rng.normal()) for pair in all_pairs(5)}))
+        resources.append(IsingSpec(5, {pair: 0.0 for pair in all_pairs(5)}))
+        for resource in resources:
+            energy = ResourceEnergy.of(resource)
+            for got, expected in zip(energy, setdefault_energy(resource)):
+                assert got.dtype == expected.dtype and got.shape == expected.shape, resource
+                assert got.tobytes() == expected.tobytes(), resource
 
     def test_level_indexed_phase_is_exact(self):
         """Phases gathered from the resource's distinct levels equal amps * exp(1j t E) bit for bit.

@@ -26,6 +26,17 @@ def random_state(n, rng):
     return Statevector(n, amps / np.linalg.norm(amps))
 
 
+def per_bit_reversal(n):
+    """The bit reversal as a loop over every index and bit, the form the numpy one replaced."""
+    perm = []
+    for i in range(1 << n):
+        rev = 0
+        for b in range(n):
+            rev |= ((i >> b) & 1) << (n - 1 - b)
+        perm.append(rev)
+    return tuple(perm)
+
+
 def circuit_with_readout(n, **kwargs):
     gates = build_dqc_circuit(n, **kwargs) + (readout_instruction(n),)
     return Program(n, gates)
@@ -76,6 +87,24 @@ class TestAngles:
         assert qft_block_target(3, 1).coupling(1, 3) == pytest.approx(np.pi / 16)
         assert qft_block_target(3, 2).coupling(2, 3) == pytest.approx(np.pi / 8)
         assert qft_block_target(3, 2).coupling(1, 3) == 0.0
+
+    def test_bit_reversal_matches_per_bit_loop(self):
+        """The permutation and the readout equal the per-bit loop's, as a tuple of Python ints."""
+        for n in range(1, 11):
+            perm = bit_reversal_permutation(n)
+            assert perm == per_bit_reversal(n)
+            assert {type(i) for i in perm} == {int}
+            assert readout_instruction(n) == Permute(per_bit_reversal(n))
+
+    def test_permute_accepts_any_integer_sequence(self):
+        """Tuples, lists, numpy arrays and numpy integers give one relabeling of Python ints."""
+        perm = (3, 1, 2, 0)
+        for given in (perm, list(perm), np.array(perm), [np.int64(i) for i in perm]):
+            readout = Permute(given)
+            assert readout.index_map == perm
+            assert {type(i) for i in readout.index_map} == {int}
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permute(np.array([0, 0, 1, 2]))
 
     def test_bit_reversal_is_involution(self):
         """Applying the readout permutation twice is the identity."""
