@@ -171,9 +171,12 @@ def _load_coupling_file(path, n_qubits: int, target_time: float) -> IsingSpec:
     """Coupling file: one `j k g_jk` line per pair (1-based, j < k), each checked as it is read."""
     register = IsingSpec(n_qubits, target_time=target_time)
     couplings: dict[tuple[int, int], float] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
+    with open(path, "rb") as handle:  # lines end in \n, \r\n or \r, as in text mode
+        for line_no, raw in enumerate(handle.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: not UTF-8 text: {exc}") from None
             if not line or line.startswith("#"):
                 continue
             parts = line.split()

@@ -87,60 +87,62 @@ def _residual(m: np.ndarray, target: IsingSpec, times, g_vec: np.ndarray) -> flo
     return float(np.max(np.abs(lhs - g_vec)))
 
 
-def _check_window(mode: str, delta_t: float | None) -> None:
-    """Banged schedules need a finite, positive drive-window width."""
+def _check_mode(mode: str, delta_t: float | None) -> None:
+    """A known mode; banged schedules also need a finite, positive drive-window width."""
+    if mode not in ("stepwise", "banged"):
+        raise ValueError(f"unknown schedule mode {mode!r}")
     if mode == "banged" and (delta_t is None or not (math.isfinite(delta_t) and delta_t > 0)):
         raise ValueError(f"banged mode requires a finite delta_t > 0, got {delta_t!r}")
 
 
 @dataclass(frozen=True)
 class DaqcSchedule:
-    """Analog-block durations, one per conjugation pair in all_pairs order."""
+    """(flip set, duration) blocks in execution order; a flip set is an ascending qubit tuple."""
 
     mode: str  # "stepwise" | "banged"
-    times: tuple[float, ...]
+    blocks: tuple[tuple[tuple[int, ...], float], ...]
     resource: IsingSpec
     delta_t: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("stepwise", "banged"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
-        _check_window(self.mode, self.delta_t)
+        _check_mode(self.mode, self.delta_t)
         if not self.resource.is_homogeneous():
             raise ValueError("the analog resource must be homogeneous")
-        times = tuple(float(t) for t in self.times)
-        pairs = len(all_pairs(self.resource.n_qubits))
-        if len(times) != pairs:
-            raise ValueError(f"expected {pairs} durations for N={self.n_qubits}, got {len(times)}")
-        object.__setattr__(self, "times", times)
+        blocks = tuple((tuple(qubits), float(duration)) for qubits, duration in self.blocks)
+        for qubits, _ in blocks:
+            if not qubits or list(qubits) != sorted(set(qubits) & set(range(1, self.n_qubits + 1))):
+                raise ValueError(f"flip set {qubits} is not ascending qubits in 1..{self.n_qubits}")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n_qubits(self) -> int:
         return self.resource.n_qubits
 
 
-def _unit_resource(item_count: int) -> IsingSpec:
-    """The unit homogeneous resource on the register with item_count pairs."""
-    n = (1 + math.isqrt(1 + 8 * item_count)) // 2
-    if n * (n - 1) // 2 != item_count:
-        raise ValueError(f"{item_count} durations do not form a full pair set")
-    return IsingSpec.homogeneous(n)
+def _pair_schedule(mode: str, times, resource: IsingSpec | None, delta_t=None) -> DaqcSchedule:
+    """Durations as blocks on all_pairs(n) in alpha order, over the given or the unit resource."""
+    count = len(times)
+    if resource is None:
+        n = (1 + math.isqrt(1 + 8 * count)) // 2
+        if n * (n - 1) // 2 != count:
+            raise ValueError(f"{count} durations do not form a full pair set")
+        resource = IsingSpec.homogeneous(n)
+    pairs = all_pairs(resource.n_qubits)
+    if count != len(pairs):
+        raise ValueError(f"expected {len(pairs)} durations for N={resource.n_qubits}, got {count}")
+    return DaqcSchedule(mode, list(zip(pairs, times)), resource, delta_t)
 
 
 def build_sdaqc_schedule(times: np.ndarray, resource: IsingSpec | None = None) -> DaqcSchedule:
     """Stepwise schedule: resource off while the conjugation pulses act."""
-    if resource is None:
-        resource = _unit_resource(len(times))
-    return DaqcSchedule("stepwise", times, resource)
+    return _pair_schedule("stepwise", times, resource)
 
 
 def build_bdaqc_schedule(
     times: np.ndarray, delta_t: float, resource: IsingSpec | None = None
 ) -> DaqcSchedule:
     """Banged schedule: resource stays on; X pulses become drive windows of delta_t."""
-    if resource is None:
-        resource = _unit_resource(len(times))
-    return DaqcSchedule("banged", times, resource, delta_t=delta_t)
+    return _pair_schedule("banged", times, resource, delta_t)
 
 
 def banged_segment_durations(times, delta_t: float) -> list[float]:
@@ -158,31 +160,36 @@ def banged_segment_durations(times, delta_t: float) -> list[float]:
     return [float(t) - charge for t, charge in zip(times, charges)]
 
 
+def _lower(mode: str, blocks, delta_t: float | None, pulses: dict, instructions: list) -> int:
+    """Append each block, between its flip set's pulses, to instructions; count negative segments.
+
+    ``pulses`` maps flip sets to pulses and is shared by all blocks of a program (see _pulses).
+    """
+    durations = [duration for _, duration in blocks]
+    segments = durations if mode == "stepwise" else banged_segment_durations(durations, delta_t)
+    for (qubits, _), segment in zip(blocks, segments):
+        pulse = pulses.get(qubits)
+        if pulse is None and mode == "stepwise":
+            pulse = pulses[qubits] = sum((pulses[(q,)] for q in qubits), ())
+        elif pulse is None:
+            pulse = pulses[qubits] = (BangedWindow(delta_t, qubits),)
+        instructions += pulse
+        instructions.append(AnalogBlock(segment, mode))
+        instructions += pulse
+    return sum(1 for segment in segments if segment < 0)
+
+
+def _pulses(mode: str, n_qubits: int) -> dict:
+    """A fresh pulse table: in stepwise mode each qubit's X gate, which larger flip sets reuse."""
+    return {(q,): (XGate(q),) for q in range(1, n_qubits + 1)} if mode == "stepwise" else {}
+
+
 def schedule_instructions(schedule: DaqcSchedule) -> tuple:
     """Lower a schedule to executable instructions."""
-    return tuple(_lowering(schedule.mode, schedule.n_qubits, schedule.delta_t)(schedule.times)[0])
-
-
-def _lowering(mode: str, n_qubits: int, delta_t: float | None):
-    """A function lowering checked schedules of float durations to (instructions, negative blocks).
-
-    Its schedules share one X gate per qubit (stepwise) or one drive window per pair (banged).
-    """
-    pairs = all_pairs(n_qubits)
-    if mode == "stepwise":
-        x = {q: XGate(q) for q in range(1, n_qubits + 1)}
-        pulses = [(x[j], x[k]) for j, k in pairs]
-    else:
-        pulses = [(BangedWindow(delta_t, pair),) for pair in pairs]
-
-    def lower(times) -> tuple[list, int]:
-        segments = times if mode == "stepwise" else banged_segment_durations(times, delta_t)
-        instructions: list = []
-        for pulse, segment in zip(pulses, segments):
-            instructions.extend((*pulse, AnalogBlock(segment, mode), *pulse))
-        return instructions, sum(1 for segment in segments if segment < 0)
-
-    return lower
+    pulses = _pulses(schedule.mode, schedule.n_qubits)
+    instructions: list = []
+    _lower(schedule.mode, schedule.blocks, schedule.delta_t, pulses, instructions)
+    return tuple(instructions)
 
 
 def schedule_program(schedule: DaqcSchedule) -> Program:
@@ -196,12 +203,11 @@ def schedule_program(schedule: DaqcSchedule) -> Program:
 
 
 def schedule_dump(schedule: DaqcSchedule) -> str:
-    """One line per block: `alpha j k duration` (fixed format for golden files)."""
-    pairs = all_pairs(schedule.n_qubits)
+    """One line per block: `alpha <flip-set qubits> duration` (fixed format for golden files)."""
     # + 0.0 turns -0.0 (a zero duration under a negative target time) into 0.0
     lines = [
-        f"{alpha} {j} {k} {duration + 0.0:.12e}"
-        for alpha, ((j, k), duration) in enumerate(zip(pairs, schedule.times), start=1)
+        f"{alpha} {' '.join(map(str, qubits))} {duration + 0.0:.12e}"
+        for alpha, (qubits, duration) in enumerate(schedule.blocks, start=1)
     ]
     return "\n".join(lines) + "\n"
 
@@ -215,25 +221,22 @@ def compile_qft_daqc(n_qubits: int, mode: str, delta_t: float = DEFAULT_DELTA_T)
     the program.  ``metadata["negative_segments"]`` counts its analog blocks
     of negative duration, in either mode.
     """
-    if mode not in ("stepwise", "banged"):
-        raise ValueError(f"unknown compilation mode {mode!r}")
-    _check_window(mode, delta_t)
+    _check_mode(mode, delta_t)
     window = delta_t if mode == "banged" else None
     resource = IsingSpec.homogeneous(n_qubits)
+    pairs = all_pairs(n_qubits)  # solve_times orders durations as all_pairs does
+    pulses = _pulses(mode, n_qubits)
     instructions: list = []
     block_times = []
     negative_segments = 0
-    lower = _lowering(mode, n_qubits, window)
     for m in range(1, n_qubits):
         target = qft_block_target(n_qubits, m)
         instructions.append(HadamardGate(m))
         for (_, q), angle in target.couplings.items():  # ascending q
             instructions.extend((Rotation(m, "z", -angle), Rotation(q, "z", -angle)))
         times = tuple(solve_times(target).tolist())
-        block, negative = lower(times)
         block_times.append(times)
-        instructions.extend(block)
-        negative_segments += negative
+        negative_segments += _lower(mode, list(zip(pairs, times)), window, pulses, instructions)
     instructions += (HadamardGate(n_qubits), readout_instruction(n_qubits))
     return Program(
         n_qubits=n_qubits,

@@ -6,6 +6,7 @@ with j < k.  A missing pair means zero coupling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ def _check_register_size(n_qubits: int) -> None:
 
 def all_pairs(n_qubits: int) -> list[Pair]:
     """All ordered pairs (j, k) with 1 <= j < k <= n_qubits."""
-    return [(j, k) for j in range(1, n_qubits + 1) for k in range(j + 1, n_qubits + 1)]
+    return list(itertools.combinations(range(1, n_qubits + 1), 2))
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,8 @@ def coupling_diagonal(spec: IsingSpec) -> np.ndarray:
     """
     n = spec.n_qubits
     dim = 1 << n
-    indices = np.arange(dim)
-    z = np.empty((n + 1, dim), dtype=float)  # 1-based rows, row 0 unused
-    for q in range(1, n + 1):
-        bits = (indices >> (n - q)) & 1
-        z[q] = 1.0 - 2.0 * bits
+    shifts = n - np.arange(n + 1)  # 1-based rows, row 0 unused
+    z = 1.0 - 2.0 * ((np.arange(dim) >> shifts[:, None]) & 1)
     products: dict[float, np.ndarray] = {}
     for (j, k), g in spec.couplings.items():
         if g != 0.0:

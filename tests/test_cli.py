@@ -485,6 +485,27 @@ class TestCompile:
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_non_utf8_coupling_file_names_file_and_line(self, tmp_path, capsys):
+        """A line that is not UTF-8 exits 2 with the file and line ahead of the decoder's reason."""
+        target = tmp_path / "bad.txt"
+        target.write_bytes(b"1 2 0.5\n1 3 0.2\xff\n2 3 0.1\n")
+        rc = run(["compile", "--qubits", "3", "--target", target])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{target}:2: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 7: "
+            "invalid start byte\n"
+        )
+
+    def test_coupling_file_line_endings(self, tmp_path, capsys):
+        """Lines end in \\n, \\r\\n or \\r, and a bad line is counted across all three."""
+        target = tmp_path / "mixed.txt"
+        target.write_bytes(b"# couplings\r\n1 2 0.5\r1 3 0.25\n2 3\n")
+        rc = run(["compile", "--qubits", "3", "--target", target])
+        assert rc == 2
+        assert capsys.readouterr().err == f"{target}:4: expected 'j k g_jk', got '2 3'\n"
+
     @pytest.mark.parametrize(
         "line, message",
         [

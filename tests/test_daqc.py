@@ -59,29 +59,40 @@ def per_block_segments(times, delta_t):
     return segments
 
 
-def per_pair_instructions(schedule):
-    """A schedule lowered pair by pair, the loop schedule_instructions replaced."""
+def per_block_instructions(schedule):
+    """A schedule lowered block by block, the loop schedule_instructions replaced."""
     instructions = []
-    pairs = all_pairs(schedule.n_qubits)
     if schedule.mode == "stepwise":
         x = {q: XGate(q) for q in range(1, schedule.n_qubits + 1)}
-        for (j, k), duration in zip(pairs, schedule.times):
-            instructions.extend((x[j], x[k], AnalogBlock(duration, "stepwise"), x[j], x[k]))
+        for qubits, duration in schedule.blocks:
+            pulse = [x[q] for q in qubits]
+            instructions.extend((*pulse, AnalogBlock(duration, "stepwise"), *pulse))
     else:
-        segments = per_block_segments(schedule.times, schedule.delta_t)
-        for pair, segment in zip(pairs, segments):
-            window = BangedWindow(schedule.delta_t, pair)
+        durations = [duration for _, duration in schedule.blocks]
+        segments = per_block_segments(durations, schedule.delta_t)
+        for (qubits, _), segment in zip(schedule.blocks, segments):
+            window = BangedWindow(schedule.delta_t, qubits)
             instructions.extend((window, AnalogBlock(segment, "banged"), window))
     return tuple(instructions)
+
+
+def flipped_resource_diagonal(resource, flip_set):
+    """Energies of X_S H X_S: every coupling with exactly one end in S changes sign."""
+    couplings = {
+        (j, k): -g if (j in flip_set) != (k in flip_set) else g
+        for (j, k), g in resource.couplings.items()
+    }
+    return coupling_diagonal(IsingSpec(resource.n_qubits, couplings))
 
 
 def schedule_built_qft(n, mode, delta_t=DEFAULT_DELTA_T):
     """The QFT program built from solve_times, DaqcSchedule and schedule_instructions.
 
     The construction compile_qft_daqc replaced: one checked schedule per
-    block, lowered on its own, and the negative analog blocks counted over
-    the finished instruction list.  Each block's lowering is also checked
-    against the pair-by-pair loop.
+    block, its blocks the solved durations on all_pairs in order, lowered on
+    its own, and the negative analog blocks counted over the finished
+    instruction list.  Each block's lowering is also checked against the
+    block-by-block loop.
     """
     window = delta_t if mode == "banged" else None
     resource = IsingSpec.homogeneous(n)
@@ -91,10 +102,11 @@ def schedule_built_qft(n, mode, delta_t=DEFAULT_DELTA_T):
         instructions.append(HadamardGate(m))
         for (_, q), angle in target.couplings.items():
             instructions.extend((Rotation(m, "z", -angle), Rotation(q, "z", -angle)))
-        schedule = DaqcSchedule(mode, solve_times(target), resource, window)
-        block_times.append(schedule.times)
+        blocks = tuple(zip(all_pairs(n), solve_times(target)))
+        schedule = DaqcSchedule(mode, blocks, resource, window)
+        block_times.append(tuple(duration for _, duration in schedule.blocks))
         lowered = schedule_instructions(schedule)
-        assert repr(lowered) == repr(per_pair_instructions(schedule))
+        assert repr(lowered) == repr(per_block_instructions(schedule))
         instructions.extend(lowered)
     instructions += [HadamardGate(n), readout_instruction(n)]
     negative = sum(1 for i in instructions if isinstance(i, AnalogBlock) and i.duration < 0)
@@ -121,9 +133,21 @@ class TestVectorization:
     def test_rejects_bad_pairs(self):
         """Durations that do not cover the pair set exactly are refused."""
         with pytest.raises(ValueError, match="expected 3 durations for N=3, got 2"):
-            DaqcSchedule("stepwise", (0.1, 0.2), IsingSpec.homogeneous(3))
+            build_sdaqc_schedule(np.array([0.1, 0.2]), IsingSpec.homogeneous(3))
+        with pytest.raises(ValueError, match="expected 3 durations for N=3, got 2"):
+            build_bdaqc_schedule(np.array([0.1, 0.2]), 0.01, IsingSpec.homogeneous(3))
         with pytest.raises(ValueError, match="full pair set"):
             build_sdaqc_schedule(np.ones(4))
+
+    def test_rejects_bad_flip_sets(self):
+        """A flip set is a non-empty ascending tuple of distinct register qubits."""
+        resource = IsingSpec.homogeneous(3)
+        for qubits in ((), (2, 1), (1, 1), (0, 2), (2, 4)):
+            with pytest.raises(ValueError, match="flip set"):
+                DaqcSchedule("stepwise", ((qubits, 0.1),), resource)
+        schedule = DaqcSchedule("stepwise", [([1, 3], np.float64(0.1)), ((2,), 1)], resource)
+        assert schedule.blocks == (((1, 3), 0.1), ((2,), 1.0))
+        assert all(type(duration) is float for _, duration in schedule.blocks)
 
 
 class TestSignMatrix:
@@ -219,7 +243,8 @@ class TestScheduleConstruction:
         times = np.arange(1.0, 7.0)
         schedule = build_sdaqc_schedule(times)
         assert schedule.n_qubits == 4
-        assert schedule.times == tuple(times)
+        assert schedule.blocks == tuple(zip(all_pairs(4), times.tolist()))
+        assert all(type(duration) is float for _, duration in schedule.blocks)
         instrs = schedule_instructions(schedule)
         pairs = [(instrs[i].qubit, instrs[i + 1].qubit) for i in range(0, len(instrs), 5)]
         assert pairs == all_pairs(4)
@@ -231,7 +256,8 @@ class TestScheduleConstruction:
             with pytest.raises(ValueError, match="finite delta_t > 0"):
                 build_bdaqc_schedule(np.ones(3), delta_t)
             with pytest.raises(ValueError, match="finite delta_t > 0"):
-                DaqcSchedule("banged", np.ones(3), IsingSpec.homogeneous(3), delta_t)
+                blocks = tuple(zip(all_pairs(3), np.ones(3)))
+                DaqcSchedule("banged", blocks, IsingSpec.homogeneous(3), delta_t)
 
     def test_segment_charges(self):
         """First/last blocks lose 3/2 windows, interiors one, singletons two."""
@@ -279,6 +305,21 @@ class TestScheduleConstruction:
         assert instrs[0].duration == pytest.approx(0.01)
         assert instrs[1].kind == "banged"
 
+    def test_banged_reordered_blocks(self):
+        """Blocks run in their own order, one window per flip set, 1.5 windows charged at both ends."""
+        dt = 0.01
+        blocks = (((2, 3), 0.3), ((1,), 0.4), ((1, 2, 3), 0.5), ((2, 3), 0.6))
+        schedule = DaqcSchedule("banged", blocks, IsingSpec.homogeneous(3), dt)
+        instrs = schedule_instructions(schedule)
+        assert repr(instrs) == repr(per_block_instructions(schedule))
+        opening, segments, closing = instrs[0::3], instrs[1::3], instrs[2::3]
+        assert all(a is b for a, b in zip(opening, closing, strict=True))
+        assert [w.qubits for w in opening] == [qubits for qubits, _ in blocks]
+        assert all(type(w) is BangedWindow and w.duration == dt for w in opening)
+        assert instrs[0] is instrs[2] is instrs[9] is instrs[11]
+        assert [a.duration for a in segments] == [0.3 - 1.5 * dt, 0.4 - dt, 0.5 - dt, 0.6 - 1.5 * dt]
+        assert all(a.kind == "banged" for a in segments)
+
 
 class TestStepwiseExactness:
     """Ideal stepwise execution reproduces the dense target evolution."""
@@ -293,6 +334,30 @@ class TestStepwiseExactness:
                 built = program_unitary(schedule_program(schedule))
                 ideal = np.diag(np.exp(1j * target.target_time * coupling_diagonal(target)))
                 assert phase_insensitive_distance(built, ideal) < 1e-9
+
+    def test_any_flip_sets_match_dense_oracle(self):
+        """Blocks out of pair order, a repeated flip set, and 1- and 3-qubit flip sets.
+
+        The schedule equals exp(i sum_b t_b H_b), H_b the resource with the
+        sign of every coupling with exactly one end in S_b flipped.
+        """
+        resource = IsingSpec.homogeneous(5, 0.7)
+        blocks = (
+            ((2, 4), 0.31),
+            ((1,), -0.27),
+            ((1, 3, 5), 0.44),
+            ((2, 4), -0.12),
+            ((3, 4), 0.58),
+            ((1, 2), 0.05),
+            ((2, 3, 4), -0.36),
+        )
+        program = schedule_program(DaqcSchedule("stepwise", blocks, resource))
+        xs = [instr for instr in program.instructions if isinstance(instr, XGate)]
+        assert [x.qubit for x in xs] == [q for qubits, _ in blocks for _ in range(2) for q in qubits]
+        assert len({id(x) for x in xs}) == 5  # one X gate per qubit
+        phase = sum(t * flipped_resource_diagonal(resource, set(s)) for s, t in blocks)
+        ideal = np.diag(np.exp(1j * phase))
+        assert phase_insensitive_distance(program_unitary(program), ideal) < 1e-12
 
     def test_execute_schedule_runs(self):
         """Running a schedule's program on a state equals applying its unitary."""
@@ -363,6 +428,17 @@ class TestCompileQft:
         for got, want in zip(program.energy, expected.energy):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("mode", ["stepwise", "banged"])
+    def test_program_shares_pulses(self, mode):
+        """A compiled program holds one X gate per qubit or one drive window per pair."""
+        for n in (3, 5, 7):
+            instructions = compile_qft_daqc(n, mode).instructions
+            pulses = {id(i): i for i in instructions if isinstance(i, (XGate, BangedWindow))}.values()
+            if mode == "stepwise":
+                assert sorted(x.qubit for x in pulses) == list(range(1, n + 1))
+            else:
+                assert sorted(w.qubits for w in pulses) == all_pairs(n)
+
     def test_negative_segment_count(self):
         """negative_segments counts the analog blocks of negative duration in either mode."""
         counts = {"stepwise": (5, 28, 69, 4), "banged": (6, 28, 75, 21)}
@@ -399,3 +475,11 @@ class TestScheduleDump:
         assert first[:3] == ["1", "1", "2"]
         assert float(first[3]) == pytest.approx(0.25)
         assert float(lines[1].split()[3]) == pytest.approx(-0.5)
+
+    def test_any_flip_set_line(self):
+        """Lines read `alpha <flip-set qubits> duration`, blocks in their own order."""
+        blocks = (((1, 2, 3), 0.25), ((2,), -0.5), ((1, 3), 0.0))
+        schedule = DaqcSchedule("stepwise", blocks, IsingSpec.homogeneous(3))
+        assert schedule_dump(schedule) == (
+            "1 1 2 3 2.500000000000e-01\n2 2 -5.000000000000e-01\n3 1 3 0.000000000000e+00\n"
+        )

@@ -21,6 +21,21 @@ def dense_zz_diagonal(spec):
     return np.diag(total)
 
 
+def per_qubit_diagonal(spec):
+    """The diagonal with z built qubit by qubit, the loop coupling_diagonal's broadcast replaced."""
+    n = spec.n_qubits
+    indices = np.arange(2 ** n)
+    z = {q: 1.0 - 2.0 * ((indices >> (n - q)) & 1) for q in range(1, n + 1)}
+    products = {}
+    for (j, k), g in spec.couplings.items():
+        if g != 0.0:
+            products[g] = products.get(g, 0.0) + z[j] * z[k]
+    energies = np.zeros(2 ** n)
+    for g, total in products.items():
+        energies += g * total
+    return energies
+
+
 class TestAllPairs:
     """Ordered pair enumeration."""
 
@@ -32,6 +47,9 @@ class TestAllPairs:
     def test_ordering(self):
         """Pairs are lexicographic with j < k."""
         assert list(all_pairs(4)) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        for n in range(15):
+            expected = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+            assert all_pairs(n) == expected
 
 
 class TestIsingSpec:
@@ -96,6 +114,16 @@ class TestCouplingDiagonal:
             couplings = {pair: float(rng.normal()) for pair in all_pairs(n)}
             spec = IsingSpec(n, couplings)
             assert np.allclose(coupling_diagonal(spec), dense_zz_diagonal(spec))
+
+    def test_matches_per_qubit_loop(self):
+        """The diagonal equals the per-qubit loop's bits: shared, zero and distinct values, n = 1..14."""
+        rng = np.random.default_rng(37)
+        for n in range(1, 15):
+            specs = [IsingSpec.homogeneous(n), IsingSpec.homogeneous(n, 0.37), IsingSpec(n, {})]
+            values = [0.0, -0.0, 0.5, -1.25, 0.3, float(rng.normal())]
+            specs.append(IsingSpec(n, {pair: float(rng.choice(values)) for pair in all_pairs(n)}))
+            for spec in specs:
+                assert coupling_diagonal(spec).tobytes() == per_qubit_diagonal(spec).tobytes(), n
 
     def test_additive_in_couplings(self):
         """The diagonal is linear in the coupling dictionary."""

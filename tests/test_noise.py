@@ -400,6 +400,31 @@ class TestMonteCarlo:
         batched = monte_carlo("sdaqc", 2, 1.0, 8, NoiseConfig(seed=3), workers=3)
         assert serial == batched
 
+    def test_ideal_cell_equals_execute_program_fidelity(self):
+        """An ideal cell's record, bit for bit, is one execute_program run scored by fidelity.
+
+        monte_carlo takes that route; the shot executor's ideal records give the same bits.
+        """
+        for protocol in PROTOCOLS:
+            for n in (2, 3, 5, 6):
+                program = build_protocol_program(protocol, n)
+                for beta in default_beta_grid(7):
+                    state = beta_state(n, beta)
+                    value = fidelity(exact_qft(state), execute_program(state, program))
+                    for shots in (1, 5):
+                        expected = noise._record(
+                            protocol, n, beta, shots, None, noise.DEFAULT_DELTA_T, np.full(shots, value)
+                        )
+                        records = [
+                            monte_carlo(protocol, n, beta, shots, None, program=program),
+                            noise._cell_records(
+                                protocol, n, program, [beta], shots, [None], noise.DEFAULT_DELTA_T, 1
+                            )[0],
+                        ]
+                        for record in records:
+                            assert repr(record) == repr(expected), (protocol, n, beta, shots)
+                            assert records_to_csv([record]) == records_to_csv([expected])
+
     def test_ideal_runs_have_zero_spread(self):
         """Without a config every shot is the same deterministic value."""
         record = monte_carlo("bdaqc", 2, 0.3, 5, None)
