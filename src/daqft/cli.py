@@ -74,8 +74,8 @@ def _parse_list(text: str, kind, noun: str) -> list:
     return _reject_repeats(values, noun, text)
 
 
-def _resolve_noise(args) -> tuple[NoiseConfig | None, float, int]:
-    """Noise config, delta_t, and seed from flags (--ideal disables noise)."""
+def _resolve_noise(args) -> tuple[NoiseConfig, float, int]:
+    """Noise config, delta_t, and seed from the --noise-config and --seed flags."""
     delta_t = DEFAULT_DELTA_T
     config = NoiseConfig()
     if args.noise_config is not None:
@@ -84,8 +84,6 @@ def _resolve_noise(args) -> tuple[NoiseConfig | None, float, int]:
             delta_t = file_delta_t
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if getattr(args, "ideal", False):
-        return None, delta_t, config.seed
     return config, delta_t, config.seed
 
 
@@ -136,11 +134,11 @@ def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dic
 def _cmd_sweep_beta(args) -> int:
     protocols = _parse_protocols(args.protocols)
     qubits = _parse_list(args.qubits, int, "integer")
-    noise = _resolve_noise(args)
-    ideal = noise[0] is None
-    shots = 1 if ideal else args.shots
+    config, delta_t, seed = _resolve_noise(args)
+    noise = (None if args.ideal else config), delta_t, seed  # --ideal disables noise
+    shots = 1 if args.ideal else args.shots
     grid = default_beta_grid(args.beta_points)
-    settings = {"beta_points": args.beta_points, "ideal": ideal}
+    settings = {"beta_points": args.beta_points, "ideal": args.ideal}
     return _run_sweep(args, sweep_beta, protocols, qubits, grid, shots, noise, settings)
 
 
@@ -150,8 +148,6 @@ def _cmd_sweep_error_scale(args) -> int:
     # + 0.0 turns -0.0 into 0.0, which the manifest would print as -0.0
     scales = [scale + 0.0 for scale in _parse_list(args.scales, float, "number")]
     noise = _resolve_noise(args)
-    if noise[0] is None:
-        raise ValueError("the error-scale sweep needs a noise config; drop --ideal")
     settings = {"scales": scales, "beta": ERROR_SCALE_BETA}
     return _run_sweep(
         args, sweep_error_scale, protocols, qubits, scales, args.shots, noise, settings
@@ -275,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale = commands.add_parser("sweep-error-scale", help="fidelity vs noise scale at beta=pi/4")
     _add_sweep_common(scale)
     scale.add_argument("--scales", required=True, help="comma list of error scales")
-    scale.add_argument("--ideal", action="store_true", help=argparse.SUPPRESS)
     scale.set_defaults(func=_cmd_sweep_error_scale)
 
     compile_cmd = commands.add_parser("compile", help="solve analog-block durations for a target")
@@ -283,8 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument(
         "--target", required=True, help="coupling file path or qft-block:<m>"
     )
-    compile_cmd.add_argument("--mode", choices=("stepwise", "banged"), default="stepwise")
-    compile_cmd.add_argument("--delta-t", type=float, default=DEFAULT_DELTA_T)
+    compile_cmd.add_argument("--mode", choices=("stepwise", "banged"), default="stepwise",
+                             help="schedule kind; both give the same dump, banged only checks --delta-t")
+    compile_cmd.add_argument("--delta-t", type=float, default=DEFAULT_DELTA_T,
+                             help="banged window width; checked in banged mode, it does not change the dump")
     compile_cmd.add_argument("--target-time", type=float, default=1.0, help="time the target acts for")
     compile_cmd.add_argument("--out", default=None, help="write the dump here instead of stdout")
     compile_cmd.set_defaults(func=_cmd_compile)

@@ -37,8 +37,7 @@ class NoiseConfig:
     """Widths of the three coherent-noise channels plus the experiment seed."""
 
     sqgn: float = 0.0005
-    tqgn: float = 0.2
-    tqgn_is_std: bool = True
+    tqgn: float = 0.2  # the std of the entangler phase offset; a variance v is tqgn = sqrt(v)
     abn_s: float = 0.02
     abn_b: float = 0.01
     error_scale: float = 1.0
@@ -50,17 +49,9 @@ class NoiseConfig:
             if not (_is_real(value) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
             object.__setattr__(self, name, abs(value))  # -0.0 passes, but would print as -0.0
-        if not isinstance(self.tqgn_is_std, bool):
-            raise ValueError(f"tqgn_is_std must be true or false, got {self.tqgn_is_std!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed!r}")
-
-    @property
-    def tqg_std(self) -> float:
-        """Standard deviation of the entangler phase noise under the chosen reading."""
-        width = self.tqgn if self.tqgn_is_std else math.sqrt(self.tqgn)
-        return width * self.error_scale
 
 
 # Keys accepted in a noise-config JSON file.  delta_t rides along because a
@@ -76,7 +67,7 @@ def _channel_maps(config: NoiseConfig) -> tuple[tuple[float, ...], tuple[float, 
     half_width = config.sqgn * config.error_scale
     low, high = 1.0 - half_width, 1.0 + half_width
     scale = config.error_scale
-    return (low, 0.0, 0.0, 0.0), (high - low, config.tqg_std, config.abn_s * scale, config.abn_b * scale)
+    return (low, 0.0, 0.0, 0.0), (high - low, config.tqgn * scale, config.abn_s * scale, config.abn_b * scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,7 +392,7 @@ def sweep_error_scale(
     n_list,
     scale_grid,
     shots: int,
-    config: NoiseConfig | None = None,
+    config: NoiseConfig,
     delta_t: float = DEFAULT_DELTA_T,
     workers: int = 1,
     cells: list | None = None,
@@ -414,8 +405,6 @@ def sweep_error_scale(
     per-scale ``monte_carlo`` cells exactly; a one-scale grid is one.
     ``cells`` collects per-(protocol, n) timings (see ``_sweep_cells``).
     """
-    if config is None:
-        config = NoiseConfig()
     scales = [float(scale) for scale in scale_grid]
     if not scales:
         raise ValueError("empty error-scale grid")
@@ -474,12 +463,12 @@ def load_noise_config(path) -> tuple[NoiseConfig, float | None]:
     unknown = sorted(set(data) - set(CONFIG_FILE_KEYS))
     if unknown:
         raise ValueError(f"unknown noise config keys: {', '.join(unknown)}")
-    delta_t = data.pop("delta_t", None)
-    if delta_t is not None:
-        if not (_is_real(delta_t) and math.isfinite(delta_t) and delta_t > 0):
-            raise ValueError(f"delta_t must be a finite number > 0, got {delta_t!r}")
-        delta_t = float(delta_t)
-    return NoiseConfig(**data), delta_t
+    if "delta_t" not in data:
+        return NoiseConfig(**data), None
+    delta_t = data.pop("delta_t")
+    if not (_is_real(delta_t) and math.isfinite(delta_t) and delta_t > 0):  # JSON null fails too
+        raise ValueError(f"delta_t must be a finite number > 0, got {delta_t!r}")
+    return NoiseConfig(**data), float(delta_t)
 
 
 def config_to_dict(config: NoiseConfig, delta_t: float) -> dict:

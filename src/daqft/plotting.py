@@ -21,6 +21,7 @@ SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2
 WIDTH = 720
 HEIGHT = 480
 MARGIN = 70
+TICKS = 5  # per axis
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,12 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks(low: float, high: float, count: int = 5) -> list[float]:
-    if count < 2:
-        return [low]
-    step = (high - low) / (count - 1)
-    return [low + i * step for i in range(count)]
+def _ticks(low: float, high: float) -> list[float]:
+    step = (high - low) / (TICKS - 1)
+    return [low + i * step for i in range(TICKS)]
 
 
-def render_svg(series_list: list[Series], x_label: str, y_label: str = "mean fidelity") -> str:
+def render_svg(series_list: list[Series], x_label: str) -> str:
     """A fixed-size line chart whose axes span the data ranges exactly; label text is escaped."""
     if not series_list:
         raise ValueError("nothing to plot")
@@ -132,7 +131,7 @@ def render_svg(series_list: list[Series], x_label: str, y_label: str = "mean fid
     )
     parts.append(
         f'<text x="20" y="{HEIGHT / 2:.2f}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 20 {HEIGHT / 2:.2f})">{_escape(y_label)}</text>'
+        f'transform="rotate(-90 20 {HEIGHT / 2:.2f})">mean fidelity</text>'
     )
     for idx, series in enumerate(series_list):
         color = SERIES_COLORS[idx % len(SERIES_COLORS)]

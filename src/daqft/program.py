@@ -44,7 +44,7 @@ def _check_qubit(q: int, name: str = "qubit") -> None:
 def _rotations(theta: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """cos(t)*1 + i*sin(t)*P for each angle t of an array: a (..., 2, 2) stack."""
     theta = theta[..., None, None]
-    return np.cos(theta) * _identity(2) + 1j * np.sin(theta) * axis
+    return np.cos(theta) * _I2 + 1j * np.sin(theta) * axis
 
 
 def _constant(array: np.ndarray) -> np.ndarray:
@@ -53,10 +53,7 @@ def _constant(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@functools.lru_cache(maxsize=None)
-def _identity(dim: int) -> np.ndarray:
-    """The dim x dim identity, built once."""
-    return _constant(np.eye(dim))
+_I2 = _constant(np.eye(2))
 
 
 # The kernel entry points that Rotation, HadamardGate and XGate share; each
@@ -125,7 +122,7 @@ class HadamardGate:
         # exp(i*v*H_H) with H_H = (pi/2)(1 - (Z+X)/sqrt2); H_H has eigenvalues {0, pi}
         half = (np.pi * values / 2.0)[..., None, None]
         return np.exp(1j * half) * (
-            np.cos(half) * _identity(2) - 1j * np.sin(half) * (_Z_PLUS_X / SQRT2)
+            np.cos(half) * _I2 - 1j * np.sin(half) * (_Z_PLUS_X / SQRT2)
         )
 
     _ideal = _constant(_operands(np.ones(1)))
@@ -494,8 +491,8 @@ class ResourceEnergy(NamedTuple):
         return cls(values, np.array(first), order[np.searchsorted(first, values, sorter=order)])
 
 
-# Per class: the highest qubit an instruction names (0 for none), and what else it needs:
-# "resource" (an analog resource), "window" (a homogeneous one) or "size" (2^n indices).
+# Per class (a Program holds no other): the highest qubit an instruction names (0 for none),
+# and what else it needs: "resource" (an analog resource), "window" (a homogeneous one) or "size".
 _RULES = {
     **dict.fromkeys((Rotation, HadamardGate, XGate), (lambda instr: instr.qubit, None)),
     Entangler: (lambda instr: max(instr.qubit_a, instr.qubit_b), None),
@@ -504,16 +501,11 @@ _RULES = {
     BangedWindow: (lambda instr: instr.qubits[-1], "window"),  # ascending
     Permute: (lambda instr: 0, "size"),
 }
-_QUBIT_FIELDS = ("qubit", "qubit_a", "qubit_b", "control", "target")
-
-
-def _probed_qubit(instr) -> int:  # a class outside the instruction set: every qubit field it has
-    return max([getattr(instr, name, 0) for name in _QUBIT_FIELDS] + [*getattr(instr, "qubits", ())])
 
 
 @dataclass(frozen=True)
 class Program:
-    """An instruction sequence over a fixed register, with its analog resource."""
+    """A sequence of the eight instruction classes over a fixed register, with its analog resource."""
 
     n_qubits: int
     instructions: tuple
@@ -530,7 +522,10 @@ class Program:
         n = self.n_qubits
         homogeneous = self.resource is not None and self.resource.is_homogeneous()
         for instr in self.instructions:
-            highest, needs = _RULES.get(type(instr)) or (_probed_qubit, None)
+            try:
+                highest, needs = _RULES[type(instr)]
+            except KeyError:
+                raise ValueError(f"{type(instr).__name__} is not an instruction class") from None
             if highest(instr) > n:
                 raise ValueError(f"instruction {instr!r} exceeds {n} qubits")
             if needs is None:
@@ -553,14 +548,12 @@ class Program:
         its ``channel`` (a window at one per driven qubit, None at none), and
         one with no channel raises UnsupportedGateError.  Built on the first
         noisy run and kept on the program, so it dies with it.  Instructions
-        of one class form a group, in program order; windows of one width and
-        driven-qubit count form one per DAQC schedule (a maximal run of
-        windows and analog segments).  Windows run on homogeneous resources
+        of one class form a group, in program order, and so do windows of one
+        width and driven-qubit count.  Windows run on homogeneous resources
         only, where a block's energies depend on its Hamming weight alone
         (see coupling_diagonal), so such windows share their class energies.
         """
         channels, members = [], {}
-        schedule = 0
         for index, instr in enumerate(self.instructions):
             try:
                 channel = instr.channel
@@ -569,9 +562,7 @@ class Program:
             key, sites = type(instr), 1
             if key is BangedWindow:
                 sites = len(instr.qubits)
-                key = (key, instr.duration, sites, schedule)
-            elif key is not AnalogBlock:
-                schedule += 1
+                key = (key, instr.duration, sites)
             if channel is not None:
                 members.setdefault(key, []).append((index, range(len(channels), len(channels) + sites)))
                 channels += [channel] * sites

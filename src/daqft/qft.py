@@ -133,8 +133,11 @@ def ghz_state(n_qubits: int) -> Statevector:
 
 def beta_state(n_qubits: int, beta_angle: float) -> Statevector:
     """sin(beta)|W> + cos(beta)|GHZ>; unit norm because the supports are disjoint."""
-    w = w_state(n_qubits)
-    ghz = ghz_state(n_qubits)
-    amps = math.sin(beta_angle) * w.amplitudes + math.cos(beta_angle) * ghz.amplitudes
+    if n_qubits < 2:
+        raise ValueError(f"n_qubits must be >= 2, got {n_qubits}")
+    # The products that scaling |W> and |GHZ> gives: the bits of their sum for +0 <= beta <= pi.
+    amps = np.zeros(1 << n_qubits, dtype=complex)
+    amps[1 << np.arange(n_qubits)] = math.sin(beta_angle) * (1.0 / math.sqrt(n_qubits))
+    amps[[0, -1]] = math.cos(beta_angle) * (1.0 / math.sqrt(2.0))
     return Statevector(n_qubits, amps)
 

@@ -91,7 +91,7 @@ def reference_sampler(config, rng):
         if isinstance(instr, BangedWindow):
             return np.array([rng.uniform(1.0 - half, 1.0 + half) for _ in instr.qubits])
         if isinstance(instr, Entangler):
-            return rng.normal(0.0, config.tqg_std)
+            return rng.normal(0.0, config.tqgn * config.error_scale)
         if isinstance(instr, AnalogBlock):
             width = config.abn_s if instr.kind == "stepwise" else config.abn_b
             return rng.normal(0.0, width * config.error_scale)

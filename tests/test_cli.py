@@ -162,15 +162,21 @@ class TestSweepBeta:
     @pytest.mark.parametrize(
         "payload, key",
         [
-            ({"tqgn_is_std": "false"}, "tqgn_is_std"),
+            ({"tqgn_is_std": "false"}, "unknown noise config keys: tqgn_is_std"),
+            ({"tqgn_is_std": True}, "unknown noise config keys: tqgn_is_std"),
             ({"sqgn": "0.1"}, "sqgn"),
             ({"seed": True}, "seed"),
             ({"delta_t": float("nan")}, "delta_t"),
+            ({"delta_t": None}, "delta_t must be a finite number > 0, got None"),
         ],
-        ids=["tqgn_is_std-string", "sqgn-string", "seed-bool", "delta_t-nan"],
+        ids=["tqgn_is_std-string", "tqgn_is_std-removed", "sqgn-string", "seed-bool", "delta_t-nan",
+             "delta_t-null"],
     )
     def test_invalid_config_value(self, tmp_path, capsys, payload, key):
-        """Config values of the wrong type, or a non-finite delta_t, exit with code 2."""
+        """Config values of the wrong type, the removed tqgn_is_std key, or a bad delta_t exit 2.
+
+        delta_t must be a finite number > 0; a JSON null is not "not given".
+        """
         noise = tmp_path / "noise.json"
         noise.write_text(json.dumps(payload))
         out = tmp_path / "x.csv"
@@ -340,18 +346,13 @@ class TestSweepErrorScale:
         assert outputs[0][1] == "[0.0, 1.0]"
 
     def test_ideal_flag_rejected(self, tmp_path, capsys):
-        """Scaling noise makes no sense without a noise config."""
-        rc = run(
-            [
-                "sweep-error-scale",
-                "--qubits", "2",
-                "--scales", "1",
-                "--ideal",
-                "--out", tmp_path / "x.csv",
-            ]
-        )
-        assert rc == 2
-        assert "drop --ideal" in capsys.readouterr().err
+        """Scaling noise makes no sense without noise: the command has no --ideal, so argparse exits 2."""
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep-error-scale", "--qubits", "2", "--scales", "1", "--ideal", "--out", out])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ideal" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_scale_list(self, tmp_path, capsys):
         """Malformed number lists exit with code 2."""

@@ -4,7 +4,7 @@ import copy
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -51,7 +51,8 @@ from oracles import reference_sampler, run_with_draws, site_values
 
 CHANNEL_CONFIGS = pytest.mark.parametrize(
     "config",
-    [NoiseConfig(), NoiseConfig(error_scale=0.0), NoiseConfig(error_scale=1.7, tqgn_is_std=False)],
+    # The last one's entangler phase variance is 0.2, given as its std.
+    [NoiseConfig(), NoiseConfig(error_scale=0.0), NoiseConfig(error_scale=1.7, tqgn=math.sqrt(0.2))],
     ids=["default", "scale-0", "scale-1.7-variance"],
 )
 ZERO_WIDTHS = NoiseConfig(sqgn=0.0, tqgn=0.0, abn_s=0.0, abn_b=0.0)
@@ -90,14 +91,13 @@ def reference_values(program, samplers):
 
 
 class TestNoiseConfig:
-    """Width validation and the variance/std reading of the entangler noise."""
+    """Width validation and the std reading of the entangler noise."""
 
     def test_defaults(self):
         """Default widths match the reference noise model."""
         config = NoiseConfig()
         assert config.sqgn == pytest.approx(5e-4)
         assert config.tqgn == pytest.approx(0.2)
-        assert config.tqgn_is_std
         assert config.abn_s == pytest.approx(0.02)
         assert config.abn_b == pytest.approx(0.01)
         assert config.abn_s == pytest.approx(2 * config.abn_b)
@@ -105,13 +105,26 @@ class TestNoiseConfig:
         assert config.seed == 0
 
     def test_tqg_std_readings(self):
-        """tqgn is a std by default; the variance reading takes a square root."""
-        assert NoiseConfig(tqgn=0.2).tqg_std == pytest.approx(0.2)
-        assert NoiseConfig(tqgn=0.04, tqgn_is_std=False).tqg_std == pytest.approx(0.2)
-        assert NoiseConfig(tqgn=0.2, error_scale=0.5).tqg_std == pytest.approx(0.1)
+        """tqgn is the std of the entangler phase draws, scaled by error_scale; a variance v is tqgn = sqrt(v)."""
+
+        def tqg_std(config):
+            return noise._channel_maps(config)[1][noise._CHANNELS.index("tqg")]
+
+        assert tqg_std(NoiseConfig(tqgn=0.2)) == 0.2
+        assert tqg_std(NoiseConfig(tqgn=math.sqrt(0.04))) == pytest.approx(0.2)
+        assert tqg_std(NoiseConfig(tqgn=0.2, error_scale=0.5)) == 0.2 * 0.5
+        assert "tqg_std" not in dir(NoiseConfig)
+
+    def test_no_variance_reading(self):
+        """NoiseConfig has one entangler width, tqgn; the removed tqgn_is_std switch is not a field."""
+        assert [f.name for f in fields(NoiseConfig)] == [
+            "sqgn", "tqgn", "abn_s", "abn_b", "error_scale", "seed"
+        ]
+        with pytest.raises(TypeError, match="tqgn_is_std"):
+            NoiseConfig(tqgn_is_std=True)
 
     def test_validation(self):
-        """Negative or non-numeric widths, non-bool flags and bad seeds are rejected."""
+        """Negative or non-numeric widths and bad seeds are rejected."""
         with pytest.raises(ValueError, match="sqgn"):
             NoiseConfig(sqgn=-1e-3)
         with pytest.raises(ValueError, match="abn_b"):
@@ -122,8 +135,6 @@ class TestNoiseConfig:
             NoiseConfig(sqgn="0.1")
         with pytest.raises(ValueError, match="tqgn"):
             NoiseConfig(tqgn=True)
-        with pytest.raises(ValueError, match="tqgn_is_std"):
-            NoiseConfig(tqgn_is_std="false")
         with pytest.raises(ValueError, match="seed"):
             NoiseConfig(seed=True)
 
@@ -240,14 +251,21 @@ class TestSampling:
             NoiseSites.for_program(Program(2, (ControlledPhase(1, 2, 2),)))
 
     def test_unknown_kind(self):
-        """An instruction type the noise model does not know raises and names the type."""
+        """A type outside the instruction set never reaches the noise model: Program rejects it by name.
+
+        A program holds only the eight instruction classes, so the site
+        table and the executor meet no other.
+        """
 
         @dataclass(frozen=True)
         class Dephasing:
             qubit: int
+            channel = "sqg"
 
-        with pytest.raises(UnsupportedGateError, match="no noise model for Dephasing"):
-            NoiseSites.for_program(Program(1, (Dephasing(1),)))
+        for instructions in [(Dephasing(1),), (XGate(1), Dephasing(1)), (XGate(1), "X 1")]:
+            name = type(instructions[-1]).__name__
+            with pytest.raises(ValueError, match=f"^{name} is not an instruction class$"):
+                Program(1, instructions)
 
     def test_sqg_statistics(self):
         """10^5 amplitude draws: mean near one, support inside the interval."""
@@ -602,6 +620,11 @@ class TestSweeps:
         with pytest.raises(ValueError, match="scales"):
             sweep_error_scale(["dqc"], [2], [-0.5], 1, NoiseConfig())
 
+    def test_sweep_error_scale_needs_config(self):
+        """The config the scales multiply is required, as in sweep_beta."""
+        with pytest.raises(TypeError, match="config"):
+            sweep_error_scale(["dqc"], [2], [1.0], 1)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_error_scale_grid_equals_per_scale_cells(self, workers):
         """One run per shot for the scale grid gives each scale's monte_carlo cell exactly."""
@@ -686,8 +709,9 @@ class TestSweeps:
         """A noisy beta grid builds each window's unitaries once per shot, not once per input.
 
         Its |W> and |GHZ> inputs share their shot's register row, so a batch
-        of b shots solves b drive rows per window, all the windows of one
-        schedule (a run of windows and analog segments) in one call.
+        of b shots solves b drive rows per window.  At n = 3 every window of
+        the program, across its two DAQC schedules (runs of windows and
+        analog segments), fits one call.
         """
         sizes = []
         build = program_module._window_unitaries
@@ -707,7 +731,36 @@ class TestSweeps:
             if analog
         ]
         assert len(schedules) == 2 and all(schedules)
-        assert sizes == [3 * windows for windows in schedules] + [2 * windows for windows in schedules]
+        assert sizes == [3 * sum(schedules), 2 * sum(schedules)]
+
+    def test_windows_solve_across_schedules(self, monkeypatch):
+        """A 16-shot bDAQC cell solves same-width windows across its schedules, within _WINDOW_BLOCKS.
+
+        Windows are grouped by width and driven-qubit count over the whole
+        program, not per DAQC schedule, so at n = 5, 6 and 7 the cell makes
+        2, 4 and 6 solves (4, 5 and 6 schedules) of at most 2,048 class
+        blocks each, and its record is that of a run with one solve per window.
+        """
+        calls = []
+        build = program_module._window_unitaries
+
+        def spy(energies, duration, drive_values):
+            calls.append(len(drive_values) * len(energies))
+            return build(energies, duration, drive_values)
+
+        expected = {5: [2048, 512], 6: [2016] * 3 + [1152], 7: [2016] * 6}
+        records = {}
+        for n, blocks in expected.items():
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(program_module, "_window_unitaries", spy)
+                records[n] = monte_carlo("bdaqc", n, 0.7, 16, NoiseConfig(seed=2))
+            assert calls == blocks, n
+            assert max(calls) <= program_module._WINDOW_BLOCKS
+        with monkeypatch.context() as patch:  # one window per solve: 16 rows of C class blocks
+            patch.setattr(program_module, "_WINDOW_BLOCKS", 1)
+            for n, record in records.items():
+                assert monte_carlo("bdaqc", n, 0.7, 16, NoiseConfig(seed=2)) == record, n
 
     @pytest.mark.parametrize("sweep", [sweep_beta, sweep_error_scale], ids=["beta", "error-scale"])
     def test_empty_grid_rejected_before_compiling(self, sweep, monkeypatch):

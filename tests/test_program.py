@@ -381,13 +381,12 @@ class TestIdealSemantics:
     """Ideal instruction matrices against closed forms."""
 
     def test_shared_constant_operands(self):
-        """Shared operands (X, H, entangler, identities) are read-only and equal a fresh build."""
+        """Shared operands (X, H, entangler, the 2x2 identity) are read-only and equal a fresh build."""
         constants = [
             (XGate._ideal, XGate._operands(np.ones(1))),
             (HadamardGate._ideal, HadamardGate._operands(np.ones(1))),
             (Entangler._ideal, Entangler._operands(np.zeros(1))),
-            (program_module._identity(2), np.eye(2)),
-            (program_module._identity(8), np.eye(8)),
+            (program_module._I2, np.eye(2)),
         ]
         for shared, fresh in constants:
             assert np.array_equal(shared, fresh)
@@ -395,7 +394,6 @@ class TestIdealSemantics:
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0.0
         assert XGate(1)._ideal is XGate(2)._ideal
-        assert program_module._identity(2) is program_module._identity(2)
 
     def test_x_gate_is_ix(self):
         """exp(i pi/2 X) equals iX."""

@@ -1,5 +1,7 @@
 """Tests for the Fourier transform reference, circuit, and test states."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,21 @@ class TestStates:
         for beta in np.linspace(0, np.pi, 7):
             state = beta_state(4, float(beta))
             assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
+
+    def test_beta_state_bytes_equal_w_ghz_composition(self):
+        """beta_state's bytes equal sin(beta)|W> + cos(beta)|GHZ> composed from the two states.
+
+        n = 2..9, on the 21-point sweep grid and pi/4, 0.7, pi/2 and 1e-300:
+        every amplitude, zeros and their signs included.
+        """
+        betas = [float(beta) for beta in np.linspace(0.0, np.pi, 21)] + [np.pi / 4, 0.7, np.pi / 2, 1e-300]
+        for n in range(2, 10):
+            w, ghz = w_state(n).amplitudes, ghz_state(n).amplitudes
+            for beta in betas:
+                composed = math.sin(beta) * w + math.cos(beta) * ghz
+                assert beta_state(n, beta).amplitudes.tobytes() == composed.tobytes(), (n, beta)
+        with pytest.raises(ValueError, match="n_qubits must be >= 2"):
+            beta_state(1, 0.3)
 
     def test_w_ghz_orthogonal(self):
         """The two ingredients are orthogonal."""
