@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import platform
 import sys
@@ -194,6 +195,8 @@ def _load_coupling_file(path, n_qubits: int, target_time: float) -> IsingSpec:
 
 def _cmd_compile(args) -> int:
     n = args.qubits
+    if not (math.isfinite(args.delta_t) and args.delta_t > 0):
+        raise ValueError(f"--delta-t must be a finite delta_t > 0, got {args.delta_t!r}")
     if args.target.startswith("qft-block:"):
         try:
             m = int(args.target.split(":", 1)[1])
@@ -279,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--target", required=True, help="coupling file path or qft-block:<m>"
     )
     compile_cmd.add_argument("--mode", choices=("stepwise", "banged"), default="stepwise",
-                             help="schedule kind; both give the same dump, banged only checks --delta-t")
+                             help="schedule kind; both give the same dump")
     compile_cmd.add_argument("--delta-t", type=float, default=DEFAULT_DELTA_T,
-                             help="banged window width; checked in banged mode, it does not change the dump")
+                             help="banged window width, a finite number > 0 in either mode; it does not change the dump")
     compile_cmd.add_argument("--target-time", type=float, default=1.0, help="time the target acts for")
     compile_cmd.add_argument("--out", default=None, help="write the dump here instead of stdout")
     compile_cmd.set_defaults(func=_cmd_compile)

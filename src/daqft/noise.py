@@ -20,7 +20,7 @@ import numpy as np
 from .daqc import DEFAULT_DELTA_T, compile_qft_daqc
 from .program import Program, _run, execute_program
 from .qft import beta_state, build_dqc_circuit, exact_qft, ghz_state, readout_instruction, w_state
-from .statevector import fidelity
+from .statevector import _fidelities, fidelity
 
 PROTOCOLS = ("dqc", "sdaqc", "bdaqc")
 PROTOCOL_LABELS = {"dqc": "DQC", "sdaqc": "sDAQC", "bdaqc": "bDAQC"}
@@ -212,11 +212,6 @@ def _record(protocol, n_qubits, beta, shots, config, delta_t, fidelities) -> Exp
         delta_t=float(delta_t),
         error_scale=config.error_scale if config is not None else 0.0,
     )
-
-
-def _fidelities(reference: np.ndarray, rows) -> list[float]:
-    """Each row's fidelity to the reference, exactly as statevector.fidelity computes it."""
-    return [float(np.abs(np.vdot(reference, row)) ** 2) for row in rows]
 
 
 def _cell_records(protocol, n_qubits, program, betas, shots, configs, delta_t, workers):

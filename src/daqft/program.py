@@ -42,9 +42,16 @@ def _check_qubit(q: int, name: str = "qubit") -> None:
 
 
 def _rotations(theta: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """cos(t)*1 + i*sin(t)*P for each angle t of an array: a (..., 2, 2) stack."""
-    theta = theta[..., None, None]
-    return np.cos(theta) * _I2 + 1j * np.sin(theta) * axis
+    """cos(t)*1 + i*sin(t)*P for each angle t of an array: a (..., 2, 2) stack.
+
+    Written entry by entry; Pauli entries are 0, +-1 or +-i, so every
+    product is exact and the bits are the broadcast formula's.
+    """
+    c, s = np.cos(theta), 1j * np.sin(theta)
+    out = np.empty(theta.shape + (2, 2), dtype=complex)
+    for a, b in itertools.product(range(2), repeat=2):
+        out[..., a, b] = c * _I2[a, b] + s * axis[..., a, b]
+    return out
 
 
 def _constant(array: np.ndarray) -> np.ndarray:
@@ -173,8 +180,10 @@ class Entangler:
     @staticmethod
     def _operands(values: np.ndarray) -> np.ndarray:
         phi = (np.pi / 4.0) * (1.0 + values)
-        up, down = np.exp(1j * phi), np.exp(-1j * phi)
-        return np.stack([up, down, down, up], axis=-1)
+        out = np.empty(phi.shape + (4,), dtype=complex)
+        out[..., 0] = out[..., 3] = np.exp(1j * phi)
+        out[..., 1] = out[..., 2] = np.exp(-1j * phi)
+        return out
 
     _ideal = _constant(_operands(np.zeros(1)))
 

@@ -71,7 +71,18 @@ def fidelity(a: Statevector, b: Statevector) -> float:
     """|<a|b>|^2, insensitive to global phase."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("fidelity requires states on the same number of qubits")
-    return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return _fidelities(a.amplitudes, b.amplitudes[None])[0]
+
+
+def _fidelities(reference: np.ndarray, rows: np.ndarray) -> list[float]:
+    """|<reference|row>|^2 of each row of a (k, dim) array, in one vecdot.
+
+    vecdot makes, per row, the BLAS call that vdot makes on that row, with
+    the operands' own strides, so each value has vdot's bits.  A contiguous
+    copy of a strided operand would sum in another order.
+    """
+    overlaps = np.vecdot(reference, rows)
+    return [float(np.abs(z) ** 2) for z in overlaps]
 
 
 def _apply_matrix_1q(amps: np.ndarray, target: int, matrices: np.ndarray) -> np.ndarray:

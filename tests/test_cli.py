@@ -469,14 +469,15 @@ class TestCompile:
         assert captured.out == ""
         assert message in captured.err
 
-    @pytest.mark.parametrize("delta_t", ["nan", "inf"])
+    @pytest.mark.parametrize("delta_t", ["nan", "inf", "-1"])
     def test_non_finite_delta_t_rejected(self, capsys, delta_t):
-        """A banged window width that is not a finite positive number exits 2."""
-        args = ["compile", "--qubits", "3", "--target", "qft-block:1", "--mode", "banged"]
-        assert run(args + ["--delta-t", delta_t]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "finite delta_t > 0" in captured.err
+        """A window width that is not a finite positive number exits 2 in either mode."""
+        for mode in ("banged", "stepwise"):
+            args = ["compile", "--qubits", "3", "--target", "qft-block:1", "--mode", mode]
+            assert run(args + [f"--delta-t={delta_t}"]) == 2, mode
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "finite delta_t > 0" in captured.err
 
     def test_malformed_coupling_file(self, tmp_path, capsys):
         """Bad lines are reported with their location, exit 2."""

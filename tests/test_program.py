@@ -539,6 +539,69 @@ class TestNoisySemantics:
             ControlledPhase(1, 2, 2).noisy_apply(np.zeros(4, dtype=complex), 2, 1.0)
 
 
+def broadcast_rotations(theta, axis):
+    """cos(t)*1 + i*sin(t)*P as one broadcast over (..., 2, 2): the bits the builders must give."""
+    theta = theta[..., None, None]
+    return np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * axis
+
+
+def broadcast_entangler_phases(values):
+    """exp(+-i phi) stacked on a last axis of 4: the bits Entangler._operands must give."""
+    phi = (np.pi / 4.0) * (1.0 + values)
+    up, down = np.exp(1j * phi), np.exp(-1j * phi)
+    return np.stack([up, down, down, up], axis=-1)
+
+
+# (J instructions, k register rows); (1, 5000) is one instruction wider
+# than the 4,096 rows of a one-qubit build chunk.
+OPERAND_SHAPES = [(1, 1), (7, 16), (504, 16), (1, 5000)]
+
+
+def operand_draws(shape, rng):
+    """Draws around 1 with the signed zeros and negative values a build must carry through."""
+    values = rng.normal(1.0, 0.5, shape)
+    values.flat[:3] = [-0.0, 0.0, -1.5][: values.size]
+    return values
+
+
+class TestOperandBits:
+    """Rotation and entangler operands, written entry by entry, have the broadcast formula's bytes."""
+
+    @pytest.mark.parametrize("shape", OPERAND_SHAPES, ids="{0[0]}x{0[1]}".format)
+    @pytest.mark.parametrize("axes", ["x", "y", "z", "mixed"])
+    def test_rotations(self, shape, axes):
+        rng = np.random.default_rng(sum(shape))
+        values = operand_draws(shape, rng)
+        names = [axes] * shape[0] if axes != "mixed" else ["xyz"[j % 3] for j in range(shape[0])]
+        angles = rng.normal(0.0, 2.0, (shape[0], 1))
+        axis = np.stack([pauli(name) for name in names])[:, None]
+        got = Rotation._operands(values, angles, axis)
+        assert got.shape == shape + (2, 2)
+        assert got.tobytes() == broadcast_rotations(angles * values, axis).tobytes()
+
+    @pytest.mark.parametrize("shape", OPERAND_SHAPES, ids="{0[0]}x{0[1]}".format)
+    def test_x_gates(self, shape):
+        values = operand_draws(shape, np.random.default_rng(sum(shape)))
+        got = XGate._operands(values)
+        assert got.shape == shape + (2, 2)
+        assert got.tobytes() == broadcast_rotations(np.pi * values / 2.0, PAULI_X).tobytes()
+
+    @pytest.mark.parametrize("shape", OPERAND_SHAPES, ids="{0[0]}x{0[1]}".format)
+    def test_entanglers(self, shape):
+        values = operand_draws(shape, np.random.default_rng(sum(shape))) - 1.0
+        got = Entangler._operands(values)
+        assert got.shape == shape + (4,)
+        assert got.tobytes() == broadcast_entangler_phases(values).tobytes()
+
+    def test_ideal_operands(self):
+        """The shared ideal operands are the one-row case of the same formulas."""
+        assert XGate._ideal.tobytes() == broadcast_rotations(np.pi * np.ones(1) / 2.0, PAULI_X).tobytes()
+        assert Entangler._ideal.tobytes() == broadcast_entangler_phases(np.zeros(1)).tobytes()
+        for angle, axis in itertools.product((-2.5, -0.0, 0.3, np.pi / 8), "xyz"):
+            expected = broadcast_rotations(angle * np.ones(1), pauli(axis))
+            assert Rotation._ideal_of(angle, axis).tobytes() == expected.tobytes(), (angle, axis)
+
+
 class TestAnalogExecution:
     """Analog blocks and banged windows against dense oracles."""
 

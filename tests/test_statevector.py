@@ -17,6 +17,7 @@ from daqft.statevector import (
     PAULI_X,
     PAULI_Z,
     Statevector,
+    _fidelities,
     basis_state,
     fidelity,
     phase_insensitive_distance,
@@ -59,6 +60,55 @@ class TestStatevector:
         rng = np.random.default_rng(3)
         c = random_state(2, rng)
         assert fidelity(a, c) == pytest.approx(fidelity(c, a))
+
+
+def per_row_vdot(reference, rows):
+    """Each row scored by its own np.vdot call: the bits _fidelities must give."""
+    return [float(np.abs(np.vdot(reference, row)) ** 2) for row in rows]
+
+
+class TestFidelities:
+    """One vecdot per block scores every row with the bits of a per-row vdot."""
+
+    @pytest.mark.parametrize("dim", [1, 8, 64, 256])
+    def test_contiguous_rows(self, dim):
+        rng = np.random.default_rng(dim)
+        reference = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for k in (1, 200, 5000):
+            rows = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+            want = np.array(per_row_vdot(reference, rows)).tobytes()
+            assert np.array(_fidelities(reference, rows)).tobytes() == want, k
+
+    @pytest.mark.parametrize("view", ["every-second", "reversed", "transposed", "input-major"])
+    def test_strided_rows(self, view):
+        """Strided rows and references keep their strides: a contiguous copy would sum in another order.
+
+        With OpenBLAS a strided dot product and the same one on a contiguous
+        copy differ in the last bit for some of these rows, so a helper that
+        copied its operands would fail here.
+        """
+        rng = np.random.default_rng(11)
+        dim, k = 64, 300
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        rows = {
+            "every-second": draw(k, 2 * dim)[:, ::2],
+            "reversed": draw(k, dim)[:, ::-1],
+            "transposed": draw(dim, k).T,
+            "input-major": np.moveaxis(draw(k, dim, 2), -1, 0)[0],  # one input of a (k, 2^n, r) block
+        }[view]
+        assert not rows.flags.c_contiguous
+        for reference in (draw(dim), draw(2 * dim)[::2]):
+            want = np.array(per_row_vdot(reference, rows)).tobytes()
+            assert np.array(_fidelities(reference, rows)).tobytes() == want
+
+    def test_fidelity_is_the_one_row_case(self):
+        rng = np.random.default_rng(5)
+        a, b = random_state(4, rng), random_state(4, rng)
+        assert fidelity(a, b) == _fidelities(a.amplitudes, b.amplitudes[None])[0]
+        assert fidelity(a, b) == float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 class TestGateKernels:
