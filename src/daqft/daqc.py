@@ -56,7 +56,7 @@ def coupling_vector(target: IsingSpec) -> np.ndarray:
 
 
 def solve_times(target: IsingSpec) -> np.ndarray:
-    """Analog-block durations t_alpha with M t (g / t_F) = g_vec.
+    """Analog-block durations t_alpha of the unit-strength resource, with M t / t_F = g_vec.
 
     Negative durations are legitimate solutions and are executed as
     negative-time evolutions.
@@ -68,7 +68,7 @@ def solve_times(target: IsingSpec) -> np.ndarray:
         raise ValueError(f"need at least 2 qubits to couple, got {n}")
     m = sign_matrix(n)
     g_vec = coupling_vector(target)
-    times = np.linalg.solve(m, g_vec) * (target.target_time / target.resource_coupling)
+    times = np.linalg.solve(m, g_vec) * target.target_time
     residual = _residual(m, target, times, g_vec)
     if residual > RESIDUAL_TOL:
         raise RuntimeError(f"time solver residual {residual:.3e} exceeds {RESIDUAL_TOL}")
@@ -83,7 +83,7 @@ def solve_residual(target: IsingSpec, times: np.ndarray) -> float:
 def _residual(m: np.ndarray, target: IsingSpec, times, g_vec: np.ndarray) -> float:
     if target.target_time == 0:
         raise ValueError("target_time must be nonzero: no durations give a coupling in zero time")
-    lhs = m @ np.asarray(times) * (target.resource_coupling / target.target_time)
+    lhs = m @ np.asarray(times) * (1.0 / target.target_time)
     return float(np.max(np.abs(lhs - g_vec)))
 
 
@@ -184,19 +184,14 @@ def _pulses(mode: str, n_qubits: int) -> dict:
     return {(q,): (XGate(q),) for q in range(1, n_qubits + 1)} if mode == "stepwise" else {}
 
 
-def schedule_instructions(schedule: DaqcSchedule) -> tuple:
-    """Lower a schedule to executable instructions."""
+def schedule_program(schedule: DaqcSchedule) -> Program:
+    """Lower a bare schedule to a runnable program."""
     pulses = _pulses(schedule.mode, schedule.n_qubits)
     instructions: list = []
     _lower(schedule.mode, schedule.blocks, schedule.delta_t, pulses, instructions)
-    return tuple(instructions)
-
-
-def schedule_program(schedule: DaqcSchedule) -> Program:
-    """Wrap a bare schedule as a runnable program."""
     return Program(
         n_qubits=schedule.n_qubits,
-        instructions=schedule_instructions(schedule),
+        instructions=tuple(instructions),
         resource=schedule.resource,
         metadata={"mode": schedule.mode, "delta_t": schedule.delta_t},
     )

@@ -30,17 +30,15 @@ def all_pairs(n_qubits: int) -> list[Pair]:
 
 @dataclass(frozen=True)
 class IsingSpec:
-    """A ZZ coupling pattern together with the analog resource it is built from.
+    """A ZZ coupling pattern and the total time it should act for.
 
-    ``couplings`` holds the target strengths g_jk.  ``resource_coupling`` is the
-    strength g of the homogeneous all-to-all resource Hamiltonian
-    g * sum_{j<k} Z_j Z_k, and ``target_time`` is the total evolution time the
-    target pattern should act for.
+    ``couplings`` holds the strengths g_jk; ``target_time`` is the evolution
+    time of a target pattern.  Durations compiled for a target are for the
+    unit-strength resource sum_{j<k} Z_j Z_k.
     """
 
     n_qubits: int
     couplings: dict[Pair, float] = field(default_factory=dict)
-    resource_coupling: float = 1.0
     target_time: float = 1.0
 
     def __post_init__(self) -> None:
@@ -51,20 +49,13 @@ class IsingSpec:
                 raise ValueError(f"coupling pair {pair} is not ordered within 1..{self.n_qubits}")
             if not math.isfinite(value):
                 raise ValueError(f"coupling for pair {pair} is not finite")
-        if not (math.isfinite(self.resource_coupling) and self.resource_coupling > 0):
-            raise ValueError("resource_coupling must be positive and finite")
         if not math.isfinite(self.target_time):
             raise ValueError("target_time must be finite")
 
     @staticmethod
     def homogeneous(n_qubits: int, g: float = 1.0, target_time: float = 1.0) -> "IsingSpec":
         """All-to-all pattern with every pair coupled at strength g."""
-        return IsingSpec(
-            n_qubits=n_qubits,
-            couplings={pair: g for pair in all_pairs(n_qubits)},
-            resource_coupling=g,
-            target_time=target_time,
-        )
+        return IsingSpec(n_qubits, {pair: g for pair in all_pairs(n_qubits)}, target_time)
 
     def coupling(self, j: int, k: int) -> float:
         """Strength for pair (j, k), zero when the pair is absent."""

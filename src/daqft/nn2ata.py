@@ -117,10 +117,9 @@ def decompose_complete_graph(length: int) -> tuple[HamiltonianPath, ...]:
     return report.paths
 
 
-def line_resource(length: int, g: float = 1.0, target_time: float = 1.0) -> IsingSpec:
-    """Homogeneous nearest-neighbor line with open ends."""
-    couplings = {(i, i + 1): g for i in range(1, length)}
-    return IsingSpec(length, couplings, resource_coupling=g, target_time=target_time)
+def line_resource(length: int) -> IsingSpec:
+    """Unit-strength nearest-neighbor line with open ends."""
+    return IsingSpec(length, {(i, i + 1): 1.0 for i in range(1, length)})
 
 
 def iswap_unitary(n_qubits: int, i: int, j: int) -> np.ndarray:
@@ -188,30 +187,17 @@ class SimulationReport:
     offending_path: tuple[int, ...] | None
 
 
-def verify_nn_simulates_ata(length: int, resource: IsingSpec | None = None) -> SimulationReport:
+def verify_nn_simulates_ata(length: int) -> SimulationReport:
     """Check that relabeled line evolutions compose to the all-to-all evolution.
 
-    The resource must be a homogeneous open line; each Hamiltonian path of the
-    cover contributes one line evolution at the full target time, conjugated
+    The resource is the unit-strength open line, run for unit time; each
+    Hamiltonian path of the cover contributes one line evolution, conjugated
     by the iSWAP product that realizes the path's layout.
     """
     if length < 2 or length > 6:
         raise ValueError("dense verification supports 2 <= L <= 6")
-    if resource is None:
-        resource = line_resource(length)
-    if resource.n_qubits != length:
-        raise ValueError(f"resource has {resource.n_qubits} qubits, expected {length}")
-    line_edges = {(i, i + 1) for i in range(1, length)}
-    if set(resource.couplings) != line_edges:
-        raise NotImplementedError("resource must couple exactly the nearest-neighbor line")
-    strengths = set(resource.couplings.values())
-    if len(strengths) != 1:
-        raise NotImplementedError("weighted lines are not implemented; couplings must be equal")
-
     paths = decompose_complete_graph(length)
-    g = strengths.pop()
-    time = resource.target_time
-    line_phase = np.exp(1j * time * coupling_diagonal(resource))
+    line_phase = np.exp(1j * coupling_diagonal(line_resource(length)))
 
     dim = 1 << length
     built = np.eye(dim, dtype=complex)
@@ -220,16 +206,15 @@ def verify_nn_simulates_ata(length: int, resource: IsingSpec | None = None) -> S
     for path in paths:
         relabel = relabel_unitary(path)
         term = (relabel * line_phase) @ relabel.conj().T
-        path_spec = IsingSpec(length, {edge: g for edge in path.edges})
-        expected = np.diag(np.exp(1j * time * coupling_diagonal(path_spec)))
+        path_spec = IsingSpec(length, dict.fromkeys(path.edges, 1.0))
+        expected = np.diag(np.exp(1j * coupling_diagonal(path_spec)))
         error = float(np.max(np.abs(term - expected)))
         if error > worst:
             worst = error
             offending = path.vertices
         built = term @ built
 
-    ata = IsingSpec.homogeneous(length, g)
-    target = np.exp(1j * time * coupling_diagonal(ata))
+    target = np.exp(1j * coupling_diagonal(IsingSpec.homogeneous(length)))
     distance = phase_insensitive_distance(built, np.diag(target))
     passed = distance < VERIFY_TOL
     return SimulationReport(

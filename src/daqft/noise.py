@@ -24,6 +24,7 @@ from .statevector import _fidelities, fidelity
 
 PROTOCOLS = ("dqc", "sdaqc", "bdaqc")
 PROTOCOL_LABELS = {"dqc": "DQC", "sdaqc": "sDAQC", "bdaqc": "bDAQC"}
+_MODES = {"dqc": None, "sdaqc": "stepwise", "bdaqc": "banged"}  # each program's metadata["mode"]
 ERROR_SCALE_BETA = np.pi / 4  # the input angle of every error-scale sweep
 
 
@@ -146,12 +147,9 @@ def build_protocol_program(protocol: str, n_qubits: int, delta_t: float = DEFAUL
         instructions = build_dqc_circuit(n_qubits, use_zz_construction=True)
         instructions = instructions + (readout_instruction(n_qubits),)
         return Program(n_qubits, instructions, metadata={"protocol": "dqc"})
-    if name == "sdaqc":
-        program = compile_qft_daqc(n_qubits, "stepwise", delta_t)
-    elif name == "bdaqc":
-        program = compile_qft_daqc(n_qubits, "banged", delta_t)
-    else:
+    if name not in _MODES:
         raise ValueError(f"unknown protocol {protocol!r}")
+    program = compile_qft_daqc(n_qubits, _MODES[name], delta_t)
     program.metadata["protocol"] = name
     return program
 
@@ -284,8 +282,10 @@ def monte_carlo(
     most ceil(shots / workers) rows of 2^n amplitudes.  No result depends
     on it.  ``program`` is the compiled protocol program when the caller
     reuses one across cells; by default it is compiled here.  A program of
-    another register size, or one whose ``metadata["protocol"]`` names
-    another protocol, raises ValueError.  ``config`` None runs the program
+    another register size, one whose ``metadata["protocol"]`` names another
+    protocol or whose ``metadata["mode"]`` is not this protocol's, or a
+    banged one compiled at another ``delta_t``, raises ValueError, so the
+    record describes the program it ran.  ``config`` None runs the program
     once through ``execute_program``.  A sweep of one cell per (protocol, n)
     comes here; larger grids run each shot once for all their cells.
     """
@@ -294,8 +294,14 @@ def monte_carlo(
         program = build_protocol_program(protocol, n_qubits, delta_t)
     if program.n_qubits != n_qubits:
         raise ValueError(f"program has {program.n_qubits} qubits, expected {n_qubits}")
-    if program.metadata.get("protocol", protocol.lower()) != protocol.lower():
+    name = protocol.lower()
+    if program.metadata.get("protocol", name) != name:
         raise ValueError(f"program is a {program.metadata['protocol']} program, not {protocol}")
+    mode = program.metadata.get("mode")
+    if mode != _MODES.get(name):
+        raise ValueError(f"program has schedule mode {mode!r}, not {protocol}'s")
+    if mode == "banged" and program.metadata["delta_t"] != delta_t:
+        raise ValueError(f"program has delta_t {program.metadata['delta_t']!r}, not {delta_t!r}")
     if config is not None:
         return _cell_records(protocol, n_qubits, program, [beta], shots, [config], delta_t, workers)[0]
     # An ideal cell stays one public execute_program run, the only sweep path

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
+import argparse
+import ast
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -276,6 +279,8 @@ class TestGoldenBytes:
         """Compile dumps, residual line included, reproduce their recorded SHA-256.
 
         The dump lists durations only, so both modes of one target print the same bytes.
+        Target times 0.7 and 2.5 have no exact reciprocal, so their residual lines pin
+        how the residual divides by the target time.
         """
         target = tmp_path / "target.txt"
         target.write_text("1 2 0.5\n1 4 -0.75\n2 3 0.125\n2 5 1.5\n3 5 -0.3\n4 5 0.05\n")
@@ -286,6 +291,14 @@ class TestGoldenBytes:
             (
                 "f217831ed8829d9239538f54bd339439cf6978d7c78115b92b91fcd645261e72",
                 ["--target", target, "--target-time", "0.5"],
+            ),
+            (
+                "242d537b6f469cf2dca8bfd6ac1d91d9e58e1be438b69f9cd0cc985638ffbe21",
+                ["--target", target, "--target-time", "0.7"],
+            ),
+            (
+                "8c5ec4305ecd4cd3eb6604e6fbf9e52ef61aeb77853d8bd46ec8967b9c0bc71e",
+                ["--target", target, "--target-time", "2.5"],
             ),
         ]
         for digest, args in runs:
@@ -693,6 +706,64 @@ class TestParser:
         )
         assert result.returncode == 0, result.stderr
         assert "sweep-beta" in result.stdout
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_daqft_references():
+    """(module, name) pairs that perfbench/workloads.py and perfbench/run.py read from daqft.
+
+    The files are parsed, not imported.  A string literal that mentions
+    ``daqft.`` and parses as Python, as run.py's set-up probe does, is
+    searched as well.
+    """
+    modules = {"daqft": "daqft"}  # local name -> the daqft module it is bound to
+    references = set()
+    pending = [ast.parse((PERFBENCH / name).read_text()) for name in ("workloads.py", "run.py")]
+    while pending:
+        for node in ast.walk(pending.pop()):
+            if isinstance(node, ast.ImportFrom) and node.module == "daqft":
+                for alias in node.names:
+                    references.add(("daqft", alias.name))
+                    modules[alias.asname or alias.name] = f"daqft.{alias.name}"
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                references.add((modules[node.value.id], node.attr))
+            elif isinstance(node, ast.Constant) and "daqft." in str(node.value):
+                try:
+                    pending.append(ast.parse(node.value))
+                except SyntaxError:
+                    pass
+    return references
+
+
+class TestBenchmarkSurface:
+    """What the benchmark drives exists, so deleting it fails here and not only in perfbench."""
+
+    def test_perfbench_daqft_names_exist(self):
+        """Every daqft name perfbench's workloads and runner use is defined."""
+        references = perfbench_daqft_references()
+        assert {("daqft", "verify_nn_simulates_ata"), ("daqft.cli", "main")} <= references
+        for module, name in sorted(references):
+            assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+    def test_perfbench_flags_are_cli_options(self):
+        """Every --flag literal in perfbench/workloads.py is an option of some subcommand."""
+        tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+        flags = {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and str(node.value).startswith("--")
+        }
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            flag
+            for subparser in commands.choices.values()
+            for action in subparser._actions
+            for flag in action.option_strings
+        }
+        assert {"--workers", "--mode", "--ideal"} <= flags
+        assert flags <= options, sorted(flags - options)
 
 
 def call_outputs(args, capsys, out=None):

@@ -13,7 +13,6 @@ from daqft.daqc import (
     build_sdaqc_schedule,
     compile_qft_daqc,
     schedule_dump,
-    schedule_instructions,
     schedule_program,
     sign_matrix,
     solve_residual,
@@ -60,7 +59,7 @@ def per_block_segments(times, delta_t):
 
 
 def per_block_instructions(schedule):
-    """A schedule lowered block by block, the loop schedule_instructions replaced."""
+    """A schedule lowered block by block, the loop schedule_program's lowering replaced."""
     instructions = []
     if schedule.mode == "stepwise":
         x = {q: XGate(q) for q in range(1, schedule.n_qubits + 1)}
@@ -86,7 +85,7 @@ def flipped_resource_diagonal(resource, flip_set):
 
 
 def schedule_built_qft(n, mode, delta_t=DEFAULT_DELTA_T):
-    """The QFT program built from solve_times, DaqcSchedule and schedule_instructions.
+    """The QFT program built from solve_times, DaqcSchedule and schedule_program.
 
     The construction compile_qft_daqc replaced: one checked schedule per
     block, its blocks the solved durations on all_pairs in order, lowered on
@@ -105,7 +104,7 @@ def schedule_built_qft(n, mode, delta_t=DEFAULT_DELTA_T):
         blocks = tuple(zip(all_pairs(n), solve_times(target)))
         schedule = DaqcSchedule(mode, blocks, resource, window)
         block_times.append(tuple(duration for _, duration in schedule.blocks))
-        lowered = schedule_instructions(schedule)
+        lowered = schedule_program(schedule).instructions
         assert repr(lowered) == repr(per_block_instructions(schedule))
         instructions.extend(lowered)
     instructions += [HadamardGate(n), readout_instruction(n)]
@@ -245,7 +244,7 @@ class TestScheduleConstruction:
         assert schedule.n_qubits == 4
         assert schedule.blocks == tuple(zip(all_pairs(4), times.tolist()))
         assert all(type(duration) is float for _, duration in schedule.blocks)
-        instrs = schedule_instructions(schedule)
+        instrs = schedule_program(schedule).instructions
         pairs = [(instrs[i].qubit, instrs[i + 1].qubit) for i in range(0, len(instrs), 5)]
         assert pairs == all_pairs(4)
         assert [instrs[i].duration for i in range(2, len(instrs), 5)] == list(times)
@@ -291,7 +290,7 @@ class TestScheduleConstruction:
     def test_stepwise_lowering(self):
         """Each stepwise item becomes an X-sandwiched analog block."""
         schedule = build_sdaqc_schedule(np.array([0.3]))
-        instrs = schedule_instructions(schedule)
+        instrs = schedule_program(schedule).instructions
         assert [type(i) for i in instrs] == [XGate, XGate, AnalogBlock, XGate, XGate]
         assert instrs[0].qubit == 1 and instrs[1].qubit == 2
         assert instrs[2].duration == pytest.approx(0.3)
@@ -299,7 +298,7 @@ class TestScheduleConstruction:
     def test_banged_lowering(self):
         """Each banged item becomes window, segment, window on its pair."""
         schedule = build_bdaqc_schedule(np.array([0.3, 0.4, 0.5]), 0.01)
-        instrs = schedule_instructions(schedule)
+        instrs = schedule_program(schedule).instructions
         assert [type(i) for i in instrs[:3]] == [BangedWindow, AnalogBlock, BangedWindow]
         assert instrs[0].qubits == (1, 2)
         assert instrs[0].duration == pytest.approx(0.01)
@@ -310,7 +309,7 @@ class TestScheduleConstruction:
         dt = 0.01
         blocks = (((2, 3), 0.3), ((1,), 0.4), ((1, 2, 3), 0.5), ((2, 3), 0.6))
         schedule = DaqcSchedule("banged", blocks, IsingSpec.homogeneous(3), dt)
-        instrs = schedule_instructions(schedule)
+        instrs = schedule_program(schedule).instructions
         assert repr(instrs) == repr(per_block_instructions(schedule))
         opening, segments, closing = instrs[0::3], instrs[1::3], instrs[2::3]
         assert all(a is b for a, b in zip(opening, closing, strict=True))

@@ -85,11 +85,6 @@ class TestIsingSpec:
         with pytest.raises(ValueError):
             IsingSpec(20, {})
 
-    def test_rejects_nonpositive_resource_coupling(self):
-        """The resource strength must be positive."""
-        with pytest.raises(ValueError):
-            IsingSpec(2, {}, resource_coupling=0.0)
-
 
 class TestCouplingDiagonal:
     """Diagonal of sum_{j<k} g_jk Z_j Z_k in the computational basis."""

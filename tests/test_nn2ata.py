@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from daqft.ising import IsingSpec, all_pairs
+from daqft.ising import all_pairs
 from daqft.nn2ata import (
     CoverReport,
     HamiltonianPath,
@@ -12,7 +12,6 @@ from daqft.nn2ata import (
     decompose_complete_graph,
     hp_permutation,
     iswap_unitary,
-    line_resource,
     paths_dump,
     relabel_unitary,
     transpositions_for_layout,
@@ -169,27 +168,6 @@ class TestSimulation:
             assert report.passed, f"L={length} distance {report.distance}"
             assert report.distance < 1e-9
             assert report.offending_path is None
-
-    def test_random_times_and_strengths(self):
-        """The identity holds for any matched coupling and duration."""
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            g = float(rng.uniform(0.3, 2.0))
-            time = float(rng.uniform(0.2, 3.0))
-            report = verify_nn_simulates_ata(4, line_resource(4, g, time))
-            assert report.passed
-
-    def test_weighted_line_unsupported(self):
-        """Unequal line couplings are declared out of scope."""
-        resource = IsingSpec(4, {(1, 2): 1.0, (2, 3): 2.0, (3, 4): 1.0})
-        with pytest.raises(NotImplementedError, match="weighted lines"):
-            verify_nn_simulates_ata(4, resource)
-
-    def test_non_line_resource_rejected(self):
-        """Resources with chords or gaps are not a nearest-neighbor line."""
-        chord = IsingSpec(4, {(1, 2): 1.0, (2, 3): 1.0, (3, 4): 1.0, (1, 4): 1.0})
-        with pytest.raises(NotImplementedError, match="nearest-neighbor line"):
-            verify_nn_simulates_ata(4, chord)
 
     def test_size_limits(self):
         """Dense verification stops at six qubits."""

@@ -11,6 +11,7 @@ import pytest
 
 from daqft import noise
 from daqft import program as program_module
+from daqft.daqc import compile_qft_daqc
 from daqft.ising import IsingSpec
 from daqft.noise import (
     CONFIG_FILE_KEYS,
@@ -481,6 +482,29 @@ class TestMonteCarlo:
         program = build_protocol_program("bdaqc", 3)
         with pytest.raises(ValueError, match="bdaqc program, not dqc"):
             monte_carlo("dqc", 3, 0.3, 2, config, program=program)
+
+    @pytest.mark.parametrize("config", [NoiseConfig(), None], ids=["noisy", "ideal"])
+    def test_program_of_another_mode_or_window_rejected(self, config):
+        """A record names the schedule mode and window width its program was compiled with.
+
+        An unlabelled program's mode must be the protocol's, and a banged
+        program's window width the run's delta_t.
+        """
+        dt = noise.DEFAULT_DELTA_T
+        mismatches = [
+            ("sdaqc", compile_qft_daqc(3, "banged"), dt, "mode 'banged', not sdaqc"),
+            ("bdaqc", compile_qft_daqc(3, "stepwise"), dt, "'stepwise', not bdaqc"),
+            ("dqc", compile_qft_daqc(3, "stepwise"), dt, "'stepwise', not dqc"),
+            ("sdaqc", Program(3, (XGate(1),)), dt, "mode None, not sdaqc"),
+            ("bdaqc", build_protocol_program("bdaqc", 3), 3e-2, "delta_t 0.0001, not 0.03"),
+        ]
+        for protocol, program, delta_t, message in mismatches:
+            with pytest.raises(ValueError, match=message):
+                monte_carlo(protocol, 3, 0.3, 2, config, delta_t, program=program)
+        for protocol, mode in (("sdaqc", "stepwise"), ("bdaqc", "banged")):
+            program = compile_qft_daqc(3, mode, 3e-2)
+            record = monte_carlo(protocol, 3, 0.3, 2, config, 3e-2, program=program)
+            assert record == monte_carlo(protocol, 3, 0.3, 2, config, 3e-2)
 
     @pytest.mark.parametrize("config", [NoiseConfig(), None], ids=["noisy", "ideal"])
     def test_program_of_another_size_rejected(self, config):
