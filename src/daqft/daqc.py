@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ising import IsingSpec, all_pairs
+from .ising import IsingSpec, _check_register_size, all_pairs
 from .program import AnalogBlock, BangedWindow, HadamardGate, Program, Rotation, XGate, _constant
 from .qft import qft_block_target, readout_instruction
 
@@ -97,52 +97,43 @@ def _check_mode(mode: str, delta_t: float | None) -> None:
 
 @dataclass(frozen=True)
 class DaqcSchedule:
-    """(flip set, duration) blocks in execution order; a flip set is an ascending qubit tuple."""
+    """(flip set, duration) blocks in execution order; a flip set is an ascending qubit tuple.
+
+    Every block evolves under the register's unit all-to-all resource.
+    """
 
     mode: str  # "stepwise" | "banged"
     blocks: tuple[tuple[tuple[int, ...], float], ...]
-    resource: IsingSpec
+    n_qubits: int
     delta_t: float | None = None
 
     def __post_init__(self) -> None:
+        _check_register_size(self.n_qubits)
         _check_mode(self.mode, self.delta_t)
-        if not self.resource.is_homogeneous():
-            raise ValueError("the analog resource must be homogeneous")
         blocks = tuple((tuple(qubits), float(duration)) for qubits, duration in self.blocks)
         for qubits, _ in blocks:
             if not qubits or list(qubits) != sorted(set(qubits) & set(range(1, self.n_qubits + 1))):
                 raise ValueError(f"flip set {qubits} is not ascending qubits in 1..{self.n_qubits}")
         object.__setattr__(self, "blocks", blocks)
 
-    @property
-    def n_qubits(self) -> int:
-        return self.resource.n_qubits
 
-
-def _pair_schedule(mode: str, times, resource: IsingSpec | None, delta_t=None) -> DaqcSchedule:
-    """Durations as blocks on all_pairs(n) in alpha order, over the given or the unit resource."""
+def _pair_schedule(mode: str, times, delta_t=None) -> DaqcSchedule:
+    """Durations as blocks on all_pairs(n) in alpha order, n worked out from their count."""
     count = len(times)
-    if resource is None:
-        n = (1 + math.isqrt(1 + 8 * count)) // 2
-        if n * (n - 1) // 2 != count:
-            raise ValueError(f"{count} durations do not form a full pair set")
-        resource = IsingSpec.homogeneous(n)
-    pairs = all_pairs(resource.n_qubits)
-    if count != len(pairs):
-        raise ValueError(f"expected {len(pairs)} durations for N={resource.n_qubits}, got {count}")
-    return DaqcSchedule(mode, list(zip(pairs, times)), resource, delta_t)
+    n = (1 + math.isqrt(1 + 8 * count)) // 2
+    if n * (n - 1) // 2 != count:
+        raise ValueError(f"{count} durations do not form a full pair set")
+    return DaqcSchedule(mode, list(zip(all_pairs(n), times)), n, delta_t)
 
 
-def build_sdaqc_schedule(times: np.ndarray, resource: IsingSpec | None = None) -> DaqcSchedule:
+def build_sdaqc_schedule(times: np.ndarray) -> DaqcSchedule:
     """Stepwise schedule: resource off while the conjugation pulses act."""
-    return _pair_schedule("stepwise", times, resource)
+    return _pair_schedule("stepwise", times)
 
 
-def build_bdaqc_schedule(
-    times: np.ndarray, delta_t: float, resource: IsingSpec | None = None
-) -> DaqcSchedule:
+def build_bdaqc_schedule(times: np.ndarray, delta_t: float) -> DaqcSchedule:
     """Banged schedule: resource stays on; X pulses become drive windows of delta_t."""
-    return _pair_schedule("banged", times, resource, delta_t)
+    return _pair_schedule("banged", times, delta_t)
 
 
 def banged_segment_durations(times, delta_t: float) -> list[float]:
@@ -189,12 +180,8 @@ def schedule_program(schedule: DaqcSchedule) -> Program:
     pulses = _pulses(schedule.mode, schedule.n_qubits)
     instructions: list = []
     _lower(schedule.mode, schedule.blocks, schedule.delta_t, pulses, instructions)
-    return Program(
-        n_qubits=schedule.n_qubits,
-        instructions=tuple(instructions),
-        resource=schedule.resource,
-        metadata={"mode": schedule.mode, "delta_t": schedule.delta_t},
-    )
+    metadata = {"mode": schedule.mode, "delta_t": schedule.delta_t}
+    return Program(schedule.n_qubits, tuple(instructions), metadata=metadata)
 
 
 def schedule_dump(schedule: DaqcSchedule) -> str:
@@ -218,7 +205,6 @@ def compile_qft_daqc(n_qubits: int, mode: str, delta_t: float = DEFAULT_DELTA_T)
     """
     _check_mode(mode, delta_t)
     window = delta_t if mode == "banged" else None
-    resource = IsingSpec.homogeneous(n_qubits)
     pairs = all_pairs(n_qubits)  # solve_times orders durations as all_pairs does
     pulses = _pulses(mode, n_qubits)
     instructions: list = []
@@ -234,9 +220,8 @@ def compile_qft_daqc(n_qubits: int, mode: str, delta_t: float = DEFAULT_DELTA_T)
         negative_segments += _lower(mode, list(zip(pairs, times)), window, pulses, instructions)
     instructions += (HadamardGate(n_qubits), readout_instruction(n_qubits))
     return Program(
-        n_qubits=n_qubits,
-        instructions=tuple(instructions),
-        resource=resource,
+        n_qubits,
+        tuple(instructions),
         metadata={
             "mode": mode,
             "delta_t": window,

@@ -53,23 +53,15 @@ class IsingSpec:
             raise ValueError("target_time must be finite")
 
     @staticmethod
-    def homogeneous(n_qubits: int, g: float = 1.0, target_time: float = 1.0) -> "IsingSpec":
-        """All-to-all pattern with every pair coupled at strength g."""
-        return IsingSpec(n_qubits, {pair: g for pair in all_pairs(n_qubits)}, target_time)
+    def homogeneous(n_qubits: int) -> "IsingSpec":
+        """The unit all-to-all pattern: every pair coupled at strength 1."""
+        return IsingSpec(n_qubits, dict.fromkeys(all_pairs(n_qubits), 1.0))
 
     def coupling(self, j: int, k: int) -> float:
         """Strength for pair (j, k), zero when the pair is absent."""
         if not (1 <= j < k <= self.n_qubits):
             raise ValueError(f"pair ({j}, {k}) is not ordered within 1..{self.n_qubits}")
         return self.couplings.get((j, k), 0.0)
-
-    def is_homogeneous(self) -> bool:
-        """True when every pair is present with one common strength."""
-        pairs = all_pairs(self.n_qubits)
-        if set(self.couplings) != set(pairs):
-            return False
-        values = [self.couplings[p] for p in pairs]
-        return all(v == values[0] for v in values)
 
 
 def coupling_diagonal(spec: IsingSpec) -> np.ndarray:
@@ -78,7 +70,7 @@ def coupling_diagonal(spec: IsingSpec) -> np.ndarray:
     Basis index i encodes qubit 1 as the most significant bit; z = +1 for bit 0
     and -1 for bit 1.  The integer products z_j * z_k of the pairs that share
     one coupling value are summed exactly and scaled once, so under a
-    homogeneous resource every basis state of one Hamming weight gets the
+    homogeneous pattern every basis state of one Hamming weight gets the
     same energy, bit for bit, whatever g is.
     """
     n = spec.n_qubits

@@ -290,11 +290,13 @@ def monte_carlo(
     comes here; larger grids run each shot once for all their cells.
     """
     _check_run(shots, workers)
+    name = protocol.lower()
+    if name not in _MODES:
+        raise ValueError(f"unknown protocol {protocol!r}")
     if program is None:
         program = build_protocol_program(protocol, n_qubits, delta_t)
     if program.n_qubits != n_qubits:
         raise ValueError(f"program has {program.n_qubits} qubits, expected {n_qubits}")
-    name = protocol.lower()
     if program.metadata.get("protocol", name) != name:
         raise ValueError(f"program is a {program.metadata['protocol']} program, not {protocol}")
     mode = program.metadata.get("mode")

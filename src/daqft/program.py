@@ -7,8 +7,9 @@ k register rows, one per noise shot (and config) of a Monte-Carlo run, each
 holding r input states that share that row's draws, such as the basis
 states of a dense unitary.  A noisy application applies one operand per
 register row to all r inputs; the executor builds the operands from the
-rows' draws, those of one instruction class together (see _operands).  A
-Program bundles instructions with the analog resource they evolve under.
+rows' draws, those of one instruction class together (see _operands).
+Analog instructions evolve under the register's one analog resource, the
+unit all-to-all ZZ Hamiltonian sum_{j<k} Z_j Z_k.
 """
 
 from __future__ import annotations
@@ -66,13 +67,11 @@ _I2 = _constant(np.eye(2))
 # The kernel entry points that Rotation, HadamardGate and XGate share; each
 # binds them in its own class body, where perfbench's tracer looks up an
 # instruction's kernels.  ``value`` holds the register rows' (k, 2, 2) matrices.
-def _single_qubit_noisy(
-    self, amps: np.ndarray, n: int, value: np.ndarray, energy=None
-) -> np.ndarray:
+def _single_qubit_noisy(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
     return _apply_matrix_1q(amps, self.qubit, value)
 
 
-def _single_qubit_ideal(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
+def _single_qubit_ideal(self, amps: np.ndarray, n: int) -> np.ndarray:
     return _apply_matrix_1q(amps, self.qubit, self._ideal)
 
 
@@ -170,11 +169,11 @@ class Entangler:
 
     channel = "tqg"
 
-    def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
+    def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
         # ``value`` holds the register rows' (k, 4) branch phases.
         return _apply_diag_2q(amps, n, self.qubit_a, self.qubit_b, value)
 
-    def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
+    def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
         return _apply_diag_2q(amps, n, self.qubit_a, self.qubit_b, self._ideal)
 
     @staticmethod
@@ -204,12 +203,12 @@ class ControlledPhase:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
-    def noisy_apply(self, amps: np.ndarray, n: int, value, energy=None) -> np.ndarray:
+    def noisy_apply(self, amps: np.ndarray, n: int, value) -> np.ndarray:
         raise UnsupportedGateError(
             "controlled phase gates have no noise model; use the ZZ construction"
         )
 
-    def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
+    def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
         return _apply_diag_2q(amps, n, self.control, self.target, self._ideal)
 
     @functools.cached_property
@@ -219,7 +218,7 @@ class ControlledPhase:
 
 @dataclass(frozen=True)
 class AnalogBlock:
-    """Evolution under the program's analog resource for a signed duration."""
+    """Evolution under the unit all-to-all resource for a signed duration."""
 
     duration: float
     kind: str = "stepwise"  # which analog-noise width applies
@@ -234,15 +233,15 @@ class AnalogBlock:
     def channel(self) -> str:
         return "abn_s" if self.kind == "stepwise" else "abn_b"
 
-    def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
+    def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
         # ``value`` holds the register rows' (k, L) phases at the L distinct
         # levels, gathered onto the basis: every amplitude's exponent is the
         # same product as with its own energy.
-        return amps * value[:, energy.index, None]
+        return amps * value[:, _energy(n).index, None]
 
-    def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
-        phases = self._operands(np.zeros(1), self.duration, energy.levels)
-        return self.noisy_apply(amps, n, phases, energy)
+    def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
+        phases = self._operands(np.zeros(1), self.duration, _energy(n).levels)
+        return self.noisy_apply(amps, n, phases)
 
     @staticmethod
     def _operands(values: np.ndarray, durations, levels: np.ndarray) -> np.ndarray:
@@ -251,15 +250,14 @@ class AnalogBlock:
 
 @dataclass(frozen=True)
 class BangedWindow:
-    """X drives of amplitude pi/(2*duration) on top of the analog resource.
+    """X drives of amplitude pi/(2*duration) on top of the unit all-to-all resource.
 
     Each driven qubit completes a pi/2 X rotation (i.e. iX) over the window
     while the resource keeps evolving.  Noise values scale the per-qubit drive
-    amplitudes independently, one sqg draw per driven qubit.  Windows run on
-    homogeneous resources only (Program refuses others): there a block's
-    Hamiltonian depends only on how many undriven qubits are set, so the
-    kernel diagonalizes one block per weight class instead of one per
-    register row.
+    amplitudes independently, one sqg draw per driven qubit.  The resource
+    is homogeneous, so a block's Hamiltonian depends only on how many
+    undriven qubits are set, and the kernel diagonalizes one block per
+    weight class instead of one per register row.
     """
 
     duration: float
@@ -277,13 +275,12 @@ class BangedWindow:
 
     channel = "sqg"
 
-    def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray, energy=None) -> np.ndarray:
+    def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
         # ``value`` holds the class unitaries of this window's drive rows.
         return _apply_window_unitaries(amps, n, self.qubits, value)
 
-    def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
-        energies = _class_energies(n, energy, self.qubits)
-        u = _ideal_window_unitaries(self.duration, len(self.qubits), energies.tobytes())
+    def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
+        u = _ideal_window_unitaries(self.duration, n, len(self.qubits))
         return _apply_window_unitaries(amps, n, self.qubits, u)
 
 
@@ -301,10 +298,10 @@ class Permute:
 
     channel = None  # draws nothing
 
-    def noisy_apply(self, amps: np.ndarray, n: int, value, energy=None) -> np.ndarray:
+    def noisy_apply(self, amps: np.ndarray, n: int, value) -> np.ndarray:
         return self.ideal_apply(amps, n)
 
-    def ideal_apply(self, amps: np.ndarray, n: int, energy=None) -> np.ndarray:
+    def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
         return amps[:, self._index]
 
     @functools.cached_property
@@ -318,7 +315,7 @@ def _window_structure(n: int, qubits: tuple[int, ...]):
 
     Row r of the (2^(n-m), 2^m) index holds the basis states that share one
     pattern of undriven bits; column b sets the driven bits, qubits[0] most
-    significant.  Under a homogeneous resource a row's block depends only on
+    significant.  Under the homogeneous resource a row's block depends only on
     w, the number of undriven bits set.  Flipping every bit maps weight w to
     n-m-w and commutes with the X drives, so a row with w > (n-m)/2 reads its
     driven columns complemented and shares the block of class n-m-w.
@@ -338,9 +335,13 @@ def _window_structure(n: int, qubits: tuple[int, ...]):
     return _constant(index), _constant(weight), _constant(class_rows)
 
 
-def _class_energies(n: int, energy: ResourceEnergy, qubits: tuple[int, ...]) -> np.ndarray:
-    """The resource energies on each weight class's block, (C, 2^m) (see _window_structure)."""
-    return energy.values[_window_structure(n, qubits)[2]]
+def _class_energies(n: int, m: int) -> np.ndarray:
+    """The resource energies on each weight class's block of m driven qubits, (C, 2^m).
+
+    Read on the first m qubits: every m-subset has the same class blocks
+    (see _window_structure).
+    """
+    return _energy(n).values[_window_structure(n, tuple(range(1, m + 1)))[2]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -448,14 +449,13 @@ def _window_unitaries(energies: np.ndarray, duration: float, drive_values: np.nd
 
 
 @functools.lru_cache(maxsize=256)
-def _ideal_window_unitaries(duration: float, m: int, energies: bytes) -> np.ndarray:
+def _ideal_window_unitaries(duration: float, n: int, m: int) -> np.ndarray:
     """A window's read-only ideal class unitaries (1, C, 2^m, 2^m), keyed by value.
 
-    Every program with the same width, driven-qubit count and class
-    energies (the bytes of _class_energies) shares them.
+    Every program with the same width, register size and driven-qubit
+    count shares them.
     """
-    energies = np.frombuffer(energies).reshape(-1, 1 << m)
-    return _constant(_window_unitaries(energies, duration, np.ones((1, m))))
+    return _constant(_window_unitaries(_class_energies(n, m), duration, np.ones((1, m))))
 
 
 def _apply_window_unitaries(
@@ -479,75 +479,60 @@ def _apply_window_unitaries(
 
 
 class ResourceEnergy(NamedTuple):
-    """A resource's basis-state energies and their few distinct levels.
+    """The resource's basis-state energies and their few distinct levels.
 
-    ``values == levels[index]``, levels in order of first appearance.  The
-    compiler's homogeneous resource has floor(n/2)+1 levels for its 2^n
-    basis states: 4 against 128 at n = 7.
+    ``values == levels[index]``, levels in order of first appearance:
+    floor(n/2)+1 levels for the 2^n basis states, 4 against 128 at n = 7.
     """
 
     values: np.ndarray
     levels: np.ndarray
     index: np.ndarray
 
-    @classmethod
-    def of(cls, resource: IsingSpec) -> ResourceEnergy:
-        values = coupling_diagonal(resource)
-        # A dict and a Python sort rather than np.unique: the first call of
-        # np.unique's argsort alone raises a run's peak memory by ~0.4 MB.
-        first = list(dict.fromkeys(values.tolist()))  # the levels in order of first appearance
-        order = np.array(sorted(range(len(first)), key=first.__getitem__))
-        return cls(values, np.array(first), order[np.searchsorted(first, values, sorter=order)])
+
+@functools.lru_cache(maxsize=None)
+def _energy(n: int) -> ResourceEnergy:  # read-only, built once per register size
+    values = coupling_diagonal(IsingSpec.homogeneous(n))
+    # A dict and a Python sort rather than np.unique: the first call of
+    # np.unique's argsort alone raises a run's peak memory by ~0.4 MB.
+    first = list(dict.fromkeys(values.tolist()))  # the levels in order of first appearance
+    order = np.array(sorted(range(len(first)), key=first.__getitem__))
+    index = order[np.searchsorted(first, values, sorter=order)]
+    return ResourceEnergy(_constant(values), _constant(np.array(first)), _constant(index))
 
 
-# Per class (a Program holds no other): the highest qubit an instruction names (0 for none),
-# and what else it needs: "resource" (an analog resource), "window" (a homogeneous one) or "size".
-_RULES = {
-    **dict.fromkeys((Rotation, HadamardGate, XGate), (lambda instr: instr.qubit, None)),
-    Entangler: (lambda instr: max(instr.qubit_a, instr.qubit_b), None),
-    ControlledPhase: (lambda instr: max(instr.control, instr.target), None),
-    AnalogBlock: (lambda instr: 0, "resource"),
-    BangedWindow: (lambda instr: instr.qubits[-1], "window"),  # ascending
-    Permute: (lambda instr: 0, "size"),
+# The highest qubit an instruction of each class names (0 for none); a Program holds no other class.
+_HIGHEST_QUBIT = {
+    **dict.fromkeys((Rotation, HadamardGate, XGate), lambda instr: instr.qubit),
+    Entangler: lambda instr: max(instr.qubit_a, instr.qubit_b),
+    ControlledPhase: lambda instr: max(instr.control, instr.target),
+    AnalogBlock: lambda instr: 0,
+    BangedWindow: lambda instr: instr.qubits[-1],  # ascending
+    Permute: lambda instr: 0,
 }
 
 
 @dataclass(frozen=True)
 class Program:
-    """A sequence of the eight instruction classes over a fixed register, with its analog resource."""
+    """A sequence of the eight instruction classes over a fixed register."""
 
     n_qubits: int
     instructions: tuple
-    resource: IsingSpec | None = None
     metadata: dict = field(default_factory=dict)
-    # The resource's energies and levels, computed once so every shot shares them.
-    energy: ResourceEnergy | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_register_size(self.n_qubits)
         object.__setattr__(self, "instructions", tuple(self.instructions))
-        if self.resource is not None and self.resource.n_qubits != self.n_qubits:
-            raise ValueError("resource register size does not match the program")
         n = self.n_qubits
-        homogeneous = self.resource is not None and self.resource.is_homogeneous()
         for instr in self.instructions:
             try:
-                highest, needs = _RULES[type(instr)]
+                highest = _HIGHEST_QUBIT[type(instr)]
             except KeyError:
                 raise ValueError(f"{type(instr).__name__} is not an instruction class") from None
             if highest(instr) > n:
                 raise ValueError(f"instruction {instr!r} exceeds {n} qubits")
-            if needs is None:
-                continue
-            if needs == "size":
-                if len(instr.index_map) != 1 << n:
-                    raise ValueError("permutation size does not match the register")
-            elif self.resource is None:
-                raise ValueError("analog instructions require a resource")
-            elif needs == "window" and not homogeneous:
-                raise ValueError("banged windows require a homogeneous resource")
-        energy = ResourceEnergy.of(self.resource) if self.resource is not None else None
-        object.__setattr__(self, "energy", energy)
+            if type(instr) is Permute and len(instr.index_map) != 1 << n:
+                raise ValueError("permutation size does not match the register")
 
     @functools.cached_property
     def _operand_layout(self):
@@ -558,9 +543,8 @@ class Program:
         one with no channel raises UnsupportedGateError.  Built on the first
         noisy run and kept on the program, so it dies with it.  Instructions
         of one class form a group, in program order, and so do windows of one
-        width and driven-qubit count.  Windows run on homogeneous resources
-        only, where a block's energies depend on its Hamming weight alone
-        (see coupling_diagonal), so such windows share their class energies.
+        width and driven-qubit count, which share their class energies (see
+        _class_energies).
         """
         channels, members = [], {}
         for index, instr in enumerate(self.instructions):
@@ -584,12 +568,12 @@ class Program:
                 axes = np.stack([pauli(instr.axis) for instr in instrs])[:, None]
                 group = (Rotation._operands, (angles, axes), _OPERAND_ENTRIES // 4)
             elif key is AnalogBlock:
-                levels = self.energy.levels
+                levels = _energy(self.n_qubits).levels
                 durations = np.array([instr.duration for instr in instrs], dtype=float)[:, None]
                 build = functools.partial(AnalogBlock._operands, levels=levels)
                 group = (build, (durations,), _OPERAND_ENTRIES // len(levels))
             elif isinstance(key, tuple):
-                energies = _class_energies(self.n_qubits, self.energy, instrs[0].qubits)
+                energies = _class_energies(self.n_qubits, len(instrs[0].qubits))
                 build = functools.partial(_window_operands, energies, instrs[0].duration)
                 group = (build, (), _WINDOW_BLOCKS // len(energies))
             else:
@@ -681,13 +665,12 @@ def _run(program: Program, block: np.ndarray, draws: np.ndarray | None = None) -
     (see _operands); an instruction that draws nothing runs ideally.
     """
     n = program.n_qubits
-    energy = program.energy
     values = itertools.repeat(None) if draws is None else _operands(program, draws, len(block))
     for instr, value in zip(program.instructions, values):
         if value is None:
-            block = instr.ideal_apply(block, n, energy)
+            block = instr.ideal_apply(block, n)
         else:
-            block = instr.noisy_apply(block, n, value, energy)
+            block = instr.noisy_apply(block, n, value)
     return block
 
 

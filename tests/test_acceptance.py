@@ -106,12 +106,12 @@ def _window_error_coefficient(stepwise):
     """
     n = stepwise.n_qubits
     dim = 1 << n
-    h = np.diag(coupling_diagonal(stepwise.resource)).astype(complex)
+    h = np.diag(coupling_diagonal(IsingSpec.homogeneous(n))).astype(complex)
     nodes, weights = np.polynomial.legendre.leggauss(24)
     nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
 
     def prefix(m):
-        return program_unitary(Program(n, stepwise.instructions[:m], stepwise.resource))
+        return program_unitary(Program(n, stepwise.instructions[:m]))
 
     def window_average(qubits):
         average = np.zeros((dim, dim), dtype=complex)

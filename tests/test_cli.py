@@ -4,6 +4,7 @@ import argparse
 import ast
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import platform
@@ -711,15 +712,18 @@ class TestParser:
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def perfbench_daqft_references():
-    """(module, name) pairs that perfbench/workloads.py and perfbench/run.py read from daqft.
+def perfbench_daqft_uses():
+    """The daqft names perfbench/workloads.py and perfbench/run.py read, and their calls.
 
-    The files are parsed, not imported.  A string literal that mentions
+    Returns the (module, name) pairs they read, and for each call written
+    ``<module>.<name>(...)`` its (module, name, positional argument count,
+    keyword names); a call with ``*`` or ``**`` arguments is left out.  The
+    files are parsed, not imported.  A string literal that mentions
     ``daqft.`` and parses as Python, as run.py's set-up probe does, is
     searched as well.
     """
     modules = {"daqft": "daqft"}  # local name -> the daqft module it is bound to
-    references = set()
+    references, calls = set(), []
     pending = [ast.parse((PERFBENCH / name).read_text()) for name in ("workloads.py", "run.py")]
     while pending:
         for node in ast.walk(pending.pop()):
@@ -729,12 +733,21 @@ def perfbench_daqft_references():
                     modules[alias.asname or alias.name] = f"daqft.{alias.name}"
             elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
                 references.add((modules[node.value.id], node.attr))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) in modules
+            ):
+                keywords = [keyword.arg for keyword in node.keywords]
+                if None not in keywords and not any(isinstance(a, ast.Starred) for a in node.args):
+                    module = modules[node.func.value.id]
+                    calls.append((module, node.func.attr, len(node.args), tuple(keywords)))
             elif isinstance(node, ast.Constant) and "daqft." in str(node.value):
                 try:
                     pending.append(ast.parse(node.value))
                 except SyntaxError:
                     pass
-    return references
+    return references, calls
 
 
 class TestBenchmarkSurface:
@@ -742,10 +755,26 @@ class TestBenchmarkSurface:
 
     def test_perfbench_daqft_names_exist(self):
         """Every daqft name perfbench's workloads and runner use is defined."""
-        references = perfbench_daqft_references()
+        references, _ = perfbench_daqft_uses()
         assert {("daqft", "verify_nn_simulates_ata"), ("daqft.cli", "main")} <= references
         for module, name in sorted(references):
             assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+    def test_perfbench_calls_bind(self):
+        """Every daqft call in perfbench's workloads and runner binds to the signature it names.
+
+        Only the number of positional arguments and the keyword names are
+        bound, not their values: a parameter deleted, renamed or made
+        keyword-only would fail the benchmark, and fails here.
+        """
+        _, calls = perfbench_daqft_uses()
+        assert ("daqft", "compile_qft_daqc", 3, ()) in calls and ("daqft.cli", "main", 1, ()) in calls
+        for module, name, positional, keywords in calls:
+            function = getattr(importlib.import_module(module), name)
+            try:
+                inspect.signature(function).bind(*range(positional), **dict.fromkeys(keywords))
+            except TypeError as error:
+                pytest.fail(f"{module}.{name} with {positional} positional and {keywords}: {error}")
 
     def test_perfbench_flags_are_cli_options(self):
         """Every --flag literal in perfbench/workloads.py is an option of some subcommand."""

@@ -18,7 +18,7 @@ from daqft.daqc import (
     solve_residual,
     solve_times,
 )
-from daqft.ising import IsingSpec, all_pairs, coupling_diagonal
+from daqft.ising import MAX_QUBITS, IsingSpec, all_pairs, coupling_diagonal
 from daqft.program import (
     AnalogBlock,
     BangedWindow,
@@ -94,7 +94,6 @@ def schedule_built_qft(n, mode, delta_t=DEFAULT_DELTA_T):
     block-by-block loop.
     """
     window = delta_t if mode == "banged" else None
-    resource = IsingSpec.homogeneous(n)
     instructions, block_times = [], []
     for m in range(1, n):
         target = qft_block_target(n, m)
@@ -102,7 +101,7 @@ def schedule_built_qft(n, mode, delta_t=DEFAULT_DELTA_T):
         for (_, q), angle in target.couplings.items():
             instructions.extend((Rotation(m, "z", -angle), Rotation(q, "z", -angle)))
         blocks = tuple(zip(all_pairs(n), solve_times(target)))
-        schedule = DaqcSchedule(mode, blocks, resource, window)
+        schedule = DaqcSchedule(mode, blocks, n, window)
         block_times.append(tuple(duration for _, duration in schedule.blocks))
         lowered = schedule_program(schedule).instructions
         assert repr(lowered) == repr(per_block_instructions(schedule))
@@ -115,7 +114,7 @@ def schedule_built_qft(n, mode, delta_t=DEFAULT_DELTA_T):
         "block_times": tuple(block_times),
         "negative_segments": negative,
     }
-    return Program(n, tuple(instructions), resource, metadata)
+    return Program(n, tuple(instructions), metadata)
 
 
 class TestVectorization:
@@ -131,22 +130,29 @@ class TestVectorization:
 
     def test_rejects_bad_pairs(self):
         """Durations that do not cover the pair set exactly are refused."""
-        with pytest.raises(ValueError, match="expected 3 durations for N=3, got 2"):
-            build_sdaqc_schedule(np.array([0.1, 0.2]), IsingSpec.homogeneous(3))
-        with pytest.raises(ValueError, match="expected 3 durations for N=3, got 2"):
-            build_bdaqc_schedule(np.array([0.1, 0.2]), 0.01, IsingSpec.homogeneous(3))
+        with pytest.raises(ValueError, match="2 durations do not form a full pair set"):
+            build_sdaqc_schedule(np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="2 durations do not form a full pair set"):
+            build_bdaqc_schedule(np.array([0.1, 0.2]), 0.01)
         with pytest.raises(ValueError, match="full pair set"):
             build_sdaqc_schedule(np.ones(4))
 
     def test_rejects_bad_flip_sets(self):
         """A flip set is a non-empty ascending tuple of distinct register qubits."""
-        resource = IsingSpec.homogeneous(3)
         for qubits in ((), (2, 1), (1, 1), (0, 2), (2, 4)):
             with pytest.raises(ValueError, match="flip set"):
-                DaqcSchedule("stepwise", ((qubits, 0.1),), resource)
-        schedule = DaqcSchedule("stepwise", [([1, 3], np.float64(0.1)), ((2,), 1)], resource)
+                DaqcSchedule("stepwise", ((qubits, 0.1),), 3)
+        schedule = DaqcSchedule("stepwise", [([1, 3], np.float64(0.1)), ((2,), 1)], 3)
         assert schedule.blocks == (((1, 3), 0.1), ((2,), 1.0))
         assert all(type(duration) is float for _, duration in schedule.blocks)
+
+    def test_rejects_bad_register_size(self):
+        """A schedule's register holds 1..MAX_QUBITS qubits, as a program's does."""
+        for n in (0, MAX_QUBITS + 1):
+            with pytest.raises(ValueError, match="n_qubits must be in"):
+                DaqcSchedule("stepwise", (), n)
+        with pytest.raises(ValueError, match="n_qubits must be in"):
+            build_sdaqc_schedule(np.zeros(len(all_pairs(MAX_QUBITS + 1))))
 
 
 class TestSignMatrix:
@@ -200,7 +206,7 @@ class TestSolveTimes:
 
     def test_homogeneous_target(self):
         """A uniform target with unit coupling needs -t_F on every block."""
-        target = IsingSpec.homogeneous(3, 1.0, target_time=0.7)
+        target = IsingSpec(3, dict.fromkeys(all_pairs(3), 1.0), target_time=0.7)
         assert np.allclose(solve_times(target), [-0.7, -0.7, -0.7], atol=1e-12)
 
     def test_zero_target(self):
@@ -256,7 +262,7 @@ class TestScheduleConstruction:
                 build_bdaqc_schedule(np.ones(3), delta_t)
             with pytest.raises(ValueError, match="finite delta_t > 0"):
                 blocks = tuple(zip(all_pairs(3), np.ones(3)))
-                DaqcSchedule("banged", blocks, IsingSpec.homogeneous(3), delta_t)
+                DaqcSchedule("banged", blocks, 3, delta_t)
 
     def test_segment_charges(self):
         """First/last blocks lose 3/2 windows, interiors one, singletons two."""
@@ -308,7 +314,7 @@ class TestScheduleConstruction:
         """Blocks run in their own order, one window per flip set, 1.5 windows charged at both ends."""
         dt = 0.01
         blocks = (((2, 3), 0.3), ((1,), 0.4), ((1, 2, 3), 0.5), ((2, 3), 0.6))
-        schedule = DaqcSchedule("banged", blocks, IsingSpec.homogeneous(3), dt)
+        schedule = DaqcSchedule("banged", blocks, 3, dt)
         instrs = schedule_program(schedule).instructions
         assert repr(instrs) == repr(per_block_instructions(schedule))
         opening, segments, closing = instrs[0::3], instrs[1::3], instrs[2::3]
@@ -337,10 +343,10 @@ class TestStepwiseExactness:
     def test_any_flip_sets_match_dense_oracle(self):
         """Blocks out of pair order, a repeated flip set, and 1- and 3-qubit flip sets.
 
-        The schedule equals exp(i sum_b t_b H_b), H_b the resource with the
-        sign of every coupling with exactly one end in S_b flipped.
+        The schedule equals exp(i sum_b t_b H_b), H_b the unit resource with
+        the sign of every coupling with exactly one end in S_b flipped.
         """
-        resource = IsingSpec.homogeneous(5, 0.7)
+        resource = IsingSpec.homogeneous(5)
         blocks = (
             ((2, 4), 0.31),
             ((1,), -0.27),
@@ -350,7 +356,7 @@ class TestStepwiseExactness:
             ((1, 2), 0.05),
             ((2, 3, 4), -0.36),
         )
-        program = schedule_program(DaqcSchedule("stepwise", blocks, resource))
+        program = schedule_program(DaqcSchedule("stepwise", blocks, 5))
         xs = [instr for instr in program.instructions if isinstance(instr, XGate)]
         assert [x.qubit for x in xs] == [q for qubits, _ in blocks for _ in range(2) for q in qubits]
         assert len({id(x) for x in xs}) == 5  # one X gate per qubit
@@ -416,16 +422,13 @@ class TestCompileQft:
     @pytest.mark.parametrize("mode", ["stepwise", "banged"])
     @pytest.mark.parametrize("n", [3, 5, 6, 7])
     def test_matches_schedule_built_program(self, n, mode):
-        """Instructions, metadata and resource equal the schedule-built program's, bit for bit."""
+        """Instructions and metadata equal the schedule-built program's, bit for bit."""
         program = compile_qft_daqc(n, mode)
         expected = schedule_built_qft(n, mode)
         assert len(program.instructions) == len(expected.instructions)
         for got, want in zip(program.instructions, expected.instructions):
             assert type(got) is type(want) and repr(got) == repr(want)
         assert repr(program.metadata) == repr(expected.metadata)
-        assert program.resource == expected.resource
-        for got, want in zip(program.energy, expected.energy):
-            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", ["stepwise", "banged"])
     def test_program_shares_pulses(self, mode):
@@ -478,7 +481,7 @@ class TestScheduleDump:
     def test_any_flip_set_line(self):
         """Lines read `alpha <flip-set qubits> duration`, blocks in their own order."""
         blocks = (((1, 2, 3), 0.25), ((2,), -0.5), ((1, 3), 0.0))
-        schedule = DaqcSchedule("stepwise", blocks, IsingSpec.homogeneous(3))
+        schedule = DaqcSchedule("stepwise", blocks, 3)
         assert schedule_dump(schedule) == (
             "1 1 2 3 2.500000000000e-01\n2 2 -5.000000000000e-01\n3 1 3 0.000000000000e+00\n"
         )

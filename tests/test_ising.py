@@ -56,11 +56,10 @@ class TestIsingSpec:
     """Validation and convenience accessors."""
 
     def test_homogeneous_factory(self):
-        """Homogeneous specs couple every pair with the same strength."""
-        spec = IsingSpec.homogeneous(4, 0.5)
+        """The homogeneous spec couples every pair at unit strength."""
+        spec = IsingSpec.homogeneous(4)
         assert set(spec.couplings) == set(all_pairs(4))
-        assert all(g == 0.5 for g in spec.couplings.values())
-        assert spec.is_homogeneous()
+        assert all(g == 1.0 for g in spec.couplings.values())
 
     def test_missing_coupling_reads_zero(self):
         """Absent pairs have zero strength."""
@@ -114,7 +113,8 @@ class TestCouplingDiagonal:
         """The diagonal equals the per-qubit loop's bits: shared, zero and distinct values, n = 1..14."""
         rng = np.random.default_rng(37)
         for n in range(1, 15):
-            specs = [IsingSpec.homogeneous(n), IsingSpec.homogeneous(n, 0.37), IsingSpec(n, {})]
+            uniform = IsingSpec(n, dict.fromkeys(all_pairs(n), 0.37))
+            specs = [IsingSpec.homogeneous(n), uniform, IsingSpec(n, {})]
             values = [0.0, -0.0, 0.5, -1.25, 0.3, float(rng.normal())]
             specs.append(IsingSpec(n, {pair: float(rng.choice(values)) for pair in all_pairs(n)}))
             for spec in specs:

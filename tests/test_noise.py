@@ -12,7 +12,6 @@ import pytest
 from daqft import noise
 from daqft import program as program_module
 from daqft.daqc import compile_qft_daqc
-from daqft.ising import IsingSpec
 from daqft.noise import (
     CONFIG_FILE_KEYS,
     CSV_HEADER,
@@ -81,7 +80,7 @@ def every_channel_program(n=3):
         BangedWindow(0.01, (1, 3)),
         Permute(tuple(range(2 ** n))),
     )
-    return Program(n, instructions, resource=IsingSpec.homogeneous(n))
+    return Program(n, instructions)
 
 
 def reference_values(program, samplers):
@@ -229,7 +228,6 @@ class TestSampling:
                 BangedWindow(0.01, (1, 2)),
                 Permute((0, 1, 2, 3)),
             ),
-            resource=IsingSpec.homogeneous(2),
         )
         sites = NoiseSites.for_program(program)
         assert sites.channels.tolist() == [0, 0, 1, 3, 0, 0]
@@ -505,6 +503,19 @@ class TestMonteCarlo:
             program = compile_qft_daqc(3, mode, 3e-2)
             record = monte_carlo(protocol, 3, 0.3, 2, config, 3e-2, program=program)
             assert record == monte_carlo(protocol, 3, 0.3, 2, config, 3e-2)
+
+    @pytest.mark.parametrize("config", [NoiseConfig(), None], ids=["noisy", "ideal"])
+    def test_unknown_protocol_rejected_before_any_shot(self, config, monkeypatch):
+        """An unknown protocol raises ValueError before any compile or shot, with or without a program."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an unknown protocol reached a compile or a shot")
+
+        for name in ("build_protocol_program", "_cell_records", "execute_program"):
+            monkeypatch.setattr(noise, name, unreachable)
+        for program in (None, Program(3, (XGate(1),))):
+            with pytest.raises(ValueError, match="unknown protocol 'foo'"):
+                monte_carlo("foo", 3, 0.3, 2, config, program=program)
 
     @pytest.mark.parametrize("config", [NoiseConfig(), None], ids=["noisy", "ideal"])
     def test_program_of_another_size_rejected(self, config):

@@ -25,7 +25,6 @@ from daqft.program import (
     HadamardGate,
     Permute,
     Program,
-    ResourceEnergy,
     Rotation,
     UnsupportedGateError,
     XGate,
@@ -65,46 +64,39 @@ def random_state(n, rng):
     return Statevector(n, amps / np.linalg.norm(amps))
 
 
-def setdefault_energy(resource):
-    """Energies, levels and index built by one dict setdefault per basis state.
+def setdefault_energy(n):
+    """The unit resource's energies, levels and index built by one dict setdefault per basis state.
 
-    The construction ResourceEnergy.of replaced.
+    The construction program._energy replaced.
     """
-    values = coupling_diagonal(resource)
+    values = coupling_diagonal(IsingSpec.homogeneous(n))
     first = {}
     index = np.array([first.setdefault(value, len(first)) for value in values.tolist()])
     return values, np.array(list(first)), index
 
 
-def instruction_matrix(instr, n, value=None, resource=None):
+def instruction_matrix(instr, n, value=None):
     """Dense matrix of one instruction: one run over the 2^n basis states, its draw ``value``.
 
     ``value`` None runs the instruction ideally.
     """
-    program = Program(n, (instr,), resource=resource)
+    program = Program(n, (instr,))
     if value is None:
         return program_unitary(program)
     return run_with_draws(np.eye(2 ** n, dtype=complex)[None], program, lambda _: value)[0]
 
 
 # Instructions of each class that reach past a two-qubit register, each with the
-# resource its program gets (None: the homogeneous two-qubit one) and the error.
-# An analog block names no qubit; it reaches past the register with its resource.
+# error.  An analog block names no qubit and runs on any register, so it has none.
 OVER_REGISTER = {
-    "Rotation": [(Rotation(3, "z", 0.1), None, "exceeds")],
-    "HadamardGate": [(HadamardGate(3), None, "exceeds")],
-    "XGate": [(XGate(3), None, "exceeds")],
-    "Entangler": [(Entangler(1, 3), None, "exceeds"), (Entangler(3, 1), None, "exceeds")],
-    "ControlledPhase": [
-        (ControlledPhase(3, 1, 2), None, "exceeds"),
-        (ControlledPhase(1, 3, 2), None, "exceeds"),
-    ],
-    "AnalogBlock": [(AnalogBlock(0.5), IsingSpec.homogeneous(3), "resource register size")],
-    "BangedWindow": [
-        (BangedWindow(0.1, (3,)), None, "exceeds"),
-        (BangedWindow(0.1, (1, 3)), None, "exceeds"),
-    ],
-    "Permute": [(Permute(tuple(range(8))), None, "permutation size")],
+    "Rotation": [(Rotation(3, "z", 0.1), "exceeds")],
+    "HadamardGate": [(HadamardGate(3), "exceeds")],
+    "XGate": [(XGate(3), "exceeds")],
+    "Entangler": [(Entangler(1, 3), "exceeds"), (Entangler(3, 1), "exceeds")],
+    "ControlledPhase": [(ControlledPhase(3, 1, 2), "exceeds"), (ControlledPhase(1, 3, 2), "exceeds")],
+    "AnalogBlock": [],
+    "BangedWindow": [(BangedWindow(0.1, (3,)), "exceeds"), (BangedWindow(0.1, (1, 3)), "exceeds")],
+    "Permute": [(Permute(tuple(range(8))), "permutation size")],
 }
 
 
@@ -163,18 +155,6 @@ class TestValidation:
             Program(3, (Permute(tuple(range(4))),))
         Program(2, (Permute(tuple(range(4))),))
 
-    def test_analog_requires_resource(self):
-        """Analog instructions need a coupling resource."""
-        with pytest.raises(ValueError, match="resource"):
-            Program(2, (AnalogBlock(0.5),))
-
-    def test_window_requires_homogeneous_resource(self):
-        """Banged windows run on a homogeneous resource only; analog blocks on any."""
-        resource = IsingSpec(3, {(1, 2): 1.0, (2, 3): 0.5})
-        with pytest.raises(ValueError, match="homogeneous resource"):
-            Program(3, (BangedWindow(0.1, (1, 2)),), resource=resource)
-        Program(3, (AnalogBlock(0.1),), resource=resource)
-
     def test_over_register_cases_cover_every_class(self):
         """The over-register cases name every instruction class once."""
         assert set(OVER_REGISTER) == {cls.__name__ for cls in INSTRUCTION_CLASSES}
@@ -186,10 +166,10 @@ class TestValidation:
         Every qubit field is checked, not only the first one.  The same
         instructions fit a three-qubit register.
         """
-        for instr, resource, message in OVER_REGISTER[name]:
+        for instr, message in OVER_REGISTER[name]:
             with pytest.raises(ValueError, match=message):
-                Program(2, (XGate(1), instr), resource=resource or IsingSpec.homogeneous(2))
-            Program(3, (XGate(1), instr), resource=IsingSpec.homogeneous(3))
+                Program(2, (XGate(1), instr))
+            Program(3, (XGate(1), instr))
 
 
 INSTRUCTION_CLASSES = (
@@ -267,12 +247,12 @@ class TestKernelEntryPoints:
                 assert inspect.isfunction(obj) and obj.__module__ == module.__name__, span
 
     def test_kernel_signatures(self):
-        """All eight take (amps, n, value, energy=None) and (amps, n, energy=None)."""
+        """All eight take (amps, n, value) and (amps, n)."""
         for cls in INSTRUCTION_CLASSES:
             noisy = list(inspect.signature(vars(cls)["noisy_apply"]).parameters)
             ideal = list(inspect.signature(vars(cls)["ideal_apply"]).parameters)
-            assert noisy == ["self", "amps", "n", "value", "energy"], cls.__name__
-            assert ideal == ["self", "amps", "n", "energy"], cls.__name__
+            assert noisy == ["self", "amps", "n", "value"], cls.__name__
+            assert ideal == ["self", "amps", "n"], cls.__name__
 
 
 # One instance of each instruction class at n = 5, with its noisy operand for k
@@ -281,8 +261,8 @@ class TestKernelEntryPoints:
 _K = 4
 _RNG = np.random.default_rng(59)
 _WINDOW = BangedWindow(0.01, (2, 4))
-_ENERGY = Program(5, (), resource=IsingSpec.homogeneous(5)).energy
-_WINDOW_ENERGIES = program_module._class_energies(5, _ENERGY, _WINDOW.qubits)
+_ENERGY = program_module._energy(5)
+_WINDOW_ENERGIES = program_module._class_energies(5, len(_WINDOW.qubits))
 BROADCAST_CASES = {
     "Rotation": (
         Rotation(2, "y", 0.4),
@@ -322,12 +302,11 @@ class TestBlockLayout:
         """One (k, 2^n, 3) block equals three (k, 2^n, 1) runs bit for bit, noisy and ideal."""
         instr, values = BROADCAST_CASES[name]
         n = 5
-        energy = Program(n, (), resource=IsingSpec.homogeneous(n)).energy
         rng = np.random.default_rng(61)
         amps = rng.normal(size=(_K, 2 ** n, 3)) + 1j * rng.normal(size=(_K, 2 ** n, 3))
-        runs = [lambda block: instr.ideal_apply(block, n, energy)]
+        runs = [lambda block: instr.ideal_apply(block, n)]
         if values is not None:
-            runs.append(lambda block: instr.noisy_apply(block, n, values, energy))
+            runs.append(lambda block: instr.noisy_apply(block, n, values))
         for run in runs:
             together = run(amps)
             assert together.shape == amps.shape
@@ -361,7 +340,7 @@ class TestNoiseChannels:
             return reference_sampler(NoiseConfig(**{**zero, **widths}), np.random.default_rng(0))(instr)
 
         for instr in instances:
-            program = Program(5, (instr,), resource=IsingSpec.homogeneous(5))
+            program = Program(5, (instr,))
             if not hasattr(instr, "channel"):
                 with pytest.raises(UnsupportedGateError, match=f"no noise model for {name}"):
                     program_module._run(program, np.eye(32, dtype=complex)[None], np.ones((1, 0)))
@@ -436,7 +415,7 @@ def per_instance_unitary(program):
     controlled phase's closed form, or a fresh window solve), never from a
     shared one, and goes through the kernel that the ideal run uses.
     """
-    n, energy = program.n_qubits, program.energy
+    n, energy = program.n_qubits, program_module._energy(program.n_qubits)
     block = np.eye(2 ** n, dtype=complex)[None]
     for instr in program.instructions:
         if isinstance(instr, Rotation):
@@ -451,14 +430,14 @@ def per_instance_unitary(program):
             block = program_module._apply_diag_2q(block, n, instr.control, instr.target, phase)
         elif isinstance(instr, AnalogBlock):
             phases = AnalogBlock._operands(np.zeros(1), instr.duration, energy.levels)
-            block = instr.noisy_apply(block, n, phases, energy)
+            block = instr.noisy_apply(block, n, phases)
         elif isinstance(instr, BangedWindow):
-            energies = program_module._class_energies(n, energy, instr.qubits)
+            energies = energy.values[program_module._window_structure(n, instr.qubits)[2]]
             drives = np.ones((1, len(instr.qubits)))
             unitaries = program_module._window_unitaries(energies, instr.duration, drives)
             block = instr.noisy_apply(block, n, unitaries)
         else:
-            block = instr.ideal_apply(block, n, energy)
+            block = instr.ideal_apply(block, n)
     return block[0]
 
 
@@ -607,137 +586,127 @@ class TestAnalogExecution:
 
     def test_analog_block_phases(self):
         """A block multiplies amplitudes by exp(i t E)."""
-        resource = IsingSpec.homogeneous(3)
         rng = np.random.default_rng(31)
         state = random_state(3, rng)
-        program = Program(3, (AnalogBlock(-0.62),), resource=resource)
-        out = execute_program(state, program)
-        expected = state.amplitudes * np.exp(-0.62j * coupling_diagonal(resource))
+        out = execute_program(state, Program(3, (AnalogBlock(-0.62),)))
+        expected = state.amplitudes * np.exp(-0.62j * coupling_diagonal(IsingSpec.homogeneous(3)))
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
     def test_resource_energy_matches_setdefault_construction(self):
         """Values, levels in order of first appearance, and index equal the setdefault build's bits.
 
-        Homogeneous resources with g = 1 and 0.5 at n = 3..7, an
-        inhomogeneous one at n = 5, and one whose couplings are all zero.
+        The unit resource at n = 3..7.
         """
-        rng = np.random.default_rng(53)
-        resources = [IsingSpec.homogeneous(n, g) for g in (1.0, 0.5) for n in range(3, 8)]
-        resources.append(IsingSpec(5, {pair: float(rng.normal()) for pair in all_pairs(5)}))
-        resources.append(IsingSpec(5, {pair: 0.0 for pair in all_pairs(5)}))
-        for resource in resources:
-            energy = ResourceEnergy.of(resource)
-            for got, expected in zip(energy, setdefault_energy(resource)):
-                assert got.dtype == expected.dtype and got.shape == expected.shape, resource
-                assert got.tobytes() == expected.tobytes(), resource
+        for n in range(3, 8):
+            for got, expected in zip(program_module._energy(n), setdefault_energy(n)):
+                assert got.dtype == expected.dtype and got.shape == expected.shape, n
+                assert got.tobytes() == expected.tobytes(), n
+
+    def test_energy_per_register_size(self):
+        """One read-only energy table per register size, n = 1..14, with floor(n/2)+1 levels.
+
+        Its values have the bits of coupling_diagonal on the unit resource,
+        and all three arrays those of the setdefault construction.
+        """
+        for n in range(1, MAX_QUBITS + 1):
+            energy = program_module._energy(n)
+            assert program_module._energy(n) is energy
+            diagonal = coupling_diagonal(IsingSpec.homogeneous(n))
+            assert energy.values.tobytes() == diagonal.tobytes(), n
+            for got, expected in zip(energy, setdefault_energy(n)):
+                assert got.dtype == expected.dtype and got.shape == expected.shape, n
+                assert got.tobytes() == expected.tobytes(), n
+            assert len(energy.levels) == n // 2 + 1, n
+            for array in energy:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
     def test_level_indexed_phase_is_exact(self):
         """Phases gathered from the resource's distinct levels equal amps * exp(1j t E) bit for bit.
 
-        Homogeneous resources at n = 3, 5, 6, 7, and at n = 5, 10 with g = 0.3
-        and 0.8, have floor(n/2)+1 levels: one energy per Hamming weight up to
-        the flip of every qubit, whatever g.  The inhomogeneous one has
-        2^(n-1), since flipping every qubit keeps each energy.
+        The unit resource at n = 3, 5, 6, 7 and 10 has floor(n/2)+1 levels:
+        one energy per Hamming weight up to the flip of every qubit.
         """
         rng = np.random.default_rng(47)
-        couplings = {pair: float(rng.normal()) for pair in all_pairs(5)}
-        resources = [IsingSpec.homogeneous(n) for n in (3, 5, 6, 7)] + [IsingSpec(5, couplings)]
-        resources += [IsingSpec.homogeneous(n, g) for g in (0.3, 0.8) for n in (5, 10)]
-        for resource in resources:
-            n = resource.n_qubits
-            energy = Program(n, (), resource=resource).energy
-            diagonal = coupling_diagonal(resource)
+        for n in (3, 5, 6, 7, 10):
+            energy = program_module._energy(n)
+            diagonal = coupling_diagonal(IsingSpec.homogeneous(n))
             assert np.array_equal(energy.values, diagonal)
             assert np.array_equal(energy.levels[energy.index], diagonal)
-            expected_levels = n // 2 + 1 if resource.is_homogeneous() else 2 ** (n - 1)
-            assert len(energy.levels) == expected_levels
+            assert len(energy.levels) == n // 2 + 1
             shape = (4, 2 ** n, 3)
             amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             values = rng.normal(scale=0.02, size=4)
             for block in (AnalogBlock(-0.62), AnalogBlock(1.37, "banged")):
-                program = Program(n, (block,), resource=resource)
+                program = Program(n, (block,))
                 noisy = program_module._run(program, amps, values[:, None])
                 phases = np.exp(1j * (block.duration + values)[:, None] * diagonal)
                 assert np.array_equal(noisy, amps * phases[:, :, None]), (n, block)
-                ideal = block.ideal_apply(amps, n, energy)
+                ideal = block.ideal_apply(amps, n)
                 phases = np.exp(1j * block.duration * diagonal)
                 assert np.array_equal(ideal, amps * phases[:, None])
 
     def test_analog_block_noise_shifts_duration(self):
         """A draw of delta evolves for duration + delta."""
-        resource = IsingSpec.homogeneous(2)
         state = basis_state(2, 1)
-        program = Program(2, (AnalogBlock(0.5),), resource=resource)
+        program = Program(2, (AnalogBlock(0.5),))
         out = run_with_draws(state, program, lambda instr: 0.125)
-        expected = state.amplitudes * np.exp(1j * 0.625 * coupling_diagonal(resource))
+        expected = state.amplitudes * np.exp(1j * 0.625 * coupling_diagonal(IsingSpec.homogeneous(2)))
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
     def test_banged_window_matches_dense_expm(self):
         """Window evolution equals exp(i dt (H_res + sum_q (pi/2dt) X_q))."""
         rng = np.random.default_rng(37)
-        resource = IsingSpec.homogeneous(3, 0.8)
         dt = 0.21
         for qubits in ((1,), (2,), (1, 3), (2, 3), (1, 2, 3)):
             window = BangedWindow(dt, qubits)
             state = random_state(3, rng)
-            program = Program(3, (window,), resource=resource)
-            fast = execute_program(state, program)
+            fast = execute_program(state, Program(3, (window,)))
 
-            ham = np.diag(coupling_diagonal(resource)).astype(complex)
+            ham = np.diag(coupling_diagonal(IsingSpec.homogeneous(3))).astype(complex)
             for q in qubits:
                 ham += (np.pi / (2 * dt)) * kron_lift(3, q, PAULI_X)
             slow = expm_evolve(ham, dt, state.amplitudes)
             assert np.allclose(fast.amplitudes, slow, atol=1e-10)
 
     def test_banged_window_matches_oracle_on_every_pair(self):
-        """Noisy windows on every driven pair at n = 3, 5, 6, 7 match the dense exponential.
-
-        The g = 1 runs come before the g = 0.8 runs in one process, so a kernel
-        that kept energies from an earlier call on the same register and pair
-        would fail here.
-        """
+        """Noisy windows on every driven pair at n = 3, 5, 6, 7 match the dense exponential."""
         rng = np.random.default_rng(43)
-        for g in (1.0, 0.8):
-            for n in (3, 5, 6, 7):
-                resource = IsingSpec.homogeneous(n, g)
-                diagonal = np.diag(coupling_diagonal(resource)).astype(complex)
-                for pair in all_pairs(n):
-                    for dt in (1e-4, 0.21):
-                        values = rng.uniform(0.99, 1.01, size=2)
-                        state = random_state(n, rng)
-                        program = Program(n, (BangedWindow(dt, pair),), resource=resource)
-                        fast = run_with_draws(state, program, lambda _: values)
-                        ham = diagonal.copy()
-                        for q, value in zip(pair, values):
-                            ham += (np.pi / (2 * dt)) * value * kron_lift(n, q, PAULI_X)
-                        slow = expm_evolve(ham, dt, state.amplitudes)
-                        assert np.max(np.abs(fast.amplitudes - slow)) <= 1e-13, (g, n, pair, dt)
+        for n in (3, 5, 6, 7):
+            diagonal = np.diag(coupling_diagonal(IsingSpec.homogeneous(n))).astype(complex)
+            for pair in all_pairs(n):
+                for dt in (1e-4, 0.21):
+                    values = rng.uniform(0.99, 1.01, size=2)
+                    state = random_state(n, rng)
+                    program = Program(n, (BangedWindow(dt, pair),))
+                    fast = run_with_draws(state, program, lambda _: values)
+                    ham = diagonal.copy()
+                    for q, value in zip(pair, values):
+                        ham += (np.pi / (2 * dt)) * value * kron_lift(n, q, PAULI_X)
+                    slow = expm_evolve(ham, dt, state.amplitudes)
+                    assert np.max(np.abs(fast.amplitudes - slow)) <= 1e-13, (n, pair, dt)
 
     def test_window_memo_stays_with_its_program(self):
-        """One window in n = 3 and n = 5 programs at g = 1 and 0.8, run interleaved, matches expm.
+        """One window in n = 3, 5, 6 and 7 programs, run interleaved, matches expm.
 
-        The ideal unitaries are cached by width, driven-qubit count and class
-        energies; a cache keyed by the window instance, the register size or
-        the pair would give a later program an earlier one's unitaries.
+        The ideal unitaries are cached by width, register size and
+        driven-qubit count; a cache keyed by the window instance or the pair
+        would give a later program an earlier one's unitaries.
         """
         rng = np.random.default_rng(53)
         dt = 0.21
         window = BangedWindow(dt, (1, 3))
-        programs = [
-            Program(n, (window,), resource=IsingSpec.homogeneous(n, g))
-            for n in (3, 5)
-            for g in (1.0, 0.8)
-        ]
+        programs = [Program(n, (window,)) for n in (3, 5, 6, 7)]
         for _ in range(2):
             for program in programs:
                 n = program.n_qubits
-                ham = np.diag(coupling_diagonal(program.resource)).astype(complex)
+                ham = np.diag(coupling_diagonal(IsingSpec.homogeneous(n))).astype(complex)
                 for q in window.qubits:
                     ham += (np.pi / (2 * dt)) * kron_lift(n, q, PAULI_X)
                 state = random_state(n, rng)
                 fast = execute_program(state, program)
                 slow = expm_evolve(ham, dt, state.amplitudes)
-                assert np.max(np.abs(fast.amplitudes - slow)) <= 1e-13, (n, program.resource)
+                assert np.max(np.abs(fast.amplitudes - slow)) <= 1e-13, n
 
     def test_window_memo_equals_uncached_kernel(self):
         """The bDAQC n = 5 unitary equals, bit for bit, runs that build every window afresh.
@@ -754,12 +723,14 @@ class TestAnalogExecution:
         assert np.array_equal(program_unitary(program), noisy)
 
     def test_banged_window_noise_scales_drives(self):
-        """Per-qubit draws rescale each drive amplitude independently."""
-        resource = IsingSpec.homogeneous(2, 0.0001)
-        dt = 0.5
+        """Per-qubit draws rescale each drive amplitude independently.
+
+        The window is short enough that the resource barely acts during it.
+        """
+        dt = 1e-4
         window = BangedWindow(dt, (1, 2))
         state = basis_state(2, 0)
-        program = Program(2, (window,), resource=resource)
+        program = Program(2, (window,))
         # drive qubit 1 at half amplitude: a pi/2 pulse becomes pi/4
         out = run_with_draws(state, program, lambda instr: np.array([0.5, 1.0]))
         # qubit 2 flips fully, qubit 1 splits between 0 and 1
@@ -779,9 +750,8 @@ class TestWindowSolver:
         """
         rng = np.random.default_rng(67)
         for n in (3, 8, 10, 14):
-            energy = Program(n, (), resource=IsingSpec.homogeneous(n)).energy
             for m in (1, 2, 3):
-                energies = program_module._class_energies(n, energy, tuple(range(n - m + 1, n + 1)))
+                energies = program_module._class_energies(n, m)
                 for dt in (1e-5, 1e-4, 0.21, 2.0):
                     for spread in (0.0, 5e-4, 0.05, 1.0):
                         drives = rng.uniform(1 - spread, 1 + spread, (4, m))
@@ -791,6 +761,23 @@ class TestWindowSolver:
                         for row in range(len(drives)):
                             alone = program_module._window_unitaries(energies, dt, drives[row:row + 1])
                             assert np.array_equal(alone[0], u[row]), (n, m, dt, spread, row)
+
+    def test_matches_eigh_oracle_at_other_strengths(self):
+        """The kernel on the class energies of the all-to-all resource at g = 0.3, 0.8 and 1e-4.
+
+        Programs run the unit resource only; the kernel takes any class
+        energies, and g times the unit ones are those of strength g.
+        """
+        rng = np.random.default_rng(71)
+        for n in (3, 5, 6, 7):
+            for m in (1, 2, 3):
+                for g in (0.3, 0.8, 1e-4):
+                    energies = g * program_module._class_energies(n, m)
+                    for dt in (1e-4, 0.21, 0.5):
+                        drives = rng.uniform(0.5, 1.01, (4, m))
+                        u = program_module._window_unitaries(energies, dt, drives)
+                        error = np.max(np.abs(u - window_class_unitaries(energies, dt, drives)))
+                        assert error <= 1e-12, (n, m, g, dt, error)
 
     def test_blocks_solve_alone_as_in_a_stack(self):
         """Eigenvalues and vectors of each block equal, bit for bit, those of its stack."""
@@ -811,21 +798,23 @@ class TestWindowSolver:
         """Every window of m driven qubits sees the same class energies, bit for bit, at any g.
 
         The executor stacks a schedule's windows of one width and
-        driven-qubit count into one solve on the first window's energies.
+        driven-qubit count into one solve on the class energies of the
+        first m qubits.  At g = 1 they are _class_energies's.
         """
         for n in (5, 7):
             for g in (1.0, 0.3, 0.8):
-                energy = Program(n, (), resource=IsingSpec.homogeneous(n, g)).energy
+                values = coupling_diagonal(IsingSpec(n, dict.fromkeys(all_pairs(n), g)))
                 for m in (1, 2, 3):
                     tables = [
-                        program_module._class_energies(n, energy, qubits)
+                        values[program_module._window_structure(n, qubits)[2]]
                         for qubits in itertools.combinations(range(1, n + 1), m)
                     ]
                     assert all(np.array_equal(table, tables[0]) for table in tables), (n, g, m)
+                    if g == 1.0:
+                        assert np.array_equal(program_module._class_energies(n, m), tables[0])
 
     def test_mixed_windows_equal_one_instruction_programs(self):
         """A run of windows of several widths and sizes equals running each instruction alone, bit for bit."""
-        resource = IsingSpec.homogeneous(5, 0.8)
         instructions = (
             BangedWindow(0.01, (1, 2)),
             AnalogBlock(0.3, "banged"),
@@ -843,10 +832,10 @@ class TestWindowSolver:
             if isinstance(instr, BangedWindow)
         }
         state = random_state(5, rng)
-        together = run_with_draws(state, Program(5, instructions, resource=resource), values.get)
+        together = run_with_draws(state, Program(5, instructions), values.get)
         alone = state
         for instr in instructions:
-            alone = run_with_draws(alone, Program(5, (instr,), resource=resource), values.get)
+            alone = run_with_draws(alone, Program(5, (instr,)), values.get)
         assert np.array_equal(together.amplitudes, alone.amplitudes)
 
     def test_unitaries_are_symmetric(self):
@@ -858,9 +847,8 @@ class TestWindowSolver:
         """
         rng = np.random.default_rng(83)
         for n, rows in ((3, 40), (7, 672)):
-            energy = Program(n, (), resource=IsingSpec.homogeneous(n)).energy
             for m in (1, 2, 3):
-                energies = program_module._class_energies(n, energy, tuple(range(1, m + 1)))
+                energies = program_module._class_energies(n, m)
                 for dt in (1e-4, 0.21):
                     u = program_module._window_unitaries(energies, dt, rng.uniform(0.99, 1.01, (rows, m)))
                     assert np.array_equal(u, u.swapaxes(-1, -2)), (n, m, dt)
@@ -914,7 +902,7 @@ class TestOperandPass:
             together = program_module._run(program, block, site_values(program, draws, 3))
             alone = block
             for instr, draw in zip(program.instructions, draws):
-                single = Program(n, (instr,), resource=program.resource)
+                single = Program(n, (instr,))
                 alone = program_module._run(single, alone, site_values(single, [draw], 3))
             assert np.array_equal(together, alone), (protocol, n)
 
@@ -980,7 +968,6 @@ class TestProgramExecution:
     def test_unitary_matches_execution(self):
         """program_unitary times the input equals executing the program."""
         rng = np.random.default_rng(41)
-        resource = IsingSpec.homogeneous(3)
         instructions = (
             HadamardGate(1),
             Rotation(2, "z", 0.3),
@@ -988,7 +975,7 @@ class TestProgramExecution:
             AnalogBlock(0.4),
             XGate(3),
         )
-        program = Program(3, instructions, resource=resource)
+        program = Program(3, instructions)
         state = random_state(3, rng)
         direct = execute_program(state, program)
         via_matrix = program_unitary(program) @ state.amplitudes
@@ -1018,18 +1005,18 @@ class TestProgramExecution:
             BangedWindow(0.01, (1, 2)),
             Permute((7, 6, 5, 4, 3, 2, 1, 0)),
         )
-        program = Program(3, instructions, resource=IsingSpec.homogeneous(3))
+        program = Program(3, instructions)
         block = np.eye(8, dtype=complex)[None]
         noisy = run_with_draws(block, program, lambda instr: None)
         assert np.array_equal(noisy, program_module._run(program, block))
-        with_phase = Program(3, instructions + (ControlledPhase(2, 1, 3),), resource=program.resource)
+        with_phase = Program(3, instructions + (ControlledPhase(2, 1, 3),))
         with pytest.raises(UnsupportedGateError, match="no noise model for ControlledPhase"):
             run_with_draws(block, with_phase, lambda instr: None)
 
     def test_draws_must_match_rows_and_sites(self):
         """A value matrix without one row per register row and one column per site raises."""
         instructions = (HadamardGate(1), BangedWindow(0.01, (1, 2)))
-        program = Program(2, instructions, resource=IsingSpec.homogeneous(2))
+        program = Program(2, instructions)
         block = np.eye(4, dtype=complex)[None]
         for draws in (np.ones((1, 2)), np.ones((1, 4)), np.ones(3), np.ones((2, 3))):
             with pytest.raises(ValueError, match=r"expected draws of shape \(1, 3\)"):
