@@ -9,9 +9,12 @@ an explicitly seeded generator so every experiment is reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import os
+import stat
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -154,9 +157,59 @@ def build_protocol_program(protocol: str, n_qubits: int, delta_t: float = DEFAUL
     return program
 
 
-def _shot_rng(seed: int, shot_index: int) -> np.random.Generator:
-    """Generator for one shot; shots are independent streams keyed by index."""
-    return np.random.default_rng([seed, shot_index])
+# NumPy's SeedSequence hash (NEP 19; O'Neill's seed_seq) in uint32 words: its
+# hash constant starts at INIT and is multiplied by MULT at each use.
+_MASK = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_HASH = [0x43B0D7E5 * 0x931E8875 ** k & _MASK for k in range(17)]  # 4 + 12 hashmix calls
+_STATE_HASH = np.array([0x8B51F9DD * 0x58F38DED ** k & _MASK for k in range(9)], np.uint32)  # 8 words
+
+
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose PCG64 state words are already hashed (PCG64 asks for 4 uint64)."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self._state
+
+
+def _shot_rngs(seed: int, shots: range) -> list[np.random.Generator]:
+    """Each shot's generator, bit for bit ``np.random.default_rng([seed, i])``.
+
+    Shots are independent streams keyed by index.  ``SeedSequence([seed, i])``
+    hashes the little-endian 32-bit words of seed and of i (0 is one word)
+    into a 4-word pool, and PCG64 seeds from its ``generate_state(4, uint64)``.
+    Here that hash runs once over the batch in uint32 arithmetic: the seed's
+    words stay scalars and only terms that involve i are arrays.  An index
+    of 2^32 or more has two words, so such a batch calls default_rng per shot.
+    """
+    if shots.stop > 2 ** 32:
+        return [np.random.default_rng([seed, i]) for i in shots]
+    words = [seed & _MASK, seed >> 32] if seed >> 32 else [seed]
+    calls = iter(zip(_POOL_HASH, _POOL_HASH[1:]))
+
+    def hashmix(value):
+        xor, mult = next(calls)
+        value = (value ^ xor) * mult
+        return value ^ value >> 16
+
+    with np.errstate(over="ignore"):  # uint32 products wrap, as in SeedSequence
+        entropy = [np.uint32(word) for word in words]
+        entropy.append(np.arange(shots.start, shots.stop, dtype=np.uint32))
+        pool = [hashmix(value) for value in entropy + [np.uint32(0)] * (4 - len(entropy))]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                    pool[dst] = mixed ^ mixed >> 16
+        state = (np.stack(pool * 2, axis=1) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+    state ^= state >> 16
+    rows = state.view("<u8").astype(np.uint64, copy=False)
+    return [np.random.Generator(np.random.PCG64(_HashedSeed(row))) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -240,7 +293,8 @@ def _cell_records(protocol, n_qubits, program, betas, shots, configs, delta_t, w
         block = np.broadcast_to(inputs, (len(configs) * len(indices),) + inputs.shape)
         draws = None
         if not ideal:
-            standard = np.array([make_sampler(_shot_rng(configs[0].seed, i))(sites) for i in indices])
+            rngs = _shot_rngs(configs[0].seed, indices)
+            standard = np.array([make_sampler(rng)(sites) for rng in rngs])
             draws = sites.draws(standard, configs)
         out = _run(program, block, draws).reshape((len(configs), len(indices)) + inputs.shape)
         parts.append([  # (S, X, b): each config's (R, b, 2^n) outputs scored at each beta
@@ -452,6 +506,24 @@ def records_to_csv(records) -> str:
             f"{r.mean_fidelity:.9f},{r.std_fidelity:.9f},{r.delta_t:.9f},{r.error_scale:.9f}"
         )
     return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def _rewrite(path):
+    """A UTF-8 text handle that replaces the file at path; every output file is written through it.
+
+    A regular file is written in place and cut at the end, as
+    ``open(path, "w")`` would leave it, with the same permission bits when it
+    is new; a device or pipe such as /dev/stdout, which cannot be cut, is
+    only written.  Opening without O_TRUNC spares ext4 the flush on close
+    that it starts for a file truncated to zero and written again.  If the
+    body raises, nothing is cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as handle:
+        yield handle
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
 
 
 def load_noise_config(path) -> tuple[NoiseConfig, float | None]:

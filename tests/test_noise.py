@@ -310,6 +310,26 @@ class TestSampling:
             monte_carlo("dqc", 2, 0.3, 2, NoiseConfig(), program=program)
 
 
+class TestShotGenerators:
+    """Each shot draws from its own generator, keyed by (seed, shot index)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    @pytest.mark.parametrize(
+        "shots",
+        [range(0, 300), range(5, 17), range(7, 8), range(2 ** 32 - 3, 2 ** 32), range(2 ** 32 - 3, 2 ** 32 + 2)],
+        ids=["0-300", "5-17", "7-8", "up-to-2^32", "across-2^32"],
+    )
+    def test_batch_equals_default_rng_per_shot(self, seed, shots):
+        """The batch-hashed generators are default_rng([seed, i]): same state and draws."""
+        rngs = noise._shot_rngs(seed, shots)
+        assert len(rngs) == len(shots)
+        for i, rng in zip(shots, rngs):
+            reference = np.random.default_rng([seed, i])
+            assert rng.bit_generator.state == reference.bit_generator.state, i
+            assert rng.random(8).tobytes() == reference.random(8).tobytes(), i
+            assert rng.standard_normal(8).tobytes() == reference.standard_normal(8).tobytes(), i
+
+
 class TestNoisyGates:
     """Noisy gate application semantics."""
 
@@ -691,8 +711,14 @@ class TestSweeps:
         The counts do not depend on the size of the grid, error scales or beta points.
         """
         counts = {"rng": 0, "sampler": 0, "sample_noise": 0}
-        make = noise.make_sampler
-        monkeypatch.setattr(noise, "_shot_rng", counting(counts, "rng", noise._shot_rng))
+        make, shot_rngs = noise.make_sampler, noise._shot_rngs
+
+        def counted_rngs(seed, indices):
+            rngs = shot_rngs(seed, indices)
+            counts["rng"] += len(rngs)
+            return rngs
+
+        monkeypatch.setattr(noise, "_shot_rngs", counted_rngs)
         monkeypatch.setattr(
             noise, "make_sampler", lambda *args: counting(counts, "sampler", make(*args))
         )
