@@ -33,7 +33,6 @@ from .noise import (
     ERROR_SCALE_BETA,
     PROTOCOLS,
     NoiseConfig,
-    _rewrite,
     config_to_dict,
     default_beta_grid,
     load_noise_config,
@@ -94,7 +93,7 @@ def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dic
     # --out opens before the sweep, so a bad path fails before any work.  A
     # failed sweep removes the file if it made it and leaves an old one as it was.
     created = not os.path.exists(args.out)
-    with _rewrite(args.out) as handle:
+    with open(args.out, "a", encoding="utf-8", newline="") as handle:
         start = time.perf_counter()
         cells = []
         try:
@@ -104,6 +103,7 @@ def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dic
                 os.remove(args.out)
             raise
         wall_s = time.perf_counter() - start
+        handle.truncate(0)
         handle.write(records_to_csv(records))
     manifest = {
         "command": args.command,
@@ -125,8 +125,9 @@ def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dic
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    with _rewrite(args.out + ".manifest.json") as handle:
-        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+        handle.write("\n")
     return 0
 
 
@@ -156,7 +157,7 @@ def _cmd_sweep_error_scale(args) -> int:
 def _write_or_print(text: str, out) -> None:
     """Write text to the --out path, or to stdout when there is none."""
     if out:
-        with _rewrite(out) as handle:
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

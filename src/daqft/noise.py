@@ -9,12 +9,9 @@ an explicitly seeded generator so every experiment is reproducible.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
-import os
-import stat
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -165,8 +162,12 @@ _POOL_HASH = [0x43B0D7E5 * 0x931E8875 ** k & _MASK for k in range(17)]  # 4 + 12
 _STATE_HASH = np.array([0x8B51F9DD * 0x58F38DED ** k & _MASK for k in range(9)], np.uint32)  # 8 words
 
 
-class _HashedSeed(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose PCG64 state words are already hashed (PCG64 asks for 4 uint64)."""
+class _HashedSeed:
+    """A seed sequence whose PCG64 state words are already hashed (PCG64 asks for 4 uint64).
+
+    ``_shot_rngs`` registers it as an ``ISeedSequence`` when it first needs
+    one, so importing daqft does not import numpy.random.
+    """
 
     __slots__ = ("_state",)
 
@@ -185,9 +186,10 @@ def _shot_rngs(seed: int, shots: range) -> list[np.random.Generator]:
     into a 4-word pool, and PCG64 seeds from its ``generate_state(4, uint64)``.
     Here that hash runs once over the batch in uint32 arithmetic: the seed's
     words stay scalars and only terms that involve i are arrays.  An index
-    of 2^32 or more has two words, so such a batch calls default_rng per shot.
+    of 2^32 or more has two words, so such a batch calls default_rng per shot,
+    as does a batch under 8 shots, where the pass costs more than those calls.
     """
-    if shots.stop > 2 ** 32:
+    if shots.stop > 2 ** 32 or len(shots) < 8:
         return [np.random.default_rng([seed, i]) for i in shots]
     words = [seed & _MASK, seed >> 32] if seed >> 32 else [seed]
     calls = iter(zip(_POOL_HASH, _POOL_HASH[1:]))
@@ -209,6 +211,7 @@ def _shot_rngs(seed: int, shots: range) -> list[np.random.Generator]:
         state = (np.stack(pool * 2, axis=1) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
     state ^= state >> 16
     rows = state.view("<u8").astype(np.uint64, copy=False)
+    np.random.bit_generator.ISeedSequence.register(_HashedSeed)
     return [np.random.Generator(np.random.PCG64(_HashedSeed(row))) for row in rows]
 
 
@@ -506,24 +509,6 @@ def records_to_csv(records) -> str:
             f"{r.mean_fidelity:.9f},{r.std_fidelity:.9f},{r.delta_t:.9f},{r.error_scale:.9f}"
         )
     return "\n".join(lines) + "\n"
-
-
-@contextlib.contextmanager
-def _rewrite(path):
-    """A UTF-8 text handle that replaces the file at path; every output file is written through it.
-
-    A regular file is written in place and cut at the end, as
-    ``open(path, "w")`` would leave it, with the same permission bits when it
-    is new; a device or pipe such as /dev/stdout, which cannot be cut, is
-    only written.  Opening without O_TRUNC spares ext4 the flush on close
-    that it starts for a file truncated to zero and written again.  If the
-    body raises, nothing is cut.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", newline="") as handle:
-        yield handle
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            handle.truncate()
 
 
 def load_noise_config(path) -> tuple[NoiseConfig, float | None]:

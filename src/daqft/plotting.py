@@ -10,7 +10,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .noise import CSV_HEADER, _rewrite
+from .noise import CSV_HEADER
 
 X_FIELDS = ("beta", "error_scale", "n_qubits")
 
@@ -157,5 +157,5 @@ def plot_csv(in_path, x_field: str, out_path) -> None:
     rows = load_rows(in_path)
     series = build_series(rows, x_field)
     svg = render_svg(series, x_label=x_field)
-    with _rewrite(out_path) as handle:
+    with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(svg)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import daqft
-from daqft import cli, noise
+from daqft import cli
 from daqft.cli import main
 from daqft.daqc import compile_qft_daqc, solve_times
 from daqft.ising import IsingSpec
@@ -864,153 +864,3 @@ class TestParserReuse:
         args = parse(_compile())
         assert (args.mode, args.target_time, args.delta_t) == ("stepwise", 1.0, cli.DEFAULT_DELTA_T)
         assert cli._parser() is cli._parser()
-
-
-SRC = Path(__file__).resolve().parents[1] / "src" / "daqft"
-
-
-def may_write(call: ast.Call) -> bool:
-    """Whether a call opens a file to write, or to truncate it.
-
-    ``open``, ``io.open`` and ``os.fdopen`` write unless the mode is a string
-    constant without "w", "a", "x" or "+" (no mode is "r"); ``os.open``
-    counts when its flags name O_TRUNC; ``write_text`` and ``write_bytes``
-    always write.
-    """
-    func = call.func
-    if ast.unparse(func) == "os.open":
-        return "O_TRUNC" in ast.unparse(call)
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name in ("write_text", "write_bytes"):
-        return True
-    if name not in ("open", "fdopen"):
-        return False
-    modes = call.args[1:2] + [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
-    return any(
-        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+")
-        for mode in modes
-    )
-
-
-def writing_opens(source: str) -> list[tuple[int, str | None]]:
-    """(line, enclosing function) of each call in source that may_write."""
-    found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and may_write(child):
-                found.append((child.lineno, function))
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if inner else function)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-class TestOutputFiles:
-    """Every output file is rewritten in place through noise._rewrite and cut at its end."""
-
-    def test_one_writer(self):
-        """No src/daqft module opens a file for writing outside noise._rewrite."""
-        found = sorted(
-            (path.name, function)
-            for path in SRC.glob("*.py")
-            for _, function in writing_opens(path.read_text(encoding="utf-8"))
-        )
-        assert found == [("noise.py", "_rewrite")]
-
-    def test_guard_sees_truncating_writes(self):
-        """The guard flags each way of opening a file to write that the writer replaced."""
-        source = (
-            'def f(path, mode):\n'
-            '    open(path, "w")\n'
-            '    open(path, mode="a", encoding="utf-8")\n'
-            '    io.open(path, "r+")\n'
-            '    os.fdopen(3, mode)\n'
-            '    Path(path).write_text("")\n'
-            '    open(path)\n'
-            '    open(path, "rb")\n'
-            '    os.open(path, os.O_RDONLY)\n'
-            '    os.open(path, os.O_WRONLY | os.O_TRUNC)\n'
-        )
-        assert writing_opens(source) == [(line, "f") for line in (2, 3, 4, 5, 6, 10)]
-
-    def test_longer_files_are_replaced_exactly(self, tmp_path, capsys):
-        """A CSV, manifest, compile dump, nn2ata dump or SVG longer than the new output leaves no tail."""
-        sweep = ["sweep-beta", "--protocols", "dqc,sdaqc", "--qubits", "3", "--beta-points", "3",
-                 "--shots", "2", "--seed", "5"]
-        commands = {
-            "csv": lambda out: sweep + ["--out", out],
-            "compile": lambda out: ["compile", "--qubits", "3", "--target", "qft-block:1", "--out", out],
-            "nn2ata": lambda out: ["nn2ata", "--size", "4", "--out", out],
-            # the plot reads the fresh CSV, written first
-            "svg": lambda out: ["plot", "--in", tmp_path / "fresh" / "csv", "--x", "beta", "--out", out],
-        }
-        for directory in ("fresh", "stale"):
-            (tmp_path / directory).mkdir()
-        for name, command in commands.items():
-            stale = tmp_path / "stale" / name
-            stale.write_bytes(b"old tail\n" * 20_000)
-            if name == "csv":
-                Path(f"{stale}.manifest.json").write_bytes(b"old tail\n" * 20_000)
-            assert run(command(tmp_path / "fresh" / name)) == 0
-            assert run(command(stale)) == 0
-            assert stale.read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
-        capsys.readouterr()
-        text = (tmp_path / "stale" / "csv.manifest.json").read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
-        assert b"old tail" not in (tmp_path / "stale" / "csv.manifest.json").read_bytes()
-
-    def test_device_and_pipe_are_written_without_a_cut(self, tmp_path, capsys):
-        """A device or pipe at --out, which cannot be truncated, takes the output and exits 0."""
-        csv_path = tmp_path / "sweep.csv"
-        assert run(["sweep-beta", "--protocols", "dqc", "--qubits", "2", "--beta-points", "2",
-                    "--ideal", "--out", csv_path]) == 0
-        for args in (
-            ["compile", "--qubits", "3", "--target", "qft-block:1"],
-            ["nn2ata", "--size", "4"],
-            ["plot", "--in", csv_path, "--x", "beta"],
-        ):
-            assert run(args + ["--out", os.devnull]) == 0, args
-            read_end, write_end = os.pipe()
-            with open(read_end, "rb") as pipe:
-                try:
-                    code = run(args + ["--out", f"/dev/fd/{write_end}"])
-                finally:
-                    os.close(write_end)
-                assert code == 0, args
-                assert pipe.read()
-
-    @pytest.mark.parametrize("command", ["sweep-beta", "sweep-error-scale"])
-    def test_failed_sweep_leaves_old_file_and_removes_new_one(self, tmp_path, capsys, monkeypatch, command):
-        """A sweep that raises keeps a file that was at --out byte for byte, and removes one it made."""
-
-        def failing_sweep(*args, **kwargs):
-            raise RuntimeError("sweep failed")
-
-        monkeypatch.setattr(cli, "sweep_beta", failing_sweep)
-        monkeypatch.setattr(cli, "sweep_error_scale", failing_sweep)
-        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
-        content = bytes(range(256)) * 64
-        old.write_bytes(content)
-        extra = ["--scales", "1"] if command == "sweep-error-scale" else []
-        for out in (old, new):
-            assert run([command, "--qubits", "3", "--shots", "2", "--out", out] + extra) == 1
-        assert "sweep failed" in capsys.readouterr().err
-        assert old.read_bytes() == content
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["old.csv"]
-
-    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
-    def test_new_file_mode_is_open_w_mode(self, tmp_path, umask):
-        """A file the writer makes gets the permission bits open(path, "w") gives under the umask."""
-        previous = os.umask(umask)
-        try:
-            with open(tmp_path / "reference", "w", encoding="utf-8") as handle:
-                handle.write("x\n")
-            with noise._rewrite(tmp_path / "written") as handle:
-                handle.write("x\n")
-        finally:
-            os.umask(previous)
-        modes = [os.stat(tmp_path / name).st_mode & 0o777 for name in ("reference", "written")]
-        assert modes[0] == modes[1] == 0o666 & ~umask
-        assert (tmp_path / "written").read_bytes() == b"x\n"

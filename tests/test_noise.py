@@ -316,7 +316,7 @@ class TestShotGenerators:
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
     @pytest.mark.parametrize(
         "shots",
-        [range(0, 300), range(5, 17), range(7, 8), range(2 ** 32 - 3, 2 ** 32), range(2 ** 32 - 3, 2 ** 32 + 2)],
+        [range(0, 300), range(5, 17), range(7, 8), range(2 ** 32 - 8, 2 ** 32), range(2 ** 32 - 3, 2 ** 32 + 2)],
         ids=["0-300", "5-17", "7-8", "up-to-2^32", "across-2^32"],
     )
     def test_batch_equals_default_rng_per_shot(self, seed, shots):
