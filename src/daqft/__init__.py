@@ -1,9 +1,9 @@
 """Digital-analog quantum Fourier transform simulator.
 
 Dense statevector simulation of the QFT under three execution models — the
-plain digital circuit (DQC), stepwise digital-analog schedules (sDAQC), and
-banged schedules with an always-on resource Hamiltonian (bDAQC) — plus the
-coherent-noise Monte-Carlo experiments comparing them.
+Hadamard/ZZ-construction digital circuit (DQC), stepwise digital-analog
+schedules (sDAQC), and banged schedules with an always-on resource Hamiltonian
+(bDAQC) — plus the coherent-noise Monte-Carlo experiments comparing them.
 """
 
 from .daqc import (

@@ -92,7 +92,10 @@ def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dic
     config, delta_t, seed = noise
     # --out opens before the sweep, so a bad path fails before any work.  A
     # failed sweep removes the file if it made it and leaves an old one as it was.
+    # A pipe or device cannot be cut and rewritten at the end, nor take a manifest.
     created = not os.path.exists(args.out)
+    if not (created or os.path.isfile(args.out)):
+        raise ValueError(f"--out {args.out} exists and is not a regular file")
     with open(args.out, "a", encoding="utf-8", newline="") as handle:
         start = time.perf_counter()
         cells = []

@@ -144,8 +144,7 @@ def build_protocol_program(protocol: str, n_qubits: int, delta_t: float = DEFAUL
     """The full QFT program (including readout relabeling) for one protocol."""
     name = protocol.lower()
     if name == "dqc":
-        instructions = build_dqc_circuit(n_qubits, use_zz_construction=True)
-        instructions = instructions + (readout_instruction(n_qubits),)
+        instructions = build_dqc_circuit(n_qubits) + (readout_instruction(n_qubits),)
         return Program(n_qubits, instructions, metadata={"protocol": "dqc"})
     if name not in _MODES:
         raise ValueError(f"unknown protocol {protocol!r}")

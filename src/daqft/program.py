@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ising import IsingSpec, _check_register_size, coupling_diagonal
+from .ising import _check_register_size
 from .statevector import (
     PAULI_X,
     SQRT2,
@@ -237,10 +237,10 @@ class AnalogBlock:
         # ``value`` holds the register rows' (k, L) phases at the L distinct
         # levels, gathered onto the basis: every amplitude's exponent is the
         # same product as with its own energy.
-        return amps * value[:, _energy(n).index, None]
+        return amps * value[:, _energy(n)[1], None]
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
-        phases = self._operands(np.zeros(1), self.duration, _energy(n).levels)
+        phases = self._operands(np.zeros(1), self.duration, _energy(n)[0])
         return self.noisy_apply(amps, n, phases)
 
     @staticmethod
@@ -311,7 +311,7 @@ class Permute:
 
 @functools.lru_cache(maxsize=None)
 def _window_structure(n: int, qubits: tuple[int, ...]):
-    """Gather index, weight class per row, and the index row of one representative per class.
+    """Gather index and weight class per row.
 
     Row r of the (2^(n-m), 2^m) index holds the basis states that share one
     pattern of undriven bits; column b sets the driven bits, qubits[0] most
@@ -330,18 +330,17 @@ def _window_structure(n: int, qubits: tuple[int, ...]):
     mirrored = 2 * weight > n - m
     index[mirrored] = index[mirrored, ::-1]
     weight = np.minimum(weight, n - m - weight)
-    # Row r has popcount(r) undriven bits set, so row 2^c - 1 stands for class c.
-    class_rows = index[(1 << np.arange((n - m) // 2 + 1)) - 1]
-    return _constant(index), _constant(weight), _constant(class_rows)
+    return _constant(index), _constant(weight)
 
 
 def _class_energies(n: int, m: int) -> np.ndarray:
     """The resource energies on each weight class's block of m driven qubits, (C, 2^m).
 
-    Read on the first m qubits: every m-subset has the same class blocks
-    (see _window_structure).
+    Class c's block at column b has weight c + popcount(b), whichever m
+    qubits are driven (see _window_structure).
     """
-    return _energy(n).values[_window_structure(n, tuple(range(1, m + 1)))[2]]
+    weight = np.arange((n - m) // 2 + 1)[:, None] + np.bitwise_count(np.arange(1 << m))
+    return _energy(n)[0][np.minimum(weight, n - weight)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -469,7 +468,7 @@ def _apply_window_unitaries(
     and so would a matmul that broadcasts one set over k rows, so a shared
     set is gathered once per row.
     """
-    index, weight, _ = _window_structure(n, qubits)
+    index, weight = _window_structure(n, qubits)
     inputs = amps[:, index].swapaxes(-1, -2)[..., None]
     if len(u) != len(amps):
         u = np.broadcast_to(u, (len(amps),) + u.shape[1:])
@@ -478,27 +477,17 @@ def _apply_window_unitaries(
     return out
 
 
-class ResourceEnergy(NamedTuple):
-    """The resource's basis-state energies and their few distinct levels.
-
-    ``values == levels[index]``, levels in order of first appearance:
-    floor(n/2)+1 levels for the 2^n basis states, 4 against 128 at n = 7.
-    """
-
-    values: np.ndarray
-    levels: np.ndarray
-    index: np.ndarray
-
-
 @functools.lru_cache(maxsize=None)
-def _energy(n: int) -> ResourceEnergy:  # read-only, built once per register size
-    values = coupling_diagonal(IsingSpec.homogeneous(n))
-    # A dict and a Python sort rather than np.unique: the first call of
-    # np.unique's argsort alone raises a run's peak memory by ~0.4 MB.
-    first = list(dict.fromkeys(values.tolist()))  # the levels in order of first appearance
-    order = np.array(sorted(range(len(first)), key=first.__getitem__))
-    index = order[np.searchsorted(first, values, sorter=order)]
-    return ResourceEnergy(_constant(values), _constant(np.array(first)), _constant(index))
+def _energy(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The resource's energy levels and each basis state's level index, read-only, once per n.
+
+    A basis state of Hamming weight w has energy sum_{j<k} z_j z_k =
+    ((n - 2w)^2 - n)/2, the same as weight n - w, so it reads level
+    min(w, n - w): floor(n/2)+1 levels for the 2^n states, 4 against 128 at n = 7.
+    """
+    weight = np.bitwise_count(np.arange(1 << n)).astype(np.intp)
+    levels = ((n - 2 * np.arange(n // 2 + 1)) ** 2 - n) / 2
+    return _constant(levels), _constant(np.minimum(weight, n - weight))
 
 
 # The highest qubit an instruction of each class names (0 for none); a Program holds no other class.
@@ -568,7 +557,7 @@ class Program:
                 axes = np.stack([pauli(instr.axis) for instr in instrs])[:, None]
                 group = (Rotation._operands, (angles, axes), _OPERAND_ENTRIES // 4)
             elif key is AnalogBlock:
-                levels = _energy(self.n_qubits).levels
+                levels = _energy(self.n_qubits)[0]
                 durations = np.array([instr.duration for instr in instrs], dtype=float)[:, None]
                 build = functools.partial(AnalogBlock._operands, levels=levels)
                 group = (build, (durations,), _OPERAND_ENTRIES // len(levels))

@@ -1,9 +1,10 @@
 """Quantum Fourier transform: exact oracle, circuit, and Ising decomposition.
 
 The exact transform maps amplitudes a_O to (1/sqrt(N)) sum_O a_O e^{2 pi i O k / N}.
-The circuit view is a cascade of Hadamards and controlled phase rotations; the
-Ising view rewrites each controlled-rotation block as single-qubit Z rotations
-plus a two-body ZZ coupling pattern, which is what the schedule compiler consumes.
+Its circuit is a cascade of Hadamards and controlled-rotation blocks; the Ising
+view rewrites each block as single-qubit Z rotations plus a two-body ZZ
+coupling pattern (qft_block_target).  The digital circuit realizes each ZZ term
+with two fixed entanglers, and the schedule compiler with analog blocks.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ import math
 import numpy as np
 
 from .ising import IsingSpec
-from .program import (
-    ControlledPhase,
-    Entangler,
-    HadamardGate,
-    Permute,
-    Rotation,
-    XGate,
-)
+from .program import Entangler, HadamardGate, Permute, Rotation, XGate
 from .statevector import Statevector
 
 
@@ -80,27 +74,21 @@ def zz_gate_sequence(alpha_angle: float, c: int, k: int) -> tuple:
     )
 
 
-def build_dqc_circuit(n_qubits: int, use_zz_construction: bool = False) -> tuple:
+def build_dqc_circuit(n_qubits: int) -> tuple:
     """Digital QFT gate sequence (without the readout permutation).
 
-    Plain mode emits Hadamards and controlled phase rotations.  ZZ mode
-    replaces each controlled rotation by Z rotations plus the two-entangler
-    construction, which is the form the noise model applies to.
+    Each block's Hadamard, then for each pair of qft_block_target its Z
+    rotations and the two-entangler ZZ construction; the form the noise
+    model applies to.
     """
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     gates: list = []
     for m in range(1, n_qubits):
         gates.append(HadamardGate(m))
-        for q in range(m + 1, n_qubits + 1):
-            k_index = q - m + 1
-            if use_zz_construction:
-                angle = theta(k_index)
-                gates.append(Rotation(m, "z", -angle))
-                gates.append(Rotation(q, "z", -angle))
-                gates.extend(zz_gate_sequence(angle, m, q))
-            else:
-                gates.append(ControlledPhase(control=q, target=m, k=k_index))
+        for (_, q), angle in qft_block_target(n_qubits, m).couplings.items():  # ascending q
+            gates += (Rotation(m, "z", -angle), Rotation(q, "z", -angle))
+            gates += zz_gate_sequence(angle, m, q)
     gates.append(HadamardGate(n_qubits))
     return tuple(gates)
 

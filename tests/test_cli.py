@@ -214,6 +214,23 @@ class TestSweepBeta:
         assert "No such file or directory" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_out_not_a_regular_file_fails_before_sweep(self, capsys, monkeypatch):
+        """An --out that exists but is no regular file, here a pipe, exits 2 naming it before any cell runs."""
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "sweep_beta", no_sweep)
+        read, write = os.pipe()
+        out = f"/dev/fd/{write}"
+        try:
+            rc = run(["sweep-beta", "--qubits", "3", "--shots", "2", "--out", out])
+        finally:
+            os.close(read)
+            os.close(write)
+        assert rc == 2
+        assert f"--out {out} exists and is not a regular file" in capsys.readouterr().err
+
     def test_failed_sweep_keeps_existing_out(self, tmp_path):
         """A sweep that fails leaves a file already at --out as it was."""
         out = tmp_path / "x.csv"

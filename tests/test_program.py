@@ -31,7 +31,7 @@ from daqft.program import (
     execute_program,
     program_unitary,
 )
-from daqft.qft import build_dqc_circuit, readout_instruction
+from daqft.qft import readout_instruction
 from daqft.statevector import PAULI_X, PAULI_Y, Statevector, basis_state, pauli
 from oracles import (
     expm_evolve,
@@ -65,14 +65,25 @@ def random_state(n, rng):
 
 
 def setdefault_energy(n):
-    """The unit resource's energies, levels and index built by one dict setdefault per basis state.
+    """The unit resource's levels and index built by one dict setdefault per basis state.
 
-    The construction program._energy replaced.
+    Levels in order of first appearance, found from coupling_diagonal's
+    energies rather than from Hamming weights.
     """
     values = coupling_diagonal(IsingSpec.homogeneous(n))
     first = {}
     index = np.array([first.setdefault(value, len(first)) for value in values.tolist()])
-    return values, np.array(list(first)), index
+    return np.array(list(first)), index
+
+
+def class_rows(n, qubits):
+    """The index row of one representative per weight class of a window on ``qubits``.
+
+    Row r of _window_structure's index has popcount(r) undriven bits set,
+    so row 2^c - 1 stands for class c.
+    """
+    index = program_module._window_structure(n, qubits)[0]
+    return index[(1 << np.arange((n - len(qubits)) // 2 + 1)) - 1]
 
 
 def instruction_matrix(instr, n, value=None):
@@ -261,7 +272,7 @@ class TestKernelEntryPoints:
 _K = 4
 _RNG = np.random.default_rng(59)
 _WINDOW = BangedWindow(0.01, (2, 4))
-_ENERGY = program_module._energy(5)
+_LEVELS = program_module._energy(5)[0]
 _WINDOW_ENERGIES = program_module._class_energies(5, len(_WINDOW.qubits))
 BROADCAST_CASES = {
     "Rotation": (
@@ -274,7 +285,7 @@ BROADCAST_CASES = {
     "ControlledPhase": (ControlledPhase(2, 3, 3), None),
     "AnalogBlock": (
         AnalogBlock(-0.37, "banged"),
-        AnalogBlock._operands(_RNG.normal(0.0, 0.01, _K), -0.37, _ENERGY.levels),
+        AnalogBlock._operands(_RNG.normal(0.0, 0.01, _K), -0.37, _LEVELS),
     ),
     "BangedWindow": (
         _WINDOW,
@@ -415,7 +426,7 @@ def per_instance_unitary(program):
     controlled phase's closed form, or a fresh window solve), never from a
     shared one, and goes through the kernel that the ideal run uses.
     """
-    n, energy = program.n_qubits, program_module._energy(program.n_qubits)
+    n = program.n_qubits
     block = np.eye(2 ** n, dtype=complex)[None]
     for instr in program.instructions:
         if isinstance(instr, Rotation):
@@ -429,10 +440,10 @@ def per_instance_unitary(program):
             phase = np.array([[1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** instr.k)]])
             block = program_module._apply_diag_2q(block, n, instr.control, instr.target, phase)
         elif isinstance(instr, AnalogBlock):
-            phases = AnalogBlock._operands(np.zeros(1), instr.duration, energy.levels)
+            phases = AnalogBlock._operands(np.zeros(1), instr.duration, program_module._energy(n)[0])
             block = instr.noisy_apply(block, n, phases)
         elif isinstance(instr, BangedWindow):
-            energies = energy.values[program_module._window_structure(n, instr.qubits)[2]]
+            energies = coupling_diagonal(IsingSpec.homogeneous(n))[class_rows(n, instr.qubits)]
             drives = np.ones((1, len(instr.qubits)))
             unitaries = program_module._window_unitaries(energies, instr.duration, drives)
             block = instr.noisy_apply(block, n, unitaries)
@@ -478,7 +489,8 @@ class TestSharedIdealOperands:
     def test_program_unitary_equals_per_instance_operands(self, protocol, n):
         """Cold caches and warm ones give the bits of operands built per instance."""
         if protocol == "controlled-phase":
-            program = Program(n, build_dqc_circuit(n) + (readout_instruction(n),))
+            phases = (ControlledPhase(q, 1, q) for q in range(2, n + 1))
+            program = Program(n, (HadamardGate(1), *phases, readout_instruction(n)))
         else:
             program = build_protocol_program(protocol, n)
         expected = per_instance_unitary(program).tobytes()
@@ -593,30 +605,32 @@ class TestAnalogExecution:
         assert np.allclose(out.amplitudes, expected, atol=1e-12)
 
     def test_resource_energy_matches_setdefault_construction(self):
-        """Values, levels in order of first appearance, and index equal the setdefault build's bits.
+        """Levels in order of first appearance, and index, equal the setdefault build's bits.
 
         The unit resource at n = 3..7.
         """
         for n in range(3, 8):
-            for got, expected in zip(program_module._energy(n), setdefault_energy(n)):
+            for got, expected in zip(program_module._energy(n), setdefault_energy(n), strict=True):
                 assert got.dtype == expected.dtype and got.shape == expected.shape, n
                 assert got.tobytes() == expected.tobytes(), n
 
     def test_energy_per_register_size(self):
-        """One read-only energy table per register size, n = 1..14, with floor(n/2)+1 levels.
+        """One read-only pair of levels and index per register size, n = 1..14, with floor(n/2)+1 levels.
 
-        Its values have the bits of coupling_diagonal on the unit resource,
-        and all three arrays those of the setdefault construction.
+        The levels gathered by the index have the bits of coupling_diagonal
+        on the unit resource, and both arrays those of the setdefault
+        construction.
         """
         for n in range(1, MAX_QUBITS + 1):
             energy = program_module._energy(n)
             assert program_module._energy(n) is energy
+            levels, index = energy
             diagonal = coupling_diagonal(IsingSpec.homogeneous(n))
-            assert energy.values.tobytes() == diagonal.tobytes(), n
-            for got, expected in zip(energy, setdefault_energy(n)):
+            assert levels[index].tobytes() == diagonal.tobytes(), n
+            for got, expected in zip(energy, setdefault_energy(n), strict=True):
                 assert got.dtype == expected.dtype and got.shape == expected.shape, n
                 assert got.tobytes() == expected.tobytes(), n
-            assert len(energy.levels) == n // 2 + 1, n
+            assert len(levels) == n // 2 + 1, n
             for array in energy:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
@@ -629,11 +643,10 @@ class TestAnalogExecution:
         """
         rng = np.random.default_rng(47)
         for n in (3, 5, 6, 7, 10):
-            energy = program_module._energy(n)
+            levels, index = program_module._energy(n)
             diagonal = coupling_diagonal(IsingSpec.homogeneous(n))
-            assert np.array_equal(energy.values, diagonal)
-            assert np.array_equal(energy.levels[energy.index], diagonal)
-            assert len(energy.levels) == n // 2 + 1
+            assert np.array_equal(levels[index], diagonal)
+            assert len(levels) == n // 2 + 1
             shape = (4, 2 ** n, 3)
             amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             values = rng.normal(scale=0.02, size=4)
@@ -799,19 +812,20 @@ class TestWindowSolver:
 
         The executor stacks a schedule's windows of one width and
         driven-qubit count into one solve on the class energies of the
-        first m qubits.  At g = 1 they are _class_energies's.
+        first m qubits.  At g = 1 they are _class_energies's, for every m-subset.
         """
         for n in (5, 7):
             for g in (1.0, 0.3, 0.8):
                 values = coupling_diagonal(IsingSpec(n, dict.fromkeys(all_pairs(n), g)))
                 for m in (1, 2, 3):
                     tables = [
-                        values[program_module._window_structure(n, qubits)[2]]
+                        values[class_rows(n, qubits)]
                         for qubits in itertools.combinations(range(1, n + 1), m)
                     ]
                     assert all(np.array_equal(table, tables[0]) for table in tables), (n, g, m)
                     if g == 1.0:
-                        assert np.array_equal(program_module._class_energies(n, m), tables[0])
+                        energies = program_module._class_energies(n, m)
+                        assert all(np.array_equal(energies, table) for table in tables), (n, m)
 
     def test_mixed_windows_equal_one_instruction_programs(self):
         """A run of windows of several widths and sizes equals running each instruction alone, bit for bit."""
@@ -1027,7 +1041,8 @@ class TestProgramExecution:
 def test_numpy_floor_has_bitwise_count():
     """pyproject.toml requires numpy >= 2.0, the first release with np.bitwise_count.
 
-    ``_window_structure`` counts set bits with it.  The file is parsed with
+    ``_window_structure``, ``_energy`` and ``_class_energies`` count set
+    bits with it.  The file is parsed with
     tomllib, or, on Python 3.10, which has none, its dependency list is read
     as a literal.
     """

@@ -39,8 +39,8 @@ def per_bit_reversal(n):
     return tuple(perm)
 
 
-def circuit_with_readout(n, **kwargs):
-    gates = build_dqc_circuit(n, **kwargs) + (readout_instruction(n),)
+def circuit_with_readout(n):
+    gates = build_dqc_circuit(n) + (readout_instruction(n),)
     return Program(n, gates)
 
 
@@ -118,8 +118,8 @@ class TestAngles:
 class TestDigitalCircuit:
     """Gate-level circuit against the exact transform."""
 
-    def test_plain_circuit_matches_exact(self):
-        """Hadamard/controlled-phase circuit reproduces the transform."""
+    def test_circuit_matches_exact(self):
+        """The Hadamard/ZZ-construction circuit reproduces the transform."""
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 4, 5):
             program = circuit_with_readout(n)
@@ -128,18 +128,11 @@ class TestDigitalCircuit:
                 out = execute_program(state, program)
                 assert fidelity(exact_qft(state), out) == pytest.approx(1.0, abs=1e-12)
 
-    def test_plain_circuit_unitary(self):
+    def test_circuit_unitary(self):
         """Dense circuit unitary equals the QFT matrix up to a global phase."""
         for n in (1, 2, 3, 4):
             built = program_unitary(circuit_with_readout(n))
             assert phase_insensitive_distance(built, qft_matrix(n)) < 1e-10
-
-    def test_zz_circuit_matches_plain(self):
-        """Replacing controlled phases by the ZZ construction changes nothing."""
-        for n in (2, 3, 4):
-            plain = program_unitary(circuit_with_readout(n))
-            zz = program_unitary(circuit_with_readout(n, use_zz_construction=True))
-            assert phase_insensitive_distance(plain, zz) < 1e-10
 
     def test_zz_gate_sequence_identity(self):
         """Seven fixed gates compose to e^{i alpha ZZ} up to a global phase."""
