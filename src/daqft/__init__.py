@@ -50,7 +50,7 @@ from .qft import (
     w_state,
     zz_gate_sequence,
 )
-from .statevector import Statevector, basis_state, fidelity, phase_insensitive_distance
+from .statevector import Statevector, fidelity, phase_insensitive_distance
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "Statevector",
     "all_pairs",
     "banged_segment_durations",
-    "basis_state",
     "beta_average",
     "beta_state",
     "build_bdaqc_schedule",

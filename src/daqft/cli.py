@@ -8,9 +8,9 @@ configuration, so a run can be reproduced bit-exactly (modulo timestamp).
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
-import math
 import os
 import platform
 import sys
@@ -74,8 +74,8 @@ def _parse_list(text: str, kind, noun: str) -> list:
     return _reject_repeats(values, noun, text)
 
 
-def _resolve_noise(args) -> tuple[NoiseConfig, float, int]:
-    """Noise config, delta_t, and seed from the --noise-config and --seed flags."""
+def _resolve_noise(args) -> tuple[NoiseConfig, float]:
+    """Noise config and delta_t from the --noise-config and --seed flags."""
     delta_t = DEFAULT_DELTA_T
     config = NoiseConfig()
     if args.noise_config is not None:
@@ -84,12 +84,19 @@ def _resolve_noise(args) -> tuple[NoiseConfig, float, int]:
             delta_t = file_delta_t
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    return config, delta_t, config.seed
+    return config, delta_t
 
 
-def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dict) -> int:
-    """Time one sweep; write its CSV and a manifest with this sweep's extra settings."""
-    config, delta_t, seed = noise
+def _run_sweep(args, sweep, grid, settings: dict, ideal: bool = False) -> int:
+    """Run one sweep from the flags both sweeps share; write its CSV and a manifest.
+
+    settings are this sweep's own manifest entries; ideal runs one noiseless shot per cell.
+    """
+    protocols = _parse_protocols(args.protocols)
+    qubits = _parse_list(args.qubits, int, "integer")
+    config, delta_t = _resolve_noise(args)
+    seed, shots = config.seed, 1 if ideal else args.shots
+    config = None if ideal else config  # --ideal disables noise
     # --out opens before the sweep, so a bad path fails before any work.  A
     # failed sweep removes the file if it made it and leaves an old one as it was.
     # A pipe or device cannot be cut and rewritten at the end, nor take a manifest.
@@ -135,26 +142,15 @@ def _run_sweep(args, sweep, protocols, qubits, grid, shots, noise, settings: dic
 
 
 def _cmd_sweep_beta(args) -> int:
-    protocols = _parse_protocols(args.protocols)
-    qubits = _parse_list(args.qubits, int, "integer")
-    config, delta_t, seed = _resolve_noise(args)
-    noise = (None if args.ideal else config), delta_t, seed  # --ideal disables noise
-    shots = 1 if args.ideal else args.shots
     grid = default_beta_grid(args.beta_points)
     settings = {"beta_points": args.beta_points, "ideal": args.ideal}
-    return _run_sweep(args, sweep_beta, protocols, qubits, grid, shots, noise, settings)
+    return _run_sweep(args, sweep_beta, grid, settings, ideal=args.ideal)
 
 
 def _cmd_sweep_error_scale(args) -> int:
-    protocols = _parse_protocols(args.protocols)
-    qubits = _parse_list(args.qubits, int, "integer")
     # + 0.0 turns -0.0 into 0.0, which the manifest would print as -0.0
     scales = [scale + 0.0 for scale in _parse_list(args.scales, float, "number")]
-    noise = _resolve_noise(args)
-    settings = {"scales": scales, "beta": ERROR_SCALE_BETA}
-    return _run_sweep(
-        args, sweep_error_scale, protocols, qubits, scales, args.shots, noise, settings
-    )
+    return _run_sweep(args, sweep_error_scale, scales, {"scales": scales, "beta": ERROR_SCALE_BETA})
 
 
 def _write_or_print(text: str, out) -> None:
@@ -171,7 +167,8 @@ def _load_coupling_file(path, n_qubits: int, target_time: float) -> IsingSpec:
     register = IsingSpec(n_qubits, target_time=target_time)
     couplings: dict[tuple[int, int], float] = {}
     with open(path, "rb") as handle:  # lines end in \n, \r\n or \r, as in text mode
-        for line_no, raw in enumerate(handle.read().splitlines(), start=1):
+        text = handle.read().removeprefix(codecs.BOM_UTF8)  # skips a leading BOM
+        for line_no, raw in enumerate(text.splitlines(), start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
@@ -197,8 +194,6 @@ def _load_coupling_file(path, n_qubits: int, target_time: float) -> IsingSpec:
 
 def _cmd_compile(args) -> int:
     n = args.qubits
-    if not (math.isfinite(args.delta_t) and args.delta_t > 0):
-        raise ValueError(f"--delta-t must be a finite delta_t > 0, got {args.delta_t!r}")
     if args.target.startswith("qft-block:"):
         try:
             m = int(args.target.split(":", 1)[1])
@@ -281,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compile_cmd.add_argument("--mode", choices=("stepwise", "banged"), default="stepwise",
                              help="schedule kind; both give the same dump")
-    compile_cmd.add_argument("--delta-t", type=float, default=DEFAULT_DELTA_T,
-                             help="banged window width, a finite number > 0 in either mode; it does not change the dump")
     compile_cmd.add_argument("--target-time", type=float, default=1.0, help="time the target acts for")
     compile_cmd.add_argument("--out", default=None, help="write the dump here instead of stdout")
     compile_cmd.set_defaults(func=_cmd_compile)

@@ -57,12 +57,6 @@ class IsingSpec:
         """The unit all-to-all pattern: every pair coupled at strength 1."""
         return IsingSpec(n_qubits, dict.fromkeys(all_pairs(n_qubits), 1.0))
 
-    def coupling(self, j: int, k: int) -> float:
-        """Strength for pair (j, k), zero when the pair is absent."""
-        if not (1 <= j < k <= self.n_qubits):
-            raise ValueError(f"pair ({j}, {k}) is not ordered within 1..{self.n_qubits}")
-        return self.couplings.get((j, k), 0.0)
-
 
 def coupling_diagonal(spec: IsingSpec) -> np.ndarray:
     """Energies sum_{j<k} g_jk * z_j * z_k for every computational basis state.

@@ -464,6 +464,8 @@ def sweep_error_scale(
     per-scale ``monte_carlo`` cells exactly; a one-scale grid is one.
     ``cells`` collects per-(protocol, n) timings (see ``_sweep_cells``).
     """
+    if config.error_scale != 1.0:  # each scale of the grid would replace it
+        raise ValueError(f"error_scale {config.error_scale!r} in the config: the scale grid sets it")
     scales = [float(scale) for scale in scale_grid]
     if not scales:
         raise ValueError("empty error-scale grid")
@@ -512,7 +514,7 @@ def records_to_csv(records) -> str:
 
 def load_noise_config(path) -> tuple[NoiseConfig, float | None]:
     """Read a noise-config JSON file; returns the config and optional delta_t."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # skips a leading BOM
         try:
             data = json.load(handle)
         except ValueError as exc:  # malformed JSON or text that is not UTF-8

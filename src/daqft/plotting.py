@@ -34,7 +34,7 @@ class Series:
 
 def load_rows(path) -> list[dict]:
     """Rows of a sweep CSV; rejects wrong headers and empty tables."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:  # skips a leading BOM
         reader = csv.DictReader(handle)
         if reader.fieldnames != EXPECTED_HEADER:
             raise ValueError(f"unexpected CSV header: {reader.fieldnames}")

@@ -57,16 +57,6 @@ class Statevector:
         return 1 << self.n_qubits
 
 
-def basis_state(n_qubits: int, index: int) -> Statevector:
-    """Computational basis state |index> on n_qubits."""
-    dim = 1 << n_qubits
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return Statevector(n_qubits, amps)
-
-
 def fidelity(a: Statevector, b: Statevector) -> float:
     """|<a|b>|^2, insensitive to global phase."""
     if a.n_qubits != b.n_qubits:

@@ -8,6 +8,8 @@ import inspect
 import json
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -385,6 +387,17 @@ class TestSweepErrorScale:
         assert "unrecognized arguments: --ideal" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_error_scale_rejected(self, tmp_path, capsys):
+        """A config's own error_scale, which the --scales grid would replace, exits 2 and writes no --out."""
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({"error_scale": 0.5}))
+        out = tmp_path / "x.csv"
+        argv = ["sweep-error-scale", "--qubits", "3", "--scales", "1", "--shots", "1"]
+        assert run(argv + ["--noise-config", noise, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error_scale 0.5" in err and "scale grid" in err
+        assert not out.exists()
+
     def test_bad_scale_list(self, tmp_path, capsys):
         """Malformed number lists exit with code 2."""
         rc = run(
@@ -455,7 +468,7 @@ class TestCompile:
         assert [float(line.split()[3]) for line in lines[:3]] == [0.0, 0.0, 0.0]
 
     def test_banged_mode(self, tmp_path):
-        """Banged compilation accepts a window width."""
+        """Banged compilation writes one line per analog block."""
         out = tmp_path / "schedule.txt"
         rc = run(
             [
@@ -463,7 +476,6 @@ class TestCompile:
                 "--qubits", "3",
                 "--target", "qft-block:2",
                 "--mode", "banged",
-                "--delta-t", "0.001",
                 "--out", out,
             ]
         )
@@ -500,15 +512,12 @@ class TestCompile:
         assert captured.out == ""
         assert message in captured.err
 
-    @pytest.mark.parametrize("delta_t", ["nan", "inf", "-1"])
-    def test_non_finite_delta_t_rejected(self, capsys, delta_t):
-        """A window width that is not a finite positive number exits 2 in either mode."""
-        for mode in ("banged", "stepwise"):
-            args = ["compile", "--qubits", "3", "--target", "qft-block:1", "--mode", mode]
-            assert run(args + [f"--delta-t={delta_t}"]) == 2, mode
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "finite delta_t > 0" in captured.err
+    def test_delta_t_flag_rejected(self, capsys):
+        """No window width reaches the dump, so compile has no --delta-t: it exits 2 like any unknown flag."""
+        with pytest.raises(SystemExit) as exc:
+            run(["compile", "--qubits", "3", "--target", "qft-block:1", "--delta-t", "0.001"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --delta-t" in capsys.readouterr().err
 
     def test_malformed_coupling_file(self, tmp_path, capsys):
         """Bad lines are reported with their location, exit 2."""
@@ -725,6 +734,59 @@ class TestParser:
         assert result.returncode == 0, result.stderr
         assert "sweep-beta" in result.stdout
 
+    def test_readme_commands_parse(self):
+        """Every daqft line of README's sh blocks, continuations joined, parses; none runs."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line) for line in lines if line.startswith("daqft ")]
+        assert {argv[1] for argv in commands} == {"sweep-beta", "sweep-error-scale", "compile", "nn2ata", "plot"}
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+# Per text input: its file name, its contents, the argv that takes its path next, and the exit code.
+BOM_INPUTS = {
+    "coupling-file": (
+        "target.txt", "# couplings\n1 2 0.5\n1 3 -0.25\n2 3 0.125\n",
+        ["compile", "--qubits", "3", "--target"], 0,
+    ),
+    "coupling-file-bad-line": ("target.txt", "1 2 0.5\n1 3\n", ["compile", "--qubits", "3", "--target"], 2),
+    "noise-config": (
+        "noise.json", '{"sqgn": 0.01, "tqgn": 0.1, "seed": 4, "delta_t": 0.001}',
+        ["sweep-beta", "--protocols", "dqc,bdaqc", "--qubits", "3", "--beta-points", "2", "--shots", "2",
+         "--noise-config"], 0,
+    ),
+    "plot-csv": (
+        "sweep.csv",
+        daqft.noise.CSV_HEADER + "\ndqc,3,0.0,1,0,0.5,0.0,0.0001,1.0\ndqc,3,1.0,1,0,0.6,0.0,0.0001,1.0\n",
+        ["plot", "--x", "beta", "--in"], 0,
+    ),
+}
+
+
+class TestByteOrderMark:
+    """A text input saved with one leading UTF-8 byte-order mark reads as it does without one."""
+
+    @pytest.mark.parametrize("name", sorted(BOM_INPUTS))
+    def test_same_outputs_with_and_without_bom(self, tmp_path, capsys, name):
+        """Exit code, stdout, stderr (line numbers included) and output bytes are unchanged."""
+        filename, text, args, code = BOM_INPUTS[name]
+        path, out = tmp_path / filename, tmp_path / "out"
+        outputs = []
+        for mark in ("", "\ufeff"):
+            path.write_text(mark + text, encoding="utf-8")
+            out.unlink(missing_ok=True)
+            rc = run(args + [path, "--out", out])
+            captured = capsys.readouterr()
+            outputs.append((rc, captured.out, captured.err, out.read_bytes() if out.exists() else None))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == code
+
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -842,7 +904,7 @@ def _compile(*extra):
 REUSE_SEQUENCES = {
     "ideal-then-noisy-sweep": [(_sweep("--ideal"), 0), (_sweep("--shots", "4", "--seed", "3"), 0)],
     "banged-then-default-compile": [
-        (_compile("--mode", "banged", "--delta-t", "0.001", "--target-time", "2"), 0),
+        (_compile("--mode", "banged", "--target-time", "2"), 0),
         (_compile(), 0),
     ],
     "exit-2-then-good": [
@@ -879,5 +941,5 @@ class TestParserReuse:
         assert parse(_sweep("--out", "a.csv")).ideal is False
         parse(_compile("--mode", "banged", "--target-time", "2"))
         args = parse(_compile())
-        assert (args.mode, args.target_time, args.delta_t) == ("stepwise", 1.0, cli.DEFAULT_DELTA_T)
+        assert (args.mode, args.target_time) == ("stepwise", 1.0)
         assert cli._parser() is cli._parser()

@@ -61,12 +61,6 @@ class TestIsingSpec:
         assert set(spec.couplings) == set(all_pairs(4))
         assert all(g == 1.0 for g in spec.couplings.values())
 
-    def test_missing_coupling_reads_zero(self):
-        """Absent pairs have zero strength."""
-        spec = IsingSpec(3, {(1, 2): 1.0})
-        assert spec.coupling(1, 3) == 0.0
-        assert spec.coupling(1, 2) == 1.0
-
     def test_rejects_unordered_pair(self):
         """Pairs must satisfy j < k."""
         with pytest.raises(ValueError, match="ordered"):

@@ -675,6 +675,17 @@ class TestSweeps:
         with pytest.raises(ValueError, match="scales"):
             sweep_error_scale(["dqc"], [2], [-0.5], 1, NoiseConfig())
 
+    def test_sweep_error_scale_rejects_config_scale(self, monkeypatch):
+        """A config error_scale other than 1, which the grid would replace, is rejected before any compile."""
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("a program was compiled")
+
+        monkeypatch.setattr(noise, "build_protocol_program", no_compile)
+        for scale in (0.5, 0.0):
+            with pytest.raises(ValueError, match="error_scale .* scale grid"):
+                sweep_error_scale(["dqc"], [3], [1.0], 1, NoiseConfig(error_scale=scale))
+
     def test_sweep_error_scale_needs_config(self):
         """The config the scales multiply is required, as in sweep_beta."""
         with pytest.raises(TypeError, match="config"):

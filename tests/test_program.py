@@ -32,7 +32,7 @@ from daqft.program import (
     program_unitary,
 )
 from daqft.qft import readout_instruction
-from daqft.statevector import PAULI_X, PAULI_Y, Statevector, basis_state, pauli
+from daqft.statevector import PAULI_X, PAULI_Y, Statevector, pauli
 from oracles import (
     expm_evolve,
     kron_lift,
@@ -413,7 +413,7 @@ class TestIdealSemantics:
 
     def test_permute(self):
         """Permute reorders amplitudes."""
-        state = basis_state(2, 1)
+        state = Statevector(2, np.eye(4)[1])
         program = Program(2, (Permute((3, 2, 1, 0)),))
         out = execute_program(state, program)
         assert out.amplitudes[2] == 1.0
@@ -661,7 +661,7 @@ class TestAnalogExecution:
 
     def test_analog_block_noise_shifts_duration(self):
         """A draw of delta evolves for duration + delta."""
-        state = basis_state(2, 1)
+        state = Statevector(2, np.eye(4)[1])
         program = Program(2, (AnalogBlock(0.5),))
         out = run_with_draws(state, program, lambda instr: 0.125)
         expected = state.amplitudes * np.exp(1j * 0.625 * coupling_diagonal(IsingSpec.homogeneous(2)))
@@ -742,7 +742,7 @@ class TestAnalogExecution:
         """
         dt = 1e-4
         window = BangedWindow(dt, (1, 2))
-        state = basis_state(2, 0)
+        state = Statevector(2, np.eye(4)[0])
         program = Program(2, (window,))
         # drive qubit 1 at half amplitude: a pi/2 pulse becomes pi/4
         out = run_with_draws(state, program, lambda instr: np.array([0.5, 1.0]))
@@ -998,7 +998,7 @@ class TestProgramExecution:
     def test_register_mismatch(self):
         """State and program sizes must agree."""
         with pytest.raises(ValueError, match="disagree"):
-            execute_program(basis_state(2, 0), Program(3, (HadamardGate(1),)))
+            execute_program(Statevector(2, np.eye(4)[0]), Program(3, (HadamardGate(1),)))
 
     def test_execute_program_is_ideal_only(self):
         """execute_program takes a state and a program and nothing else."""

@@ -85,10 +85,10 @@ class TestAngles:
 
     def test_alpha_values(self):
         """Block couplings alpha vanish off the block row and halve with separation."""
-        assert qft_block_target(3, 1).coupling(1, 2) == pytest.approx(np.pi / 8)
-        assert qft_block_target(3, 1).coupling(1, 3) == pytest.approx(np.pi / 16)
-        assert qft_block_target(3, 2).coupling(2, 3) == pytest.approx(np.pi / 8)
-        assert qft_block_target(3, 2).coupling(1, 3) == 0.0
+        assert qft_block_target(3, 1).couplings[(1, 2)] == pytest.approx(np.pi / 8)
+        assert qft_block_target(3, 1).couplings[(1, 3)] == pytest.approx(np.pi / 16)
+        assert qft_block_target(3, 2).couplings[(2, 3)] == pytest.approx(np.pi / 8)
+        assert (1, 3) not in qft_block_target(3, 2).couplings
 
     def test_bit_reversal_matches_per_bit_loop(self):
         """The permutation and the readout equal the per-bit loop's, as a tuple of Python ints."""
@@ -164,8 +164,8 @@ class TestPlan:
     def test_block_couplings_are_alpha(self):
         """Coupling strengths follow the alpha formula."""
         block = qft_block_target(5, 2)
-        assert block.coupling(2, 3) == pytest.approx(np.pi / 8)
-        assert block.coupling(2, 5) == pytest.approx(np.pi / 32)
+        assert block.couplings[(2, 3)] == pytest.approx(np.pi / 8)
+        assert block.couplings[(2, 5)] == pytest.approx(np.pi / 32)
 
     def test_readout_matches_bit_reversal(self):
         """The compiled program ends with the bit-reversal readout."""

@@ -18,7 +18,6 @@ from daqft.statevector import (
     PAULI_Z,
     Statevector,
     _fidelities,
-    basis_state,
     fidelity,
     phase_insensitive_distance,
 )
@@ -45,16 +44,10 @@ class TestStatevector:
         with pytest.raises(ValueError):
             Statevector(2, np.array([1.0, 0.0]))
 
-    def test_basis_state(self):
-        """Basis states have a single unit amplitude."""
-        state = basis_state(3, 5)
-        assert state.amplitudes[5] == 1.0
-        assert np.sum(np.abs(state.amplitudes)) == 1.0
-
     def test_fidelity(self):
         """Fidelity is 1 on identical states and 0 on orthogonal ones."""
-        a = basis_state(2, 0)
-        b = basis_state(2, 3)
+        a = Statevector(2, np.eye(4)[0])
+        b = Statevector(2, np.eye(4)[3])
         assert fidelity(a, a) == pytest.approx(1.0)
         assert fidelity(a, b) == pytest.approx(0.0)
         rng = np.random.default_rng(3)
