@@ -26,6 +26,7 @@ from .qft import qft_block_target, readout_instruction
 DEFAULT_DELTA_T = 1e-4
 
 RESIDUAL_TOL = 1e-10
+_TINY = float(np.finfo(float).tiny)  # smallest normal float: 1 / t overflows below it
 
 
 class SingularSignMatrixError(ValueError):
@@ -68,9 +69,12 @@ def solve_times(target: IsingSpec) -> np.ndarray:
         raise ValueError(f"need at least 2 qubits to couple, got {n}")
     m = sign_matrix(n)
     g_vec = coupling_vector(target)
-    times = np.linalg.solve(m, g_vec) * target.target_time
+    with np.errstate(over="ignore"):  # an overflowed duration is reported below
+        times = np.linalg.solve(m, g_vec) * target.target_time
+    if not np.isfinite(times).all():
+        raise ValueError(f"durations {times.tolist()} are not finite at target_time {target.target_time!r}")
     residual = _residual(m, target, times, g_vec)
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:  # NaN fails too
         raise RuntimeError(f"time solver residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     return times
 
@@ -81,18 +85,18 @@ def solve_residual(target: IsingSpec, times: np.ndarray) -> float:
 
 
 def _residual(m: np.ndarray, target: IsingSpec, times, g_vec: np.ndarray) -> float:
-    if target.target_time == 0:
-        raise ValueError("target_time must be nonzero: no durations give a coupling in zero time")
+    if abs(target.target_time) < _TINY:
+        raise ValueError(f"target_time must be nonzero, of magnitude >= {_TINY}, got {target.target_time!r}")
     lhs = m @ np.asarray(times) * (1.0 / target.target_time)
     return float(np.max(np.abs(lhs - g_vec)))
 
 
 def _check_mode(mode: str, delta_t: float | None) -> None:
-    """A known mode; banged schedules also need a finite, positive drive-window width."""
+    """A known mode; banged schedules also need a finite, positive, normal drive-window width."""
     if mode not in ("stepwise", "banged"):
         raise ValueError(f"unknown schedule mode {mode!r}")
-    if mode == "banged" and (delta_t is None or not (math.isfinite(delta_t) and delta_t > 0)):
-        raise ValueError(f"banged mode requires a finite delta_t > 0, got {delta_t!r}")
+    if mode == "banged" and (delta_t is None or not math.isfinite(delta_t) or delta_t < _TINY):
+        raise ValueError(f"banged mode requires a finite delta_t > 0, not subnormal, got {delta_t!r}")
 
 
 @dataclass(frozen=True)

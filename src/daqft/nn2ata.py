@@ -65,14 +65,6 @@ def hp_permutation(length: int, k: int) -> HamiltonianPath:
     return HamiltonianPath(tuple(_zigzag_vertex(length, k, j) for j in range(length)))
 
 
-def apply_permutation_to_layout(current: HamiltonianPath, i: int, j: int) -> HamiltonianPath:
-    """Entrywise transposition of labels i and j in a layout."""
-    if i == j:
-        raise ValueError("relabeling needs two distinct labels")
-    swap = {i: j, j: i}
-    return HamiltonianPath(tuple(swap.get(label, label) for label in current.vertices))
-
-
 @dataclass(frozen=True)
 class CoverReport:
     """Outcome of the edge-cover check of the zigzag paths."""
@@ -130,49 +122,29 @@ def iswap_unitary(n_qubits: int, i: int, j: int) -> np.ndarray:
     index = np.arange(dim)
     bit_i = (index >> (n_qubits - i)) & 1
     bit_j = (index >> (n_qubits - j)) & 1
-    swapped = (
-        index
-        - bit_i * (1 << (n_qubits - i))
-        - bit_j * (1 << (n_qubits - j))
-        + bit_j * (1 << (n_qubits - i))
-        + bit_i * (1 << (n_qubits - j))
-    )
+    differ = bit_i != bit_j
+    swapped = index ^ differ * ((1 << (n_qubits - i)) | (1 << (n_qubits - j)))
     matrix = np.zeros((dim, dim), dtype=complex)
-    matrix[swapped, index] = np.where(bit_i != bit_j, 1j, 1.0 + 0j)
+    matrix[swapped, index] = np.where(differ, 1j, 1.0 + 0j)
     return matrix
 
 
-def transpositions_for_layout(target: HamiltonianPath) -> tuple[tuple[int, int], ...]:
-    """Label transpositions turning the identity layout into the target one."""
-    sigma = {pos: target.vertices[pos - 1] for pos in range(1, target.size + 1)}
-    steps: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for start in sorted(sigma):
-        if start in seen or sigma[start] == start:
-            seen.add(start)
-            continue
-        cycle = [start]
-        node = sigma[start]
-        while node != start:
-            cycle.append(node)
-            node = sigma[node]
-        seen.update(cycle)
-        for member in cycle[1:]:
-            steps.append((start, member))
-    layout = HamiltonianPath(tuple(range(1, target.size + 1)))
-    for i, j in steps:
-        layout = apply_permutation_to_layout(layout, i, j)
-    if layout != target:
-        raise RuntimeError(f"transposition synthesis failed for layout {target.vertices}")
-    return tuple(steps)
-
-
 def relabel_unitary(target: HamiltonianPath) -> np.ndarray:
-    """Product of iSWAPs whose conjugation relabels Z_i to Z at the target label."""
-    dim = 1 << target.size
-    matrix = np.eye(dim, dtype=complex)
-    for i, j in transpositions_for_layout(target):
-        matrix = iswap_unitary(target.size, i, j) @ matrix
+    """Product of iSWAPs whose conjugation moves Z at position p to label vertices[p - 1].
+
+    Walks each layout cycle from its smallest position, with one iSWAP to each later member.
+    """
+    size = target.size
+    matrix = np.eye(1 << size, dtype=complex)
+    seen: set[int] = set()
+    for start in range(1, size + 1):
+        if start in seen:
+            continue
+        member = target.vertices[start - 1]
+        while member != start:
+            seen.add(member)
+            matrix = iswap_unitary(size, start, member) @ matrix
+            member = target.vertices[member - 1]
     return matrix
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .daqc import DEFAULT_DELTA_T, compile_qft_daqc
+from .daqc import _TINY, DEFAULT_DELTA_T, compile_qft_daqc
 from .program import Program, _run, execute_program
 from .qft import beta_state, build_dqc_circuit, exact_qft, ghz_state, readout_instruction, w_state
 from .statevector import _fidelities, fidelity
@@ -527,8 +527,8 @@ def load_noise_config(path) -> tuple[NoiseConfig, float | None]:
     if "delta_t" not in data:
         return NoiseConfig(**data), None
     delta_t = data.pop("delta_t")
-    if not (_is_real(delta_t) and math.isfinite(delta_t) and delta_t > 0):  # JSON null fails too
-        raise ValueError(f"delta_t must be a finite number > 0, got {delta_t!r}")
+    if not (_is_real(delta_t) and math.isfinite(delta_t) and delta_t >= _TINY):  # JSON null fails too
+        raise ValueError(f"delta_t must be a finite number > 0, got {delta_t!r}; a subnormal one fails")
     return NoiseConfig(**data), float(delta_t)
 
 

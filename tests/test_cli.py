@@ -191,6 +191,21 @@ class TestSweepBeta:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_delta_t_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        """A subnormal delta_t exits 2 naming it before the sweep runs: its windows would be NaN."""
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "sweep_beta", no_sweep)
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"delta_t": 1e-320}')
+        out = tmp_path / "x.csv"
+        args = ["--protocols", "bdaqc", "--qubits", "3", "--shots", "1", "--noise-config", noise]
+        assert run(["sweep-beta", *args, "--out", out]) == 2
+        assert "delta_t must be a finite number > 0, got 1e-320" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
         """--workers must be at least one."""
@@ -499,18 +514,31 @@ class TestCompile:
         "target_time, message",
         [
             ("0", "target_time must be nonzero"),
+            ("1e-320", "target_time must be nonzero, of magnitude >= 2.2250738585072014e-308, got 1e-320"),
             ("nan", "target_time must be finite"),
             ("inf", "target_time must be finite"),
             ("-inf", "target_time must be finite"),
         ],
     )
     def test_qft_block_bad_target_time_rejected(self, capsys, target_time, message):
-        """A zero or non-finite --target-time exits 2 for a qft-block target, printing no durations."""
+        """A zero, subnormal or non-finite --target-time exits 2 for a qft-block target, with no durations.
+
+        1 / t overflows for a subnormal t, which would give a NaN residual.
+        """
         args = ["compile", "--qubits", "3", "--target", "qft-block:1"]
         assert run(args + [f"--target-time={target_time}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_overflowing_durations_rejected(self, tmp_path, capsys):
+        """Durations that overflow exit 2 naming them, not an inf dump with residual nan."""
+        target = tmp_path / "target.txt"
+        target.write_text("1 2 1e300\n1 3 -2e300\n2 3 5e299\n")
+        assert run(["compile", "--qubits", "3", "--target", target, "--target-time", "1e10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "durations [inf, -inf, inf] are not finite at target_time 10000000000.0" in captured.err
 
     def test_delta_t_flag_rejected(self, capsys):
         """No window width reaches the dump, so compile has no --delta-t: it exits 2 like any unknown flag."""

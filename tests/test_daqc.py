@@ -191,12 +191,22 @@ class TestSolveTimes:
     """Duration solving against hand-checked cases."""
 
     def test_zero_target_time_rejected(self):
-        """No durations realize a coupling in zero time: solving and checking raise ValueError."""
-        target = IsingSpec(3, {(1, 2): 0.5}, target_time=0.0)
-        with pytest.raises(ValueError, match="target_time must be nonzero"):
-            solve_times(target)
-        with pytest.raises(ValueError, match="target_time must be nonzero"):
-            solve_residual(target, np.zeros(3))
+        """No durations realize a coupling in zero time: solving and checking raise ValueError.
+
+        A subnormal time is rejected too, because 1 / t overflows.
+        """
+        for target_time in (0.0, -1e-320):
+            target = IsingSpec(3, {(1, 2): 0.5}, target_time=target_time)
+            with pytest.raises(ValueError, match=f"target_time must be nonzero.*got {target_time!r}"):
+                solve_times(target)
+            with pytest.raises(ValueError, match=f"target_time must be nonzero.*got {target_time!r}"):
+                solve_residual(target, np.zeros(3))
+
+    def test_nan_residual_fails(self, monkeypatch):
+        """A NaN residual does not pass the tolerance test."""
+        monkeypatch.setattr(daqc, "_residual", lambda *args: float("nan"))
+        with pytest.raises(RuntimeError, match="residual nan"):
+            solve_times(qft_block_target(3, 1))
 
     def test_qft_block_example(self):
         """First block of the 3-qubit transform gives the known durations."""
@@ -256,8 +266,8 @@ class TestScheduleConstruction:
         assert [instrs[i].duration for i in range(2, len(instrs), 5)] == list(times)
 
     def test_banged_needs_delta_t(self):
-        """Banged schedules need a finite positive window width."""
-        for delta_t in (0.0, -1e-3, float("nan"), float("inf"), None):
+        """Banged schedules need a finite, positive, normal window width."""
+        for delta_t in (0.0, -1e-3, float("nan"), float("inf"), None, 1e-320):
             with pytest.raises(ValueError, match="finite delta_t > 0"):
                 build_bdaqc_schedule(np.ones(3), delta_t)
             with pytest.raises(ValueError, match="finite delta_t > 0"):
@@ -415,7 +425,7 @@ class TestCompileQft:
     def test_bad_delta_t_rejected(self):
         """A banged width is checked before any block is built, also at n = 1."""
         for n in (1, 3):
-            for delta_t in (float("nan"), float("inf"), 0.0, -1e-4):
+            for delta_t in (float("nan"), float("inf"), 0.0, -1e-4, 1e-320):
                 with pytest.raises(ValueError, match="finite delta_t > 0"):
                     compile_qft_daqc(n, "banged", delta_t)
 

@@ -1,20 +1,21 @@
 """Tests for the nearest-neighbor-line to all-to-all connectivity compiler."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from daqft.cli import main
 from daqft.ising import all_pairs
 from daqft.nn2ata import (
     CoverReport,
     HamiltonianPath,
-    apply_permutation_to_layout,
     cover_report,
     decompose_complete_graph,
     hp_permutation,
     iswap_unitary,
     paths_dump,
     relabel_unitary,
-    transpositions_for_layout,
     verify_nn_simulates_ata,
 )
 
@@ -95,18 +96,6 @@ class TestEdgeCovers:
 class TestRelabeling:
     """iSWAP relabeling of layouts and Z operators."""
 
-    def test_layout_transposition(self):
-        """Entrywise swaps keep layouts bijective."""
-        identity = HamiltonianPath((1, 2, 3, 4))
-        swapped = apply_permutation_to_layout(identity, 1, 2)
-        assert swapped.vertices == (2, 1, 3, 4)
-        rng = np.random.default_rng(3)
-        layout = identity
-        for _ in range(20):
-            i, j = rng.choice(np.arange(1, 5), size=2, replace=False)
-            layout = apply_permutation_to_layout(layout, int(i), int(j))
-        assert sorted(layout.vertices) == [1, 2, 3, 4]
-
     def test_iswap_matrix(self):
         """The two-qubit block is diag(1, i, i, 1) with the swap."""
         gate = iswap_unitary(2, 1, 2)
@@ -136,17 +125,16 @@ class TestRelabeling:
                         after = np.diag(z_diagonal(n, moved))
                         assert np.allclose(gate @ before @ gate.conj().T, after)
 
-    def test_transposition_synthesis(self):
-        """Synthesized transpositions rebuild arbitrary layouts."""
+    def test_relabel_moves_z_to_layout_label(self):
+        """Conjugating by the relabel moves Z at position p to Z at label layout[p - 1]."""
         rng = np.random.default_rng(11)
         for size in (2, 3, 5, 6):
             for _ in range(10):
-                mapping = tuple(int(v) for v in rng.permutation(np.arange(1, size + 1)))
-                target = HamiltonianPath(mapping)
-                layout = HamiltonianPath(tuple(range(1, size + 1)))
-                for i, j in transpositions_for_layout(target):
-                    layout = apply_permutation_to_layout(layout, i, j)
-                assert layout == target
+                layout = tuple(int(v) for v in rng.permutation(np.arange(1, size + 1)))
+                relabel = relabel_unitary(HamiltonianPath(layout))
+                for position in range(1, size + 1):
+                    moved = relabel @ np.diag(z_diagonal(size, position)) @ relabel.conj().T
+                    assert np.allclose(moved, np.diag(z_diagonal(size, layout[position - 1])))
 
     def test_relabel_unitary_is_generalized_permutation(self):
         """The iSWAP product has one unit-modulus entry per row and column."""
@@ -184,3 +172,49 @@ class TestSimulation:
         report = verify_nn_simulates_ata(2)
         assert len(report.paths) == 1
         assert report.paths[0].vertices in ((1, 2), (2, 1))
+
+
+class TestPinnedBytes:
+    """Relabel and iSWAP matrices and the nn2ata command output, byte for byte.
+
+    Each matrix has one unit entry per column, so its bytes do not depend on the BLAS.
+    """
+
+    def test_relabel_matrices(self):
+        """Relabels of every zigzag layout for L = 2..6 hash to the pinned digest."""
+        digest = hashlib.sha256()
+        for length in range(2, 7):
+            for k in range(length // 2 + 1):
+                digest.update(relabel_unitary(hp_permutation(length, k)).tobytes())
+        assert digest.hexdigest() == "bc0f30e50b8cdeda95aed91097bf28d575488bff27a52590f607a3323f3ded5e"
+
+    def test_iswap_matrices(self):
+        """iSWAPs of every ordered qubit pair for n = 2..6 hash to the pinned digest."""
+        digest = hashlib.sha256()
+        for n in range(2, 7):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i != j:
+                        digest.update(iswap_unitary(n, i, j).tobytes())
+        assert digest.hexdigest() == "2125983ebe20049830a7ccd73a0423c9b316f047ca4b21df4862f6cbcdd77fd1"
+
+    @pytest.mark.parametrize(
+        "size, expected",
+        [
+            (2, "1 2\npaths 1\nedge-cover PASS\ndense-verification PASS distance 0.000e+00\n"),
+            (
+                4,
+                "1 4 2 3\n2 1 3 4\npaths 2\nedge-cover PASS\n"
+                "dense-verification PASS distance 2.490e-16\n",
+            ),
+            (
+                6,
+                "1 6 2 5 3 4\n2 1 3 6 4 5\n3 2 4 1 5 6\npaths 3\nedge-cover PASS\n"
+                "dense-verification PASS distance 1.026e-15\n",
+            ),
+        ],
+    )
+    def test_cli_stdout(self, capsys, size, expected):
+        """daqft nn2ata prints the path dump and both verdicts, exactly."""
+        assert main(["nn2ata", "--size", str(size)]) == 0
+        assert capsys.readouterr().out == expected

@@ -923,9 +923,9 @@ class TestSerialization:
             load_noise_config(path)
 
     def test_load_noise_config_bad_delta_t(self, tmp_path):
-        """Non-positive, non-finite and non-numeric window widths are rejected at load time."""
+        """Non-positive, subnormal, non-finite and non-numeric window widths are rejected at load time."""
         path = tmp_path / "noise.json"
-        for delta_t in (0.0, float("nan"), float("inf"), "0.001", True):
+        for delta_t in (0.0, float("nan"), float("inf"), "0.001", True, 1e-320):
             path.write_text(json.dumps({"delta_t": delta_t}))
             with pytest.raises(ValueError, match="delta_t"):
                 load_noise_config(path)
