@@ -114,28 +114,44 @@ def line_resource(length: int) -> IsingSpec:
     return IsingSpec(length, {(i, i + 1): 1.0 for i in range(1, length)})
 
 
-def iswap_unitary(n_qubits: int, i: int, j: int) -> np.ndarray:
-    """Dense iSWAP between qubits i and j (i|01> -> i|10> style phases)."""
+def _iswap_map(n_qubits: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the iSWAP between qubits i and j sends each basis state, and whether it adds a phase i.
+
+    It swaps the two bits and multiplies by i where they differ.
+    """
     if i == j:
         raise ValueError("iSWAP needs two distinct qubits")
-    dim = 1 << n_qubits
-    index = np.arange(dim)
+    index = np.arange(1 << n_qubits)
     bit_i = (index >> (n_qubits - i)) & 1
     bit_j = (index >> (n_qubits - j)) & 1
     differ = bit_i != bit_j
-    swapped = index ^ differ * ((1 << (n_qubits - i)) | (1 << (n_qubits - j)))
+    return index ^ differ * ((1 << (n_qubits - i)) | (1 << (n_qubits - j))), differ
+
+
+def iswap_unitary(n_qubits: int, i: int, j: int) -> np.ndarray:
+    """Dense iSWAP between qubits i and j (i|01> -> i|10> style phases)."""
+    swapped, differ = _iswap_map(n_qubits, i, j)
+    dim = 1 << n_qubits
     matrix = np.zeros((dim, dim), dtype=complex)
-    matrix[swapped, index] = np.where(differ, 1j, 1.0 + 0j)
+    matrix[swapped, np.arange(dim)] = np.where(differ, 1j, 1.0 + 0j)
     return matrix
+
+
+# i**t for t = 0..3, each zero part unsigned as in a dense product of iSWAPs.
+_QUARTER_TURNS = np.array([complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)])
 
 
 def relabel_unitary(target: HamiltonianPath) -> np.ndarray:
     """Product of iSWAPs whose conjugation moves Z at position p to label vertices[p - 1].
 
     Walks each layout cycle from its smallest position, with one iSWAP to each later member.
+    Each iSWAP is a permutation with unit phases, so the product is composed as one:
+    column c of it holds i**t in the row where the iSWAPs carry basis state c, t the
+    number of them that find its two bits differing.
     """
     size = target.size
-    matrix = np.eye(1 << size, dtype=complex)
+    columns = np.arange(1 << size)
+    rows, turns = columns, np.zeros(1 << size, dtype=np.intp)
     seen: set[int] = set()
     for start in range(1, size + 1):
         if start in seen:
@@ -143,8 +159,12 @@ def relabel_unitary(target: HamiltonianPath) -> np.ndarray:
         member = target.vertices[start - 1]
         while member != start:
             seen.add(member)
-            matrix = iswap_unitary(size, start, member) @ matrix
+            swapped, differ = _iswap_map(size, start, member)
+            turns = turns + differ[rows]
+            rows = swapped[rows]
             member = target.vertices[member - 1]
+    matrix = np.zeros((1 << size, 1 << size), dtype=complex)
+    matrix[rows, columns] = _QUARTER_TURNS[turns % 4]
     return matrix
 
 

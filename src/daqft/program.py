@@ -2,12 +2,19 @@
 
 Instructions know how to apply themselves ideally, and how to apply a
 perturbed version of themselves given draws from the noise channel each
-names (see noise module).  Both act on a (k, 2^n, r) block of amplitudes:
-k register rows, one per noise shot (and config) of a Monte-Carlo run, each
-holding r input states that share that row's draws, such as the basis
-states of a dense unitary.  A noisy application applies one operand per
-register row to all r inputs; the executor builds the operands from the
-rows' draws, those of one instruction class together (see _operands).
+names (see noise module).  A run acts on k register rows, one per noise
+shot (and config) of a Monte-Carlo run, each holding r input states that
+share that row's draws, such as the basis states of a dense unitary.
+Callers pass and get back a (k, 2^n, r) block (see _run for its memory
+layout); inside the executor every kernel acts on the same amplitudes as
+a shot-minor (2^n, r, k) block, the register rows the contiguous
+innermost axis, so that each elementwise loop runs over all k rows and
+not over the few amplitudes a row holds per qubit.  A noisy application
+applies one operand per register row to all r inputs; the executor
+builds the operands from the rows' draws, those of one instruction class
+together (see _operands), with the register rows last too: (2, 2, k)
+matrices, (4, k) entangler or (L, k) analog phases.  Only a banged
+window's class unitaries stay (k, C, 2^m, 2^m), for its per-row matvecs.
 Analog instructions evolve under the register's one analog resource, the
 unit all-to-all ZZ Hamiltonian sum_{j<k} Z_j Z_k.
 """
@@ -23,14 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ising import _check_register_size
-from .statevector import (
-    PAULI_X,
-    SQRT2,
-    Statevector,
-    _apply_diag_2q,
-    _apply_matrix_1q,
-    pauli,
-)
+from .statevector import PAULI_X, SQRT2, Statevector, pauli
 
 
 class UnsupportedGateError(ValueError):
@@ -43,15 +43,15 @@ def _check_qubit(q: int, name: str = "qubit") -> None:
 
 
 def _rotations(theta: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """cos(t)*1 + i*sin(t)*P for each angle t of an array: a (..., 2, 2) stack.
+    """cos(t)*1 + i*sin(t)*P for each angle t of a (..., k) array: a (..., 2, 2, k) stack.
 
     Written entry by entry; Pauli entries are 0, +-1 or +-i, so every
     product is exact and the bits are the broadcast formula's.
     """
     c, s = np.cos(theta), 1j * np.sin(theta)
-    out = np.empty(theta.shape + (2, 2), dtype=complex)
+    out = np.empty(theta.shape[:-1] + (2, 2) + theta.shape[-1:], dtype=complex)
     for a, b in itertools.product(range(2), repeat=2):
-        out[..., a, b] = c * _I2[a, b] + s * axis[..., a, b]
+        out[..., a, b, :] = c * _I2[a, b] + s * axis[..., a, b]
     return out
 
 
@@ -64,9 +64,19 @@ def _constant(array: np.ndarray) -> np.ndarray:
 _I2 = _constant(np.eye(2))
 
 
+def _apply_matrix_1q(amps: np.ndarray, target: int, matrices: np.ndarray) -> np.ndarray:
+    """Apply 2x2 matrices on qubit ``target`` of a (2^n, r, k) block.
+
+    ``matrices`` is (2, 2, k), one per register row, or (2, 2, 1), one for every row.
+    """
+    a = amps.reshape(1 << (target - 1), 2, -1, amps.shape[-1])
+    out = matrices[:, 0, None] * a[:, None, 0] + matrices[:, 1, None] * a[:, None, 1]
+    return out.reshape(amps.shape)
+
+
 # The kernel entry points that Rotation, HadamardGate and XGate share; each
 # binds them in its own class body, where perfbench's tracer looks up an
-# instruction's kernels.  ``value`` holds the register rows' (k, 2, 2) matrices.
+# instruction's kernels.  ``value`` holds the register rows' (2, 2, k) matrices.
 def _single_qubit_noisy(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
     return _apply_matrix_1q(amps, self.qubit, value)
 
@@ -126,9 +136,9 @@ class HadamardGate:
     @staticmethod
     def _operands(values: np.ndarray) -> np.ndarray:
         # exp(i*v*H_H) with H_H = (pi/2)(1 - (Z+X)/sqrt2); H_H has eigenvalues {0, pi}
-        half = (np.pi * values / 2.0)[..., None, None]
+        half = (np.pi * values / 2.0)[..., None, None, :]
         return np.exp(1j * half) * (
-            np.cos(half) * _I2 - 1j * np.sin(half) * (_Z_PLUS_X / SQRT2)
+            np.cos(half) * _I2[..., None] - 1j * np.sin(half) * (_Z_PLUS_X[..., None] / SQRT2)
         )
 
     _ideal = _constant(_operands(np.ones(1)))
@@ -170,7 +180,7 @@ class Entangler:
     channel = "tqg"
 
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
-        # ``value`` holds the register rows' (k, 4) branch phases.
+        # ``value`` holds the register rows' (4, k) branch phases.
         return _apply_diag_2q(amps, n, self.qubit_a, self.qubit_b, value)
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
@@ -179,12 +189,33 @@ class Entangler:
     @staticmethod
     def _operands(values: np.ndarray) -> np.ndarray:
         phi = (np.pi / 4.0) * (1.0 + values)
-        out = np.empty(phi.shape + (4,), dtype=complex)
-        out[..., 0] = out[..., 3] = np.exp(1j * phi)
-        out[..., 1] = out[..., 2] = np.exp(-1j * phi)
+        out = np.empty(phi.shape[:-1] + (4,) + phi.shape[-1:], dtype=complex)
+        out[..., 0, :] = out[..., 3, :] = np.exp(1j * phi)
+        out[..., 1, :] = out[..., 2, :] = np.exp(-1j * phi)
         return out
 
     _ideal = _constant(_operands(np.zeros(1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _branch_index(n_qubits: int, q1: int, q2: int) -> np.ndarray:
+    """Per basis state, the (q1, q2) branch 2*b1 + b2 its bits select."""
+    indices = np.arange(1 << n_qubits)
+    branch = 2 * ((indices >> (n_qubits - q1)) & 1) + ((indices >> (n_qubits - q2)) & 1)
+    return _constant(branch)
+
+
+def _apply_diag_2q(
+    amps: np.ndarray, n_qubits: int, q1: int, q2: int, phases: np.ndarray
+) -> np.ndarray:
+    """Multiply a (2^n, r, k) block by per-branch phases of the (q1, q2) subspace.
+
+    ``phases`` is (4, k), one set per register row, or (4, 1), one for every row.
+    np.multiply keeps the product amps * phases: numpy may evaluate a large
+    ``amps * temporary`` in place as ``temporary * amps`` (temporary
+    elision), and its vectorized complex product rounds the two differently.
+    """
+    return np.multiply(amps, phases[_branch_index(n_qubits, q1, q2), None])
 
 
 @dataclass(frozen=True)
@@ -213,7 +244,7 @@ class ControlledPhase:
 
     @functools.cached_property
     def _ideal(self) -> np.ndarray:
-        return np.array([[1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** self.k)]])
+        return np.array([[1.0], [1.0], [1.0], [np.exp(2j * np.pi / 2 ** self.k)]])
 
 
 @dataclass(frozen=True)
@@ -234,10 +265,10 @@ class AnalogBlock:
         return "abn_s" if self.kind == "stepwise" else "abn_b"
 
     def noisy_apply(self, amps: np.ndarray, n: int, value: np.ndarray) -> np.ndarray:
-        # ``value`` holds the register rows' (k, L) phases at the L distinct
+        # ``value`` holds the register rows' (L, k) phases at the L distinct
         # levels, gathered onto the basis: every amplitude's exponent is the
-        # same product as with its own energy.
-        return amps * value[:, _energy(n)[1], None]
+        # same product as with its own energy, in the order _apply_diag_2q keeps.
+        return np.multiply(amps, value[_energy(n)[1], None])
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
         phases = self._operands(np.zeros(1), self.duration, _energy(n)[0])
@@ -245,7 +276,7 @@ class AnalogBlock:
 
     @staticmethod
     def _operands(values: np.ndarray, durations, levels: np.ndarray) -> np.ndarray:
-        return np.exp(1j * (durations + values)[..., None] * levels)
+        return np.exp(1j * (durations + values)[..., None, :] * levels[:, None])
 
 
 @dataclass(frozen=True)
@@ -302,7 +333,7 @@ class Permute:
         return self.ideal_apply(amps, n)
 
     def ideal_apply(self, amps: np.ndarray, n: int) -> np.ndarray:
-        return amps[:, self._index]
+        return amps[self._index]
 
     @functools.cached_property
     def _index(self) -> np.ndarray:
@@ -460,20 +491,25 @@ def _ideal_window_unitaries(duration: float, n: int, m: int) -> np.ndarray:
 def _apply_window_unitaries(
     amps: np.ndarray, n: int, qubits: tuple[int, ...], u: np.ndarray
 ) -> np.ndarray:
-    """Apply a window's class unitaries to a (k, 2^n, r) block.
+    """Apply a window's class unitaries to a (2^n, r, k) block.
 
     ``u`` is (k, C, 2^m, 2^m), one set per register row, or (1, C, 2^m, 2^m),
     one for every row.  Each (register row, input) pair is one matvec; a
     gemm over the r inputs would round differently from a single input,
     and so would a matmul that broadcasts one set over k rows, so a shared
-    set is gathered once per row.
+    set is gathered once per row.  The inputs are gathered into a C-order
+    (R, 2^m, k, r) array viewed as (k, R, 2^m, r), the layout numpy gives
+    ``block[:, index]`` of a C-order (k, 2^n, r) block, so every matvec
+    sees the operand strides, and makes the BLAS call, that it does there.
     """
     index, weight = _window_structure(n, qubits)
-    inputs = amps[:, index].swapaxes(-1, -2)[..., None]
-    if len(u) != len(amps):
-        u = np.broadcast_to(u, (len(amps),) + u.shape[1:])
+    rows = amps.shape[-1]
+    gathered = np.take(amps.swapaxes(1, 2), index, axis=0).transpose(2, 0, 1, 3)
+    inputs = gathered.swapaxes(-1, -2)[..., None]
+    if len(u) != rows:
+        u = np.broadcast_to(u, (rows,) + u.shape[1:])
     out = np.empty(amps.shape, dtype=complex)
-    out[:, index] = (u[:, weight][:, :, None] @ inputs)[..., 0].swapaxes(-1, -2)
+    out[index] = (u[:, weight][:, :, None] @ inputs)[..., 0].transpose(1, 3, 2, 0)
     return out
 
 
@@ -587,8 +623,8 @@ class _OperandGroup(NamedTuple):
     ``columns`` holds their draw sites, (J,) or a window's (J, m).
     ``build(values, *rows)`` takes the draws of J of them, (J, k) or
     (J, k, m), with the matching rows of each array in ``params``, and
-    returns their (J, k, ...) operands.  One call covers at most
-    ``capacity`` register rows, J*k, unless J is 1.
+    returns their (J, ..., k) operands, or windows' (J, k, C, 2^m, 2^m).
+    One call covers at most ``capacity`` register rows, J*k, unless J is 1.
     """
 
     indices: tuple[int, ...]
@@ -647,6 +683,13 @@ def _operands(program: Program, values: np.ndarray, rows: int):
 def _run(program: Program, block: np.ndarray, draws: np.ndarray | None = None) -> np.ndarray:
     """Apply the program to a (k, 2^n, r) block: the one loop over instructions.
 
+    The block is copied once into the shot-minor (2^n, r, k) layout that
+    every kernel takes.  The result comes back as a (k, 2^n, r) view of a
+    C-order (2^n, k, r) array, a copy only where r > 1: the layout numpy
+    gives ``block[:, index]``, the readout permutation that ends every
+    protocol program, of a row-major block.  A caller that scores the
+    rows (noise._cell_records) so sees the strides, and each vecdot makes
+    the BLAS call, that a row-major executor gave it.
     ``draws`` is None, an ideal run, or the (k, sites) noise values at the
     program's draw sites (see Program._operand_layout), one row per
     register row, shared by its r inputs.  They reach each noisy_apply as
@@ -655,12 +698,13 @@ def _run(program: Program, block: np.ndarray, draws: np.ndarray | None = None) -
     """
     n = program.n_qubits
     values = itertools.repeat(None) if draws is None else _operands(program, draws, len(block))
+    amps = np.ascontiguousarray(np.moveaxis(block, 0, -1))
     for instr, value in zip(program.instructions, values):
         if value is None:
-            block = instr.ideal_apply(block, n)
+            amps = instr.ideal_apply(amps, n)
         else:
-            block = instr.noisy_apply(block, n, value)
-    return block
+            amps = instr.noisy_apply(amps, n, value)
+    return np.ascontiguousarray(amps.swapaxes(1, 2)).transpose(1, 0, 2)
 
 
 def execute_program(state: Statevector, program: Program) -> Statevector:

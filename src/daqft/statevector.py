@@ -7,7 +7,6 @@ never mutate their inputs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,40 +68,13 @@ def _fidelities(reference: np.ndarray, rows: np.ndarray) -> list[float]:
 
     vecdot makes, per row, the BLAS call that vdot makes on that row, with
     the operands' own strides, so each value has vdot's bits.  A contiguous
-    copy of a strided operand would sum in another order.
+    copy of a strided operand would sum in another order.  The square is
+    libm's pow(x, 2), which float_power calls per element as a scalar
+    ``x ** 2`` does; an array ``** 2`` or np.square computes x*x, and pow
+    rounds differently from that in the last bit of a few values.
     """
     overlaps = np.vecdot(reference, rows)
-    return [float(np.abs(z) ** 2) for z in overlaps]
-
-
-def _apply_matrix_1q(amps: np.ndarray, target: int, matrices: np.ndarray) -> np.ndarray:
-    """Apply 2x2 matrices on qubit ``target`` of a (k, 2^n, r) block.
-
-    ``matrices`` is (k, 2, 2), one per register row, or (1, 2, 2), one for every row.
-    """
-    a = amps.reshape(amps.shape[0], 1 << (target - 1), 2, -1)
-    m = matrices[:, None, :, :, None]
-    out = m[:, :, :, 0] * a[:, :, None, 0] + m[:, :, :, 1] * a[:, :, None, 1]
-    return out.reshape(amps.shape)
-
-
-@functools.lru_cache(maxsize=None)
-def _branch_index(n_qubits: int, q1: int, q2: int) -> np.ndarray:
-    """Per basis state, the (q1, q2) branch 2*b1 + b2 its bits select."""
-    indices = np.arange(1 << n_qubits)
-    branch = 2 * ((indices >> (n_qubits - q1)) & 1) + ((indices >> (n_qubits - q2)) & 1)
-    branch.flags.writeable = False
-    return branch
-
-
-def _apply_diag_2q(
-    amps: np.ndarray, n_qubits: int, q1: int, q2: int, phases: np.ndarray
-) -> np.ndarray:
-    """Multiply a (k, 2^n, r) block by per-branch phases of the (q1, q2) subspace.
-
-    ``phases`` is (k, 4), one set per register row, or (1, 4), one for every row.
-    """
-    return amps * phases[:, _branch_index(n_qubits, q1, q2), None]
+    return np.float_power(np.abs(overlaps), 2).tolist()
 
 
 def phase_insensitive_distance(u: np.ndarray, v: np.ndarray) -> float:

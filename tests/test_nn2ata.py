@@ -1,6 +1,7 @@
 """Tests for the nearest-neighbor-line to all-to-all connectivity compiler."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -25,6 +26,17 @@ def z_diagonal(n_qubits, label):
     index = np.arange(1 << n_qubits)
     bit = (index >> (n_qubits - label)) & 1
     return np.where(bit, -1.0, 1.0)
+
+
+def cycle_walk(layout):
+    """The (start, member) iSWAPs of a relabel: each layout cycle from its smallest position."""
+    seen = set()
+    for start in range(1, len(layout) + 1):
+        member = layout[start - 1]
+        while start not in seen and member != start:
+            seen.add(member)
+            yield start, member
+            member = layout[member - 1]
 
 
 class TestPermutations:
@@ -144,6 +156,24 @@ class TestRelabeling:
         assert np.all(nonzero.sum(axis=0) == 1)
         assert np.all(nonzero.sum(axis=1) == 1)
         assert np.allclose(np.abs(matrix[nonzero]), 1.0)
+
+    def test_composed_relabel_equals_dense_product(self):
+        """The composed relabel has the bytes of the dense iSWAP product, L = 2..6.
+
+        Every layout for L <= 5 and 100 random ones at L = 6, against one
+        dense iSWAP product per layout-cycle member, in cycle-walk order.
+        """
+        rng = np.random.default_rng(17)
+        for size in range(2, 7):
+            if size <= 5:
+                layouts = itertools.permutations(range(1, size + 1))
+            else:
+                layouts = (tuple(int(v) for v in rng.permutation(np.arange(1, 7))) for _ in range(100))
+            for layout in layouts:
+                dense = np.eye(1 << size, dtype=complex)
+                for start, member in cycle_walk(layout):
+                    dense = iswap_unitary(size, start, member) @ dense
+                assert relabel_unitary(HamiltonianPath(layout)).tobytes() == dense.tobytes(), layout
 
 
 class TestSimulation:

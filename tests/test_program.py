@@ -298,7 +298,7 @@ BROADCAST_CASES = {
 
 
 class TestBlockLayout:
-    """Kernels act on (k, 2^n, r) blocks: k register rows, each with r inputs sharing its draws."""
+    """Kernels act on (2^n, r, k) blocks: k register rows, each with r inputs sharing its draws."""
 
     def test_cases_cover_every_class(self):
         """The broadcast cases name every instruction class once."""
@@ -310,11 +310,11 @@ class TestBlockLayout:
 
     @pytest.mark.parametrize("name", sorted(BROADCAST_CASES))
     def test_inputs_equal_single_input_runs(self, name):
-        """One (k, 2^n, 3) block equals three (k, 2^n, 1) runs bit for bit, noisy and ideal."""
+        """One (2^n, 3, k) block equals three (2^n, 1, k) runs bit for bit, noisy and ideal."""
         instr, values = BROADCAST_CASES[name]
         n = 5
         rng = np.random.default_rng(61)
-        amps = rng.normal(size=(_K, 2 ** n, 3)) + 1j * rng.normal(size=(_K, 2 ** n, 3))
+        amps = rng.normal(size=(2 ** n, 3, _K)) + 1j * rng.normal(size=(2 ** n, 3, _K))
         runs = [lambda block: instr.ideal_apply(block, n)]
         if values is not None:
             runs.append(lambda block: instr.noisy_apply(block, n, values))
@@ -322,8 +322,8 @@ class TestBlockLayout:
             together = run(amps)
             assert together.shape == amps.shape
             for j in range(3):
-                alone = run(amps[:, :, j:j + 1])
-                assert np.array_equal(together[:, :, j:j + 1], alone), (name, j)
+                alone = run(amps[:, j:j + 1])
+                assert np.array_equal(together[:, j:j + 1], alone), (name, j)
 
 
 # Each channel's width in a NoiseConfig.
@@ -427,7 +427,7 @@ def per_instance_unitary(program):
     shared one, and goes through the kernel that the ideal run uses.
     """
     n = program.n_qubits
-    block = np.eye(2 ** n, dtype=complex)[None]
+    block = np.eye(2 ** n, dtype=complex)[:, :, None]
     for instr in program.instructions:
         if isinstance(instr, Rotation):
             operand = Rotation._operands(np.ones(1), instr.angle, pauli(instr.axis))
@@ -437,7 +437,7 @@ def per_instance_unitary(program):
         elif isinstance(instr, Entangler):
             block = instr.noisy_apply(block, n, Entangler._operands(np.zeros(1)))
         elif isinstance(instr, ControlledPhase):
-            phase = np.array([[1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** instr.k)]])
+            phase = np.array([[1.0], [1.0], [1.0], [np.exp(2j * np.pi / 2 ** instr.k)]])
             block = program_module._apply_diag_2q(block, n, instr.control, instr.target, phase)
         elif isinstance(instr, AnalogBlock):
             phases = AnalogBlock._operands(np.zeros(1), instr.duration, program_module._energy(n)[0])
@@ -449,7 +449,7 @@ def per_instance_unitary(program):
             block = instr.noisy_apply(block, n, unitaries)
         else:
             block = instr.ideal_apply(block, n)
-    return block[0]
+    return block[:, :, 0]
 
 
 def clear_ideal_caches():
@@ -531,16 +531,19 @@ class TestNoisySemantics:
 
 
 def broadcast_rotations(theta, axis):
-    """cos(t)*1 + i*sin(t)*P as one broadcast over (..., 2, 2): the bits the builders must give."""
+    """cos(t)*1 + i*sin(t)*P as one broadcast over (..., k, 2, 2), register rows moved last.
+
+    The bits and the (..., 2, 2, k) layout the builders must give.
+    """
     theta = theta[..., None, None]
-    return np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * axis
+    return np.moveaxis(np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * axis, -3, -1)
 
 
 def broadcast_entangler_phases(values):
-    """exp(+-i phi) stacked on a last axis of 4: the bits Entangler._operands must give."""
+    """exp(+-i phi) stacked on a second-to-last axis of 4: the bits Entangler._operands must give."""
     phi = (np.pi / 4.0) * (1.0 + values)
     up, down = np.exp(1j * phi), np.exp(-1j * phi)
-    return np.stack([up, down, down, up], axis=-1)
+    return np.stack([up, down, down, up], axis=-2)
 
 
 # (J instructions, k register rows); (1, 5000) is one instruction wider
@@ -567,21 +570,21 @@ class TestOperandBits:
         angles = rng.normal(0.0, 2.0, (shape[0], 1))
         axis = np.stack([pauli(name) for name in names])[:, None]
         got = Rotation._operands(values, angles, axis)
-        assert got.shape == shape + (2, 2)
+        assert got.shape == shape[:1] + (2, 2) + shape[1:]
         assert got.tobytes() == broadcast_rotations(angles * values, axis).tobytes()
 
     @pytest.mark.parametrize("shape", OPERAND_SHAPES, ids="{0[0]}x{0[1]}".format)
     def test_x_gates(self, shape):
         values = operand_draws(shape, np.random.default_rng(sum(shape)))
         got = XGate._operands(values)
-        assert got.shape == shape + (2, 2)
+        assert got.shape == shape[:1] + (2, 2) + shape[1:]
         assert got.tobytes() == broadcast_rotations(np.pi * values / 2.0, PAULI_X).tobytes()
 
     @pytest.mark.parametrize("shape", OPERAND_SHAPES, ids="{0[0]}x{0[1]}".format)
     def test_entanglers(self, shape):
         values = operand_draws(shape, np.random.default_rng(sum(shape))) - 1.0
         got = Entangler._operands(values)
-        assert got.shape == shape + (4,)
+        assert got.shape == shape[:1] + (4,) + shape[1:]
         assert got.tobytes() == broadcast_entangler_phases(values).tobytes()
 
     def test_ideal_operands(self):
@@ -655,9 +658,10 @@ class TestAnalogExecution:
                 noisy = program_module._run(program, amps, values[:, None])
                 phases = np.exp(1j * (block.duration + values)[:, None] * diagonal)
                 assert np.array_equal(noisy, amps * phases[:, :, None]), (n, block)
-                ideal = block.ideal_apply(amps, n)
+                kernel_amps = np.moveaxis(amps, 0, -1)  # the executor's (2^n, r, k) layout
+                ideal = block.ideal_apply(kernel_amps, n)
                 phases = np.exp(1j * block.duration * diagonal)
-                assert np.array_equal(ideal, amps * phases[:, None])
+                assert np.array_equal(ideal, kernel_amps * phases[:, None, None])
 
     def test_analog_block_noise_shifts_duration(self):
         """A draw of delta evolves for duration + delta."""
@@ -901,24 +905,42 @@ class TestOperandPass:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_equals_each_instruction_alone(self, protocol):
-        """Random draws, some ideal values, give the bits of running each instruction alone.
+        """Random draws, some ideal values, give the bits of each instruction alone and each row alone.
 
         Alone, an instruction is a one-instruction program whose operand is
         built for it only; together, its class's operands are built in one
-        call.  Three register rows of two inputs each, at n = 3 and 5.
+        call.  A register row alone is a one-row block, whose kernels loop
+        over its own amplitudes, where rows together share each loop's
+        innermost axis; the rows run alone are the first 9, the middle one
+        and the last.  At n = 3, 5 and 7, k = 1, 16 and 200 register rows of
+        r = 1 and 2 inputs, and the dense block of k = 1 and r = 2^n.  A
+        banged window's matvecs go to BLAS or to numpy's own loop depending
+        on the strides of the class unitaries one solve returns, which
+        depend on how many rows and windows it stacks, so bDAQC rows run
+        alone are not compared.
         """
         rng = np.random.default_rng(89)
-        for n in (3, 5):
+        for n in (3, 5, 7):
             program = build_protocol_program(protocol, n)
-            draws = random_draws(program, 3, rng, none_share=0.2)
-            assert any(draw is None for draw in draws) and any(draw is not None for draw in draws)
-            block = rng.normal(size=(3, 2 ** n, 2)) + 1j * rng.normal(size=(3, 2 ** n, 2))
-            together = program_module._run(program, block, site_values(program, draws, 3))
-            alone = block
-            for instr, draw in zip(program.instructions, draws):
-                single = Program(n, (instr,))
-                alone = program_module._run(single, alone, site_values(single, [draw], 3))
-            assert np.array_equal(together, alone), (protocol, n)
+            for rows, inputs in [(1, 1), (1, 2), (16, 1), (16, 2), (200, 1), (200, 2), (1, 2 ** n)]:
+                draws = random_draws(program, rows, rng, none_share=0.2)
+                assert any(draw is None for draw in draws) and any(draw is not None for draw in draws)
+                values = site_values(program, draws, rows)
+                shape = (rows, 2 ** n, inputs)
+                block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                together = program_module._run(program, block, values)
+                assert together.shape == shape and together.swapaxes(0, 1).flags.c_contiguous
+                alone = block
+                for instr, draw in zip(program.instructions, draws):
+                    single = Program(n, (instr,))
+                    alone = program_module._run(single, alone, site_values(single, [draw], rows))
+                case = (protocol, n, rows, inputs)
+                assert np.array_equal(together, alone), case
+                if protocol == "bdaqc":
+                    continue
+                for row in sorted(set(range(min(rows, 9))) | {rows // 2, rows - 1}):
+                    alone = program_module._run(program, block[row:row + 1], values[row:row + 1])
+                    assert np.array_equal(together[row:row + 1], alone), case + (row,)
 
     def test_chunks_stay_within_cap(self, monkeypatch):
         """No chunk passes its cap unless it is one instruction, and the bits do not move.

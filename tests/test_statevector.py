@@ -97,6 +97,28 @@ class TestFidelities:
             want = np.array(per_row_vdot(reference, rows)).tobytes()
             assert np.array(_fidelities(reference, rows)).tobytes() == want
 
+    def test_square_is_the_scalar_formula(self):
+        """Each |overlap| is squared as the scalar float(np.abs(z) ** 2) squares it.
+
+        That is libm's pow(x, 2), which rounds differently from x * x, what
+        an array ``** 2`` computes, for about one overlap in a thousand.
+        200 random blocks of 64 rows, read contiguous and as one input of a
+        (k, 2^n, 2) block laid out as program._run returns it, hold such
+        overlaps.
+        """
+        rng = np.random.default_rng(13)
+        dim, differing = 8, 0
+        for _ in range(200):
+            reference = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            block = rng.normal(size=(dim, 64, 2)) + 1j * rng.normal(size=(dim, 64, 2))
+            block = block.transpose(1, 0, 2)  # a (2^n, k, r) array viewed as (k, 2^n, r)
+            for rows in (np.ascontiguousarray(block[:, :, 0]), block[:, :, 1]):
+                want = np.array(per_row_vdot(reference, rows))
+                assert np.array(_fidelities(reference, rows)).tobytes() == want.tobytes()
+                magnitudes = np.abs(np.vecdot(reference, rows))
+                differing += np.count_nonzero(magnitudes * magnitudes != want)
+        assert differing > 0
+
     def test_fidelity_is_the_one_row_case(self):
         rng = np.random.default_rng(5)
         a, b = random_state(4, rng), random_state(4, rng)
