@@ -245,7 +245,7 @@ def _add_sweep_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=1,
         help="shot batches per (protocol, n), run in turn; a block holds ceil(shots/workers) "
-        "shots of every grid point (same output)",
+        "shots of every grid point (records equal bit for bit at any value)",
     )
     parser.add_argument("--out", required=True, help="output CSV path")
 

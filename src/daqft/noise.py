@@ -335,14 +335,16 @@ def monte_carlo(
     order: its sampler is called once, on the program's ``NoiseSites``
     table.  The shots run as blocks with one register row per shot:
     ``workers`` is the number of blocks, run in turn, so a block holds at
-    most ceil(shots / workers) rows of 2^n amplitudes.  No result depends
-    on it.  ``program`` is the compiled protocol program when the caller
-    reuses one across cells; by default it is compiled here.  A program of
-    another register size, one whose ``metadata["protocol"]`` names another
-    protocol or whose ``metadata["mode"]`` is not this protocol's, or a
-    banged one compiled at another ``delta_t``, raises ValueError, so the
-    record describes the program it ran.  ``config`` None runs the program
-    once through ``execute_program``.  A sweep of one cell per (protocol, n)
+    most ceil(shots / workers) rows of 2^n amplitudes.  The record is equal
+    bit for bit at any ``workers``, one-shot blocks included: no kernel and
+    no score of a row depends on the other rows of its block.  ``program``
+    is the compiled protocol program when the caller reuses one across
+    cells; by default it is compiled here.  A program of another register
+    size, one whose ``metadata["protocol"]`` names another protocol or
+    whose ``metadata["mode"]`` is not this protocol's, or a banged one
+    compiled at another ``delta_t``, raises ValueError, so the record
+    describes the program it ran.  ``config`` None runs the program once
+    through ``execute_program``.  A sweep of one cell per (protocol, n)
     comes here; larger grids run each shot once for all their cells.
     """
     _check_run(shots, workers)

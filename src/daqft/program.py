@@ -5,16 +5,16 @@ perturbed version of themselves given draws from the noise channel each
 names (see noise module).  A run acts on k register rows, one per noise
 shot (and config) of a Monte-Carlo run, each holding r input states that
 share that row's draws, such as the basis states of a dense unitary.
-Callers pass and get back a (k, 2^n, r) block (see _run for its memory
-layout); inside the executor every kernel acts on the same amplitudes as
-a shot-minor (2^n, r, k) block, the register rows the contiguous
-innermost axis, so that each elementwise loop runs over all k rows and
-not over the few amplitudes a row holds per qubit.  A noisy application
-applies one operand per register row to all r inputs; the executor
-builds the operands from the rows' draws, those of one instruction class
-together (see _operands), with the register rows last too: (2, 2, k)
-matrices, (4, k) entangler or (L, k) analog phases.  Only a banged
-window's class unitaries stay (k, C, 2^m, 2^m), for its per-row matvecs.
+Callers pass and get back a (k, 2^n, r) block; inside the executor
+every kernel acts on the same amplitudes as a shot-minor (2^n, r, k)
+block, the register rows the contiguous innermost axis, so that each
+elementwise loop runs over all k rows and not over the few amplitudes a
+row holds per qubit.  A noisy application applies one operand per
+register row to all r inputs; the executor builds the operands from the
+rows' draws, those of one instruction class together (see _operands),
+with the register rows last too: (2, 2, k) matrices, (4, k) entangler
+or (L, k) analog phases, or a banged window's (2^m, 2^m, C, k) class
+unitaries.
 Analog instructions evolve under the register's one analog resource, the
 unit all-to-all ZZ Hamiltonian sum_{j<k} Z_j Z_k.
 """
@@ -342,14 +342,15 @@ class Permute:
 
 @functools.lru_cache(maxsize=None)
 def _window_structure(n: int, qubits: tuple[int, ...]):
-    """Gather index and weight class per row.
+    """Gather index, and weight class per row followed by one padding class.
 
     Row r of the (2^(n-m), 2^m) index holds the basis states that share one
     pattern of undriven bits; column b sets the driven bits, qubits[0] most
     significant.  Under the homogeneous resource a row's block depends only on
     w, the number of undriven bits set.  Flipping every bit maps weight w to
     n-m-w and commutes with the X drives, so a row with w > (n-m)/2 reads its
-    driven columns complemented and shares the block of class n-m-w.
+    driven columns complemented and shares the block of class n-m-w.  The
+    padding (see _apply_window_unitaries) gathers class 0 once more.
     """
     m = len(qubits)
     masks = 1 << np.array([n - q for q in qubits])
@@ -360,7 +361,7 @@ def _window_structure(n: int, qubits: tuple[int, ...]):
     weight = np.bitwise_count(rows).astype(np.intp)
     mirrored = 2 * weight > n - m
     index[mirrored] = index[mirrored, ::-1]
-    weight = np.minimum(weight, n - m - weight)
+    weight = np.append(np.minimum(weight, n - m - weight), 0)
     return _constant(index), _constant(weight)
 
 
@@ -454,16 +455,16 @@ def _window_unitaries(energies: np.ndarray, duration: float, drive_values: np.nd
     scales c_q, so the rows may come from several windows of one duration
     and class energies.  The k*C blocks are solved by _jacobi in the
     Hadamard basis, where the drives are diagonal and the blocks start close
-    to diagonal, and returned as (k, C, 2^m, 2^m) unitaries.
+    to diagonal, and returned in its batch-last order, (2^m, 2^m, C, k).
     """
     q, signs = _x_eigenbasis(drive_values.shape[1])
     classes, dim = energies.shape
     coeffs = (np.pi / (2.0 * duration)) * drive_values
     drives = sum(coeffs[:, i, None] * sign for i, sign in enumerate(signs))  # (k, 2^m)
-    h = np.empty((dim, dim, len(drive_values), classes))
-    h[...] = ((q * energies[:, None, :]) @ q).transpose(1, 2, 0)[:, :, None]  # Q diag(E) Q
+    h = np.empty((dim, dim, classes, len(drive_values)))
+    h[...] = ((q * energies[:, None, :]) @ q).transpose(1, 2, 0)[..., None]  # Q diag(E) Q
     diagonal = np.arange(dim)
-    h[diagonal, diagonal] += drives.T[:, :, None]
+    h[diagonal, diagonal] += drives.T[:, None]
     w, v = _jacobi(h.reshape(dim, dim, -1), q)
     del h  # the Hamiltonians' memory serves the U below
     phases = np.exp(1j * duration * w)
@@ -475,12 +476,12 @@ def _window_unitaries(energies: np.ndarray, duration: float, drive_values: np.nd
     upper = v[rows, 0] * v[cols, 0] * phases[0]
     for j in range(1, dim):
         upper += v[rows, j] * v[cols, j] * phases[j]
-    return np.moveaxis(upper[mirror], -1, 0).reshape(len(drive_values), classes, dim, dim)
+    return upper[mirror].reshape(dim, dim, classes, len(drive_values))
 
 
 @functools.lru_cache(maxsize=256)
 def _ideal_window_unitaries(duration: float, n: int, m: int) -> np.ndarray:
-    """A window's read-only ideal class unitaries (1, C, 2^m, 2^m), keyed by value.
+    """A window's read-only ideal class unitaries (2^m, 2^m, C, 1), keyed by value.
 
     Every program with the same width, register size and driven-qubit
     count shares them.
@@ -493,23 +494,19 @@ def _apply_window_unitaries(
 ) -> np.ndarray:
     """Apply a window's class unitaries to a (2^n, r, k) block.
 
-    ``u`` is (k, C, 2^m, 2^m), one set per register row, or (1, C, 2^m, 2^m),
-    one for every row.  Each (register row, input) pair is one matvec; a
-    gemm over the r inputs would round differently from a single input,
-    and so would a matmul that broadcasts one set over k rows, so a shared
-    set is gathered once per row.  The inputs are gathered into a C-order
-    (R, 2^m, k, r) array viewed as (k, R, 2^m, r), the layout numpy gives
-    ``block[:, index]`` of a C-order (k, 2^n, r) block, so every matvec
-    sees the operand strides, and makes the BLAS call, that it does there.
+    ``u`` is (2^m, 2^m, C, k), one set per register row, or (2^m, 2^m, C, 1),
+    one for every row, which the matmul broadcasts.  Each (register row,
+    input) pair is one matvec of numpy's own matmul loop, whose arithmetic
+    does not depend on strides, so no row's bits depend on the others.
+    numpy would send a matrix with a unit stride to BLAS, which rounds
+    differently; the gathered unitaries hold a padding class after the R
+    rows' (see _window_structure), so no matrix stride is one element.
     """
     index, weight = _window_structure(n, qubits)
-    rows = amps.shape[-1]
-    gathered = np.take(amps.swapaxes(1, 2), index, axis=0).transpose(2, 0, 1, 3)
-    inputs = gathered.swapaxes(-1, -2)[..., None]
-    if len(u) != rows:
-        u = np.broadcast_to(u, (rows,) + u.shape[1:])
+    matrices = np.take(u, weight, axis=2).transpose(3, 2, 0, 1)[:, :-1, None]  # (k, R, 1, d, d)
+    inputs = np.take(amps, index, axis=0).transpose(3, 0, 2, 1)[..., None]  # (k, R, r, d, 1)
     out = np.empty(amps.shape, dtype=complex)
-    out[index] = (u[:, weight][:, :, None] @ inputs)[..., 0].transpose(1, 3, 2, 0)
+    out[index] = (matrices @ inputs)[..., 0].transpose(1, 3, 2, 0)
     return out
 
 
@@ -623,7 +620,7 @@ class _OperandGroup(NamedTuple):
     ``columns`` holds their draw sites, (J,) or a window's (J, m).
     ``build(values, *rows)`` takes the draws of J of them, (J, k) or
     (J, k, m), with the matching rows of each array in ``params``, and
-    returns their (J, ..., k) operands, or windows' (J, k, C, 2^m, 2^m).
+    returns their (J, ..., k) operands, or windows' (J, 2^m, 2^m, C, k).
     One call covers at most ``capacity`` register rows, J*k, unless J is 1.
     """
 
@@ -635,9 +632,9 @@ class _OperandGroup(NamedTuple):
 
 
 def _window_operands(energies, duration, values):
-    """The class unitaries (J, k, C, 2^m, 2^m) of J windows' (J, k, m) drive rows."""
+    """The class unitaries (J, 2^m, 2^m, C, k) of J windows' (J, k, m) drive rows."""
     u = _window_unitaries(energies, duration, values.reshape(-1, values.shape[-1]))
-    return u.reshape(values.shape[:2] + u.shape[1:])
+    return np.moveaxis(u.reshape(u.shape[:3] + values.shape[:2]), 3, 0)
 
 
 def _operand_chunk(group: _OperandGroup, positions: slice, values: np.ndarray) -> dict:
@@ -684,12 +681,8 @@ def _run(program: Program, block: np.ndarray, draws: np.ndarray | None = None) -
     """Apply the program to a (k, 2^n, r) block: the one loop over instructions.
 
     The block is copied once into the shot-minor (2^n, r, k) layout that
-    every kernel takes.  The result comes back as a (k, 2^n, r) view of a
-    C-order (2^n, k, r) array, a copy only where r > 1: the layout numpy
-    gives ``block[:, index]``, the readout permutation that ends every
-    protocol program, of a row-major block.  A caller that scores the
-    rows (noise._cell_records) so sees the strides, and each vecdot makes
-    the BLAS call, that a row-major executor gave it.
+    every kernel takes, and the result is a (k, 2^n, r) view of the last
+    kernel's output.
     ``draws`` is None, an ideal run, or the (k, sites) noise values at the
     program's draw sites (see Program._operand_layout), one row per
     register row, shared by its r inputs.  They reach each noisy_apply as
@@ -704,7 +697,7 @@ def _run(program: Program, block: np.ndarray, draws: np.ndarray | None = None) -
             amps = instr.ideal_apply(amps, n)
         else:
             amps = instr.noisy_apply(amps, n, value)
-    return np.ascontiguousarray(amps.swapaxes(1, 2)).transpose(1, 0, 2)
+    return np.moveaxis(amps, -1, 0)
 
 
 def execute_program(state: Statevector, program: Program) -> Statevector:

@@ -66,14 +66,15 @@ def fidelity(a: Statevector, b: Statevector) -> float:
 def _fidelities(reference: np.ndarray, rows: np.ndarray) -> list[float]:
     """|<reference|row>|^2 of each row of a (k, dim) array, in one vecdot.
 
-    vecdot makes, per row, the BLAS call that vdot makes on that row, with
-    the operands' own strides, so each value has vdot's bits.  A contiguous
-    copy of a strided operand would sum in another order.  The square is
-    libm's pow(x, 2), which float_power calls per element as a scalar
-    ``x ** 2`` does; an array ``** 2`` or np.square computes x*x, and pow
-    rounds differently from that in the last bit of a few values.
+    The operands are made unit-stride first: vecdot then makes, per row,
+    the one BLAS call that vdot makes on a contiguous row, whatever the
+    operands' strides or the number of rows, where a strided dot sums in
+    another order.  The square is libm's pow(x, 2), which float_power
+    calls per element as a scalar ``x ** 2`` does; an array ``** 2`` or
+    np.square computes x*x, and pow rounds differently from that in the
+    last bit of a few values.
     """
-    overlaps = np.vecdot(reference, rows)
+    overlaps = np.vecdot(np.ascontiguousarray(reference), np.ascontiguousarray(rows))
     return np.float_power(np.abs(overlaps), 2).tolist()
 
 

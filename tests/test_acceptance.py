@@ -324,14 +324,17 @@ def test_criterion_10_line_to_all_to_all():
 
 
 def test_criterion_11_deterministic_output():
-    """Identical seeds give byte-identical CSVs under any number of shot batches."""
+    """Identical seeds give byte-identical CSVs, and records equal bit for bit, under any number of shot batches."""
     grid = default_beta_grid(5)
     config = NoiseConfig(seed=21)
-    runs = [
-        records_to_csv(sweep_beta(("dqc", "sdaqc", "bdaqc"), [3], grid, 10, config, workers=w))
-        for w in (1, 1, 3)
+    records = [
+        sweep_beta(("dqc", "sdaqc", "bdaqc"), [3], grid, 10, config, workers=w)
+        for w in (1, 1, 3, 10)
     ]
-    ok = runs[0] == runs[1] == runs[2]
-    report(11, ok, f"{len(runs[0].splitlines()) - 1} rows, repeat and 3-batch runs identical: {ok}")
-    assert runs[0] == runs[1]
-    assert runs[0] == runs[2]
+    runs = [records_to_csv(run) for run in records]
+    bits = [np.array([(r.mean_fidelity, r.std_fidelity) for r in run]).tobytes() for run in records]
+    ok = len(set(runs)) == 1 and len(set(bits)) == 1
+    detail = f"{len(runs[0].splitlines()) - 1} rows, repeat, 3-batch and one-shot-batch runs identical"
+    report(11, ok, f"{detail}: {ok}")
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+    assert bits[0] == bits[1] == bits[2] == bits[3]

@@ -83,6 +83,11 @@ def every_channel_program(n=3):
     return Program(n, instructions)
 
 
+def statistics_bits(record):
+    """The bytes of a record's mean and standard deviation, which the CSV rounds."""
+    return np.array([record.mean_fidelity, record.std_fidelity]).tobytes()
+
+
 def reference_values(program, samplers):
     """The (rows, sites) values of one reference sampler per register row, called in program order."""
     serial = [[sampler(instr) for sampler in samplers] for instr in program.instructions]
@@ -432,10 +437,32 @@ class TestMonteCarlo:
         assert record.std_fidelity >= 0.0
 
     def test_workers_do_not_change_results(self):
-        """The number of shot batches never affects the statistics."""
-        serial = monte_carlo("sdaqc", 2, 1.0, 8, NoiseConfig(seed=3), workers=1)
-        batched = monte_carlo("sdaqc", 2, 1.0, 8, NoiseConfig(seed=3), workers=3)
-        assert serial == batched
+        """The number of shot batches, one-shot batches too, never moves a record's bits."""
+        for protocol in PROTOCOLS:
+            for n in (2, 3, 5, 7):
+                program = build_protocol_program(protocol, n)
+                records = [
+                    monte_carlo(protocol, n, 1.0, 8, NoiseConfig(seed=3), workers=workers, program=program)
+                    for workers in (1, 2, 3, 8)
+                ]
+                assert len({statistics_bits(record) for record in records}) == 1, (protocol, n)
+                assert all(record == records[0] for record in records), (protocol, n)
+
+    def test_last_instruction_does_not_move_the_scores(self):
+        """A program that does not end in the readout permutation scores alike in any batch.
+
+        every_channel_program with and without its trailing identity
+        permutation, in one batch of 40 shots and in 40 batches of one,
+        gives one record, bit for bit.
+        """
+        readout = every_channel_program()
+        records = [
+            monte_carlo("dqc", 3, 0.7, 40, NoiseConfig(seed=9), workers=workers, program=program)
+            for program in (readout, Program(3, readout.instructions[:-1]))
+            for workers in (1, 40)
+        ]
+        assert len({statistics_bits(record) for record in records}) == 1
+        assert all(record == records[0] for record in records)
 
     def test_ideal_cell_equals_execute_program_fidelity(self):
         """An ideal cell's record, bit for bit, is one execute_program run scored by fidelity.

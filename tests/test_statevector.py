@@ -61,7 +61,7 @@ def per_row_vdot(reference, rows):
 
 
 class TestFidelities:
-    """One vecdot per block scores every row with the bits of a per-row vdot."""
+    """One vecdot per block scores every row with the bits of a per-row vdot of a contiguous copy."""
 
     @pytest.mark.parametrize("dim", [1, 8, 64, 256])
     def test_contiguous_rows(self, dim):
@@ -74,11 +74,11 @@ class TestFidelities:
 
     @pytest.mark.parametrize("view", ["every-second", "reversed", "transposed", "input-major"])
     def test_strided_rows(self, view):
-        """Strided rows and references keep their strides: a contiguous copy would sum in another order.
+        """Strided rows and references score as their contiguous copies.
 
         With OpenBLAS a strided dot product and the same one on a contiguous
-        copy differ in the last bit for some of these rows, so a helper that
-        copied its operands would fail here.
+        copy differ in the last bit for some of these rows, so a scorer that
+        kept the operands' strides would fail here.
         """
         rng = np.random.default_rng(11)
         dim, k = 64, 300
@@ -90,32 +90,33 @@ class TestFidelities:
             "every-second": draw(k, 2 * dim)[:, ::2],
             "reversed": draw(k, dim)[:, ::-1],
             "transposed": draw(dim, k).T,
-            "input-major": np.moveaxis(draw(k, dim, 2), -1, 0)[0],  # one input of a (k, 2^n, r) block
+            "input-major": np.moveaxis(draw(dim, 2, k), -1, 0)[:, :, 0],  # one input of a _run result
         }[view]
         assert not rows.flags.c_contiguous
         for reference in (draw(dim), draw(2 * dim)[::2]):
-            want = np.array(per_row_vdot(reference, rows)).tobytes()
-            assert np.array(_fidelities(reference, rows)).tobytes() == want
+            want = per_row_vdot(np.ascontiguousarray(reference), np.ascontiguousarray(rows))
+            assert np.array(_fidelities(reference, rows)).tobytes() == np.array(want).tobytes()
 
     def test_square_is_the_scalar_formula(self):
-        """Each |overlap| is squared as the scalar float(np.abs(z) ** 2) squares it.
+        """A block scores each row as that row alone, squared as the scalar float(np.abs(z) ** 2) squares it.
 
         That is libm's pow(x, 2), which rounds differently from x * x, what
         an array ``** 2`` computes, for about one overlap in a thousand.
-        200 random blocks of 64 rows, read contiguous and as one input of a
-        (k, 2^n, 2) block laid out as program._run returns it, hold such
-        overlaps.
+        200 random blocks of 64 rows, read as both inputs of a (k, 2^n, 2)
+        block laid out as program._run returns it, hold such overlaps.
         """
         rng = np.random.default_rng(13)
         dim, differing = 8, 0
         for _ in range(200):
             reference = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            block = rng.normal(size=(dim, 64, 2)) + 1j * rng.normal(size=(dim, 64, 2))
-            block = block.transpose(1, 0, 2)  # a (2^n, k, r) array viewed as (k, 2^n, r)
-            for rows in (np.ascontiguousarray(block[:, :, 0]), block[:, :, 1]):
-                want = np.array(per_row_vdot(reference, rows))
-                assert np.array(_fidelities(reference, rows)).tobytes() == want.tobytes()
-                magnitudes = np.abs(np.vecdot(reference, rows))
+            block = rng.normal(size=(dim, 2, 64)) + 1j * rng.normal(size=(dim, 2, 64))
+            block = np.moveaxis(block, -1, 0)  # a shot-minor (2^n, r, k) array viewed as (k, 2^n, r)
+            for rows in (block[:, :, 0], block[:, :, 1]):
+                scores = np.array(_fidelities(reference, rows))
+                alone = [_fidelities(reference, row[None])[0] for row in rows]
+                want = np.array(per_row_vdot(reference, np.ascontiguousarray(rows)))
+                assert scores.tobytes() == np.array(alone).tobytes() == want.tobytes()
+                magnitudes = np.abs(np.vecdot(reference, np.ascontiguousarray(rows)))
                 differing += np.count_nonzero(magnitudes * magnitudes != want)
         assert differing > 0
 
